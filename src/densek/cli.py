@@ -20,13 +20,14 @@ import sys
 import time
 from dataclasses import replace
 
-from . import damks, exact, fkp, ratio, reduction
+from . import exact, fkp, ratio, reduction
 from .graph import (
     Graph,
     GraphParseError,
     gnp_graph,
     induced_stats,
     parse_edge_list,
+    pick_best,
     serialize_edge_list,
 )
 
@@ -82,35 +83,27 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     k = args.k
     params = fkp.FkpParams.for_graph(G, seed=args.seed)
     shared = {"seed": args.seed, "reps": args.reps}
-    single = {
-        "a1": lambda: fkp.a1_matching(G, k),
-        "a2": lambda: fkp.a2_top_degrees(G, k),
-        "a3": lambda: fkp.a3_neighborhoods(G, k),
-        "a4": lambda: fkp.a4_edge_dense(G, k),
-        "a5": lambda: fkp.a5_walks(G, k, params),
-        "a6": lambda: damks.a6_damks(G, k, reps=args.reps, seed=args.seed),
-    }
-    if args.algo == "all":
-        results = []
-        for name in fkp.ALGO_NAMES:
-            if name == "a2" and k < 2:
-                _note(f"skipping a2: needs k >= 2, got k={k}")
-                continue
-            start = time.perf_counter()
-            res = single[name]()
-            wall = (time.perf_counter() - start) * 1000.0
-            results.append(res)
+    include = fkp.ALGO_NAMES if args.algo == "all" else (args.algo,)
+    if "a2" in include and k < 2:
+        if args.algo == "a2":
+            raise ValueError(f"a2 needs k >= 2, got k={k}")
+        _note(f"skipping a2: needs k >= 2, got k={k}")
+    runs = fkp.dks_candidates(G, k, params, include, a6_reps=args.reps)
+    candidates = []
+    total = 0.0
+    start = time.perf_counter()
+    for branch, name, res in runs:
+        wall = (time.perf_counter() - start) * 1000.0
+        total += wall
+        candidates.append(res)
+        if branch == "main":
             _emit(_result_record("run", "dks", name, k, res, shared, wall))
+        if args.algo != "all":
+            break  # a single algorithm runs on the main branch only
         start = time.perf_counter()
-        best = fkp.combined_dks(G, k, params, a6_reps=args.reps)
-        wall = (time.perf_counter() - start) * 1000.0
-        _emit(_result_record("best", "dks", "combined", k, best, shared, wall))
-    else:
-        start = time.perf_counter()
-        res = single[args.algo]()
-        wall = (time.perf_counter() - start) * 1000.0
-        _emit(_result_record("run", "dks", args.algo, k, res, shared, wall))
-        _emit(_result_record("best", "dks", args.algo, k, res, shared, wall))
+    best = pick_best(candidates)
+    label = "combined" if args.algo == "all" else args.algo
+    _emit(_result_record("best", "dks", label, k, best, shared, total))
     return 0
 
 
@@ -217,8 +210,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 raise ValueError(f"{args.records}: line {lineno} is not JSON") from None
             if record.get("type") not in ("run", "best") or "vertices" not in record:
                 continue
+            vertices = record["vertices"]
+            if not (
+                isinstance(vertices, list)
+                and all(type(v) is int and 0 <= v < G.n for v in vertices)
+                and len(set(vertices)) == len(vertices)
+            ):
+                raise ValueError(
+                    f"{args.records}: line {lineno}: vertices must be a list of "
+                    f"distinct integer ids in [0, {G.n})"
+                )
             checked += 1
-            actual = induced_stats(G, record["vertices"])
+            actual = induced_stats(G, vertices)
             ok = (
                 actual.edge_count == record.get("edge_count")
                 and abs(actual.average_degree - record.get("average_degree", -1.0))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import simplex
-from .graph import Graph, SubgraphResult, better_than, induced_stats
+from .graph import Graph, SubgraphResult, better_than, doubling_ladder, induced_stats
 from .reduction import fixing_trim
 from .rng import derive_rng
 
@@ -171,12 +171,7 @@ def gamma_ladder(n: int) -> list[int]:
     """Doubling density guesses ``1, 2, 4, ...`` capped at n."""
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    ladder = []
-    g = 1
-    while g <= n:
-        ladder.append(g)
-        g *= 2
-    return ladder
+    return doubling_ladder(n)
 
 
 def a6_damks(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .graph import Graph, SubgraphResult, induced_stats
+from .graph import Graph, SubgraphResult
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -181,33 +181,33 @@ def brute_quasi_density(
     return _mask_to_tuple(best_mask), Fraction(best_scaled, den)
 
 
-def walk_count_matrix(G: Graph, length: int) -> list[list[int]]:
-    """``W[u][v]`` = number of walks of exactly ``length`` edges from u to v.
-
-    Plain power of the adjacency matrix over Python integers, so counts never
-    overflow.
-    """
-    if length < 1:
-        raise ValueError(f"walk length must be >= 1, got {length}")
+def walk_powers(G: Graph, top: int) -> list[list[list[int]]]:
+    """``powers[l]`` (``1 <= l <= top``) counts walks of exactly ``l`` edges;
+    entry 0 is unused.  Python integers throughout, so counts never
+    overflow."""
     n = G.n
-    W = [[0] * n for _ in range(n)]
+    first = [[0] * n for _ in range(n)]
     for u, v in G.edges:
-        W[u][v] = 1
-        W[v][u] = 1
-    for _ in range(length - 1):
+        first[u][v] = 1
+        first[v][u] = 1
+    powers: list[list[list[int]]] = [[], first]
+    for _ in range(top - 1):
+        prev = powers[-1]
         nxt = [[0] * n for _ in range(n)]
         for u in range(n):
-            row = W[u]
+            row = prev[u]
             acc = nxt[u]
             for w in range(n):
                 c = row[w]
                 if c:
                     for z in G.adjacency[w]:
                         acc[z] += c
-        W = nxt
-    return W
+        powers.append(nxt)
+    return powers
 
 
-def exact_result(G: Graph, vertices: tuple[int, ...]) -> SubgraphResult:
-    """Convenience: evaluate a known vertex set on ``G``."""
-    return induced_stats(G, vertices)
+def walk_count_matrix(G: Graph, length: int) -> list[list[int]]:
+    """``W[u][v]`` = number of walks of exactly ``length`` edges from u to v."""
+    if length < 1:
+        raise ValueError(f"walk length must be >= 1, got {length}")
+    return walk_powers(G, length)[length]

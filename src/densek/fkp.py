@@ -1,6 +1,6 @@
 """Combinatorial densest-k-subgraph heuristics and their combination.
 
-Six interchangeable candidate generators, all returning exactly k vertices:
+Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
 
 * ``a1_matching`` — greedy matching, k/2 guaranteed edges when the matching
   fills up; the baseline everything else is measured against.
@@ -16,10 +16,13 @@ Six interchangeable candidate generators, all returning exactly k vertices:
   sparsification).
 * ``a6_damks`` (in :mod:`densek.damks`) — LP rounding.
 
-``combined_dks`` runs any subset of the six on the graph itself and on the
-graph with its top-degree half removed, pads everything to exactly k, and
-keeps the densest candidate; with a fixed seed, enlarging the subset can
-never make the answer worse.
+``dks_candidates`` runs any subset of the six on the graph itself and on
+the graph with its top-degree half removed, and yields each run's answer
+padded to exactly k; ``combined_dks`` keeps the densest of them.  With a
+fixed seed, enlarging the subset can never make the answer worse.
+``densek solve --algo all`` reports the main-branch candidates as its
+``run`` records and picks its ``best`` record from those same runs plus
+the peeled branch, so each algorithm runs once per branch.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .damks import a6_damks
+from .exact import walk_powers
 from .graph import (
     Graph,
     SubgraphResult,
+    doubling_ladder,
     induced_stats,
     induced_subgraph,
     pad_lowest_id,
@@ -79,16 +84,10 @@ class FkpParams:
 
     @classmethod
     def for_graph(cls, G: Graph, seed: int = 0) -> "FkpParams":
-        """Defaults with the density-guess ladder stretched to cover n."""
-        top = 1
-        while top < max(2, G.n):
-            top *= 2
-        ladder = []
-        v = 1
-        while v <= top:
-            ladder.append(float(v))
-            v *= 2
-        return cls(dstar_ladder=tuple(ladder), seed=seed)
+        """Defaults with the density-guess ladder stretched to cover n: it
+        ends at the smallest power of two that is at least ``max(2, n)``."""
+        ladder = doubling_ladder(2 * max(2, G.n) - 1)
+        return cls(dstar_ladder=tuple(float(v) for v in ladder), seed=seed)
 
 
 def _check_k(G: Graph, k: int, minimum: int = 1) -> None:
@@ -96,48 +95,30 @@ def _check_k(G: Graph, k: int, minimum: int = 1) -> None:
         raise ValueError(f"k={k} out of range [{minimum}, {G.n}]")
 
 
+def _greedy_matching(G: Graph, k: int) -> set[int]:
+    """Endpoints of the greedy matching over ``G.edges`` in order, stopped at
+    ``floor(k/2)`` edges."""
+    matched: set[int] = set()
+    for u, v in G.edges:
+        if len(matched) == k // 2 * 2:
+            break
+        if u not in matched and v not in matched:
+            matched.add(u)
+            matched.add(v)
+    return matched
+
+
 def a1_matching(G: Graph, k: int) -> SubgraphResult:
     """Greedy matching truncated at ``floor(k/2)`` edges, padded to k vertices
     with the lowest free ids.  If the greedy matching reaches ``floor(k/2)``
     edges the result keeps at least that many."""
     _check_k(G, k)
-    matched: set[int] = set()
-    take = k // 2
-    pairs = 0
-    for u, v in G.edges:
-        if pairs == take:
-            break
-        if u not in matched and v not in matched:
-            matched.add(u)
-            matched.add(v)
-            pairs += 1
-    return induced_stats(G, pad_lowest_id(G, matched, k))
+    return induced_stats(G, pad_lowest_id(G, _greedy_matching(G, k), k))
 
 
 def greedy_matching_size(G: Graph, k: int) -> int:
     """Number of edges the a1 greedy sweep collects (for certificates)."""
-    matched: set[int] = set()
-    take = k // 2
-    pairs = 0
-    for u, v in G.edges:
-        if pairs == take:
-            break
-        if u not in matched and v not in matched:
-            matched.add(u)
-            matched.add(v)
-            pairs += 1
-    return pairs
-
-
-def a2_top_degrees(G: Graph, k: int) -> SubgraphResult:
-    """Top ``ceil(k/2)`` degrees plus the ``floor(k/2)`` outside vertices with
-    the most neighbors among them.  Requires ``k >= 2``."""
-    _check_k(G, k, minimum=2)
-    heavy = set(top_degree_vertices(G, (k + 1) // 2))
-    rest = [v for v in range(G.n) if v not in heavy]
-    rest.sort(key=lambda v: (-sum(1 for u in G.adjacency[v] if u in heavy), v))
-    chosen = heavy | set(rest[: k // 2])
-    return induced_stats(G, chosen)
+    return len(_greedy_matching(G, k)) // 2
 
 
 def attachment_counts(G: Graph, heavy: set[int]) -> dict[int, int]:
@@ -146,6 +127,16 @@ def attachment_counts(G: Graph, heavy: set[int]) -> dict[int, int]:
         for v in range(G.n)
         if v not in heavy
     }
+
+
+def a2_top_degrees(G: Graph, k: int) -> SubgraphResult:
+    """Top ``ceil(k/2)`` degrees plus the ``floor(k/2)`` outside vertices with
+    the most neighbors among them.  Requires ``k >= 2``."""
+    _check_k(G, k, minimum=2)
+    heavy = set(top_degree_vertices(G, (k + 1) // 2))
+    counts = attachment_counts(G, heavy)
+    rest = sorted(counts, key=lambda v: (-counts[v], v))
+    return induced_stats(G, heavy | set(rest[: k // 2]))
 
 
 def a3_neighborhoods(G: Graph, k: int) -> SubgraphResult:
@@ -186,30 +177,6 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
     return pick_best(candidates)
 
 
-def _walk_powers(G: Graph, top: int) -> list[list[list[int]]]:
-    """``powers[l]`` (1-based) counts walks of exactly ``l`` edges; entry 0 is
-    unused.  Exact integer arithmetic throughout."""
-    n = G.n
-    first = [[0] * n for _ in range(n)]
-    for u, v in G.edges:
-        first[u][v] = 1
-        first[v][u] = 1
-    powers: list[list[list[int]]] = [[], first]
-    for _ in range(top - 1):
-        prev = powers[-1]
-        nxt = [[0] * n for _ in range(n)]
-        for u in range(n):
-            row = prev[u]
-            acc = nxt[u]
-            for w in range(n):
-                c = row[w]
-                if c:
-                    for z in G.adjacency[w]:
-                        acc[z] += c
-        powers.append(nxt)
-    return powers
-
-
 @dataclass(frozen=True)
 class WalkLayers:
     """Vertices reachable at each intermediate position of a length-5 walk
@@ -227,14 +194,20 @@ class WalkLayers:
         return (self.n1, self.n2, self.n3, self.n4)[i - 1]
 
 
-def build_walk_layers(G: Graph, u: int, v: int) -> WalkLayers:
-    powers = _walk_powers(G, 4)
+def _walk_layers(
+    G: Graph, powers: list[list[list[int]]], u: int, v: int
+) -> WalkLayers:
+    """The layers of ``(u, v)`` from walk powers up to at least 4."""
     sets = []
     for i in range(1, 5):
         fwd = powers[i][u]
         back = powers[5 - i][v]
         sets.append(frozenset(w for w in range(G.n) if fwd[w] and back[w]))
     return WalkLayers(u=u, v=v, n1=sets[0], n2=sets[1], n3=sets[2], n4=sets[3])
+
+
+def build_walk_layers(G: Graph, u: int, v: int) -> WalkLayers:
+    return _walk_layers(G, walk_powers(G, 4), u, v)
 
 
 def _trim_to(G: Graph, verts: Iterable[int], k: int) -> tuple[int, ...]:
@@ -304,7 +277,7 @@ def a5_walks(G: Graph, k: int, params: FkpParams | None = None) -> SubgraphResul
     _check_k(G, k)
     if params is None:
         params = FkpParams.for_graph(G)
-    powers = _walk_powers(G, 5)
+    powers = walk_powers(G, 5)
     w5 = powers[5]
     best_pair = None
     best_count = 0
@@ -317,12 +290,7 @@ def a5_walks(G: Graph, k: int, params: FkpParams | None = None) -> SubgraphResul
     if best_pair is None:
         return a1_matching(G, k)
     u, v = best_pair
-    fwd = [None, *(powers[i][u] for i in range(1, 6))]
-    back = [None, *(powers[i][v] for i in range(1, 6))]
-    sets = []
-    for i in range(1, 5):
-        sets.append(frozenset(w for w in range(G.n) if fwd[i][w] and back[5 - i][w]))
-    layers = WalkLayers(u=u, v=v, n1=sets[0], n2=sets[1], n3=sets[2], n4=sets[3])
+    layers = _walk_layers(G, powers, u, v)
     d_max = max(G.degree(x) for x in range(G.n))
 
     raw: list[tuple[int, ...]] = []
@@ -371,20 +339,22 @@ def a5_walks(G: Graph, k: int, params: FkpParams | None = None) -> SubgraphResul
     )
 
 
-def combined_dks(
+def dks_candidates(
     G: Graph,
     k: int,
     params: FkpParams | None = None,
     include: Iterable[str] = ALGO_NAMES,
     a6_reps: int | None = None,
-) -> SubgraphResult:
-    """Best exactly-k candidate over the selected algorithms, each run both on
-    ``G`` and on ``G`` with its ``ceil(k/2)`` highest-degree vertices removed.
+) -> Iterator[tuple[str, str, SubgraphResult]]:
+    """Lazily run the selected algorithms, each both on ``G`` (branch
+    ``"main"``) and on ``G`` with its ``ceil(k/2)`` highest-degree vertices
+    removed (branch ``"peeled"``), yielding ``(branch, algorithm, result)``.
 
-    Candidates are padded (lowest ids first) to exactly k before comparison.
-    Random streams are keyed by ``(seed, branch, algorithm)`` independently of
-    ``include``, so with a fixed seed the result is monotone in the algorithm
-    subset.
+    Every result is mapped back to ``G``'s ids and padded (lowest ids first)
+    to exactly k.  Random streams are keyed by ``(seed, branch, algorithm)``
+    independently of ``include``, so with a fixed seed the candidates of one
+    algorithm do not depend on which others run.  a2 is skipped where the
+    branch has ``k < 2``.
     """
     _check_k(G, k)
     chosen = set(include)
@@ -401,7 +371,6 @@ def combined_dks(
         peeled, ids = remove_top_degrees(G, k)
         branches.append(("peeled", peeled, ids))
 
-    candidates: list[SubgraphResult] = []
     for branch, bg, ids in branches:
         kk = min(k, bg.n)
         branch_params = (
@@ -417,6 +386,8 @@ def combined_dks(
         for algo in ALGO_NAMES:
             if algo not in chosen:
                 continue
+            # Called through the module-level names, so wrappers installed
+            # on them at run time see every call.
             if algo == "a1":
                 res = a1_matching(bg, kk)
             elif algo == "a2":
@@ -435,5 +406,18 @@ def combined_dks(
             verts = res.vertices if ids is None else tuple(ids[x] for x in res.vertices)
             if len(verts) > k:
                 verts = fixing_trim(G, verts, k)
-            candidates.append(induced_stats(G, pad_lowest_id(G, verts, k)))
-    return pick_best(candidates)
+            yield branch, algo, induced_stats(G, pad_lowest_id(G, verts, k))
+
+
+def combined_dks(
+    G: Graph,
+    k: int,
+    params: FkpParams | None = None,
+    include: Iterable[str] = ALGO_NAMES,
+    a6_reps: int | None = None,
+) -> SubgraphResult:
+    """Best exactly-k candidate of :func:`dks_candidates` over both branches
+    and the selected algorithms."""
+    return pick_best(
+        res for _, _, res in dks_candidates(G, k, params, include, a6_reps)
+    )

@@ -19,6 +19,7 @@ from .graph import (
     Graph,
     SubgraphResult,
     better_than,
+    doubling_ladder,
     induced_stats,
     pad_most_neighbors,
 )
@@ -219,12 +220,7 @@ def dalks_guesses(
     if pairs <= budget:
         values = {Fraction(2 * a, b) for a in range(G.m + 1) for b in range(k, G.n + 1)}
         return sorted(values), "exact-guess"
-    values = {Fraction(0)}
-    v = Fraction(1)
-    while v <= 2 * G.m:
-        values.add(v)
-        v *= 2
-    return sorted(values), "ladder"
+    return [Fraction(v) for v in [0, *doubling_ladder(2 * G.m)]], "ladder"
 
 
 def dalks_2approx(

@@ -215,6 +215,16 @@ def pick_best(results: Iterable[SubgraphResult]) -> SubgraphResult:
     return best
 
 
+def doubling_ladder(top: int) -> list[int]:
+    """The powers of two ``1, 2, 4, ...`` that are at most ``top``."""
+    ladder = []
+    v = 1
+    while v <= top:
+        ladder.append(v)
+        v *= 2
+    return ladder
+
+
 def cut_size(G: Graph, side_a: Iterable[int], side_b: Iterable[int]) -> int:
     """Number of edges with one endpoint in each (disjoint) side."""
     sa, sb = set(side_a), set(side_b)

@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     SubgraphResult,
     better_than,
+    doubling_ladder,
     graph_from_edges,
     induced_stats,
     pad_most_neighbors,
@@ -213,13 +214,7 @@ def dks_via_damks(
     if dstar_hint is not None:
         guesses = [Fraction(dstar_hint)]
     else:
-        guesses = []
-        v = Fraction(1)
-        while v <= G.n:
-            guesses.append(v)
-            v *= 2
-        if not guesses:
-            guesses = [Fraction(1)]
+        guesses = [Fraction(v) for v in doubling_ladder(G.n)]
     best: SubgraphResult | None = None
     for dhat in guesses:
         run = run_damks_driver(G, k, solver, dhat)

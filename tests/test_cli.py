@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from densek.fkp import FkpParams, combined_dks
 from densek.graph import parse_edge_list
 
 
@@ -37,6 +38,21 @@ def graph_file(tmp_path_factory):
     proc = run_cli("gen", "-n", "12", "-p", "0.4", "--seed", "7")
     path.write_text(proc.stdout)
     return path
+
+
+@pytest.fixture(scope="module")
+def sparse_file(tmp_path_factory):
+    # a6 rounds this graph's k=8 instance to only 5 vertices
+    path = tmp_path_factory.mktemp("cli") / "sparse.txt"
+    proc = run_cli("gen", "-n", "16", "-p", "0.3", "--seed", "3")
+    path.write_text(proc.stdout)
+    return path
+
+
+@pytest.fixture(scope="module")
+def sparse_all(sparse_file):
+    proc = run_cli("solve", "-k", "8", "--seed", "3", "--reps", "8", str(sparse_file))
+    return records(proc.stdout)
 
 
 class TestGen:
@@ -90,6 +106,30 @@ class TestSolve:
         b = run_cli("solve", "-k", "4", "--seed", "5", str(graph_file))
         assert scrub(a.stdout) == scrub(b.stdout)
 
+    def test_a6_record_padded_to_k(self, sparse_file):
+        proc = run_cli(
+            "solve", "-k", "8", "--algo", "a6", "--reps", "8", str(sparse_file)
+        )
+        recs = records(proc.stdout)
+        assert [r["type"] for r in recs] == ["run", "best"]
+        for rec in recs:
+            assert rec["algorithm"] == "a6" and rec["k"] == 8
+            assert len(rec["vertices"]) == 8
+
+    def test_all_runs_have_k_vertices(self, sparse_all):
+        runs = [r for r in sparse_all if r["type"] == "run"]
+        assert [r["algorithm"] for r in runs] == ["a1", "a2", "a3", "a4", "a5", "a6"]
+        assert all(len(r["vertices"]) == 8 for r in runs)
+
+    def test_best_matches_library(self, sparse_file, sparse_all):
+        G = parse_edge_list(sparse_file.read_text())
+        lib = combined_dks(G, 8, FkpParams.for_graph(G, seed=3), a6_reps=8)
+        best = sparse_all[-1]
+        assert best["type"] == "best" and best["algorithm"] == "combined"
+        assert best["vertices"] == list(lib.vertices)
+        assert best["edge_count"] == lib.edge_count
+        assert best["average_degree"] == lib.average_degree
+
     def test_k_larger_than_graph(self, graph_file):
         assert run_cli("solve", "-k", "99", str(graph_file), check=False).returncode == 2
 
@@ -135,6 +175,18 @@ class TestVerify:
         proc = run_cli("verify", str(graph_file), str(rec_file), check=False)
         assert proc.returncode == 1
         assert records(proc.stdout)[-1]["mismatches"] == 1
+
+    @pytest.mark.parametrize("vertices", ["0 1", [0, 0, 0]])
+    def test_malformed_vertices_rejected(self, graph_file, tmp_path, vertices):
+        good = {"type": "run", "vertices": [0, 1], "edge_count": 0,
+                "average_degree": 0.0}
+        bad = dict(good, vertices=vertices)
+        rec_file = tmp_path / "malformed.jsonl"
+        rec_file.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        proc = run_cli("verify", str(graph_file), str(rec_file), check=False)
+        assert proc.returncode == 2
+        assert "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestAnalyze:
