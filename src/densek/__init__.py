@@ -26,7 +26,6 @@ from .flow import (
     FlowArc,
     FlowNetwork,
     dalks_2approx,
-    dalks_guesses,
     flow_network,
     max_flow,
     max_quasi_density,

@@ -81,6 +81,10 @@ def _workers_from_env() -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
     k = args.k
+    if not (1 <= k <= G.n):
+        raise ValueError(f"k={k} out of range [1, {G.n}]")
+    if args.reps is not None and args.reps < 1:
+        raise ValueError(f"reps must be positive, got {args.reps}")
     params = fkp.FkpParams.for_graph(G, seed=args.seed)
     shared = {"seed": args.seed, "reps": args.reps}
     include = fkp.ALGO_NAMES if args.algo == "all" else (args.algo,)

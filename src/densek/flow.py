@@ -1,5 +1,6 @@
 """Exact max-flow / min-cut over rational capacities, and the flow-based
-at-least-k densest-subgraph 2-approximation built on it.
+at-least-k densest-subgraph 2-approximation built on it, which is within
+factor 2 of the optimum at every graph size.
 
 Capacities are :class:`fractions.Fraction` (or ``None`` for the infinite
 sentinel).  Before running Dinic the capacities are scaled by the LCM of
@@ -15,16 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import (
-    Graph,
-    SubgraphResult,
-    better_than,
-    doubling_ladder,
-    induced_stats,
-    pad_most_neighbors,
-)
-
-DEFAULT_GUESS_BUDGET = 50_000
+from .graph import Graph, SubgraphResult, induced_stats, pad_most_neighbors, pick_best
 
 
 @dataclass(frozen=True)
@@ -204,47 +196,68 @@ def max_quasi_density(G: Graph, q: Fraction | int) -> tuple[tuple[int, ...], Fra
     return chosen, value
 
 
-def dalks_guesses(
-    G: Graph, k: int, budget: int = DEFAULT_GUESS_BUDGET
-) -> tuple[list[Fraction], str]:
-    """Candidate values for the optimal average degree of an at-least-k set.
+def _quasi_chain(
+    G: Graph, lo: Fraction, hi: Fraction
+) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """The distinct minimal optimisers of ``|E(S)| - q*|S|`` for ``q`` in
+    ``[lo, hi]``, as ``(start, S)`` pairs in order of growing ``q``, each
+    optimal from its start to the next one's (the last through ``hi``).
 
-    Exact mode enumerates every ratio ``2a/b`` with ``0 <= a <= m`` and
-    ``k <= b <= n`` when that stays within ``budget`` pairs; otherwise a
-    geometric ladder ``{1, 2, 4, ...}`` up to ``2m`` is used (costing an extra
-    factor 2 in the guess, hence a 4-approximation overall).
+    The optimisers shrink as ``q`` grows, and the optimum is the upper
+    envelope of their lines ``e(S) - q*|S|``.  So for the optimisers A and B
+    at penalties ``p < r``, a cut at the crossing ``q*`` of their lines
+    returns B when ``q*`` is the only breakpoint between them, else a set
+    strictly between them.
+    """
+
+    def solve(q: Fraction) -> tuple[tuple[int, ...], int]:
+        chosen, value = max_quasi_density(G, q)
+        return chosen, int(value + q * len(chosen))
+
+    left, last = solve(lo), solve(hi)
+    chain = [(lo, left[0])]
+    pending = [last] if last[0] != left[0] else []  # right of ``left``, nearest last
+    while pending:
+        right = pending[-1]
+        cross = Fraction(left[1] - right[1], len(left[0]) - len(right[0]))
+        found = solve(cross)
+        if found[0] == right[0]:
+            chain.append((cross, right[0]))
+            left = pending.pop()
+        else:
+            pending.append(found)
+    return chain
+
+
+def _holds_guess(G: Graph, k: int, start: Fraction, end: Fraction | None) -> bool:
+    """Whether a guess penalty ``a/(2b)``, ``1 <= a <= m``, ``k <= b <= n``,
+    lies in ``[start, end)``, or from ``start`` on when ``end`` is None."""
+    for b in range(k, G.n + 1):
+        a = -(-2 * b * start.numerator // start.denominator)
+        if a <= G.m and (end is None or Fraction(a, 2 * b) < end):
+            return True
+    return False
+
+
+def dalks_2approx(G: Graph, k: int) -> SubgraphResult:
+    """Densest at-least-k subgraph, within factor 2 of the optimum.
+
+    Each density guess ``d = 2a/b`` (``0 <= a <= m``, ``k <= b <= n``) gives a
+    candidate: the minimal optimiser of the quasi-density problem with penalty
+    ``d/4`` (the empty set for ``d = 0``), padded to ``k`` vertices (most
+    neighbors inside first); the result is the best one.  The optimisers form
+    a nested chain of at most ``n + 1`` sets, found with ``O(n)`` min-cuts; a
+    chain set counts only if a guess's penalty falls in its interval.
     """
     if not (1 <= k <= G.n):
         raise ValueError(f"k={k} out of range for n={G.n}")
-    pairs = (G.m + 1) * (G.n - k + 1)
-    if pairs <= budget:
-        values = {Fraction(2 * a, b) for a in range(G.m + 1) for b in range(k, G.n + 1)}
-        return sorted(values), "exact-guess"
-    return [Fraction(v) for v in [0, *doubling_ladder(2 * G.m)]], "ladder"
-
-
-def dalks_2approx(
-    G: Graph, k: int, budget: int = DEFAULT_GUESS_BUDGET
-) -> SubgraphResult:
-    """Densest at-least-k subgraph approximation.
-
-    For each guessed density ``d`` solve the quasi-density problem with
-    penalty ``d/4``, pad the optimiser up to ``k`` vertices (most neighbors
-    inside first), and keep the best candidate.  With exact guessing the
-    result is within factor 2 of the at-least-k optimum; ladder guessing
-    loses another factor 2.
-    """
-    guesses, _ = dalks_guesses(G, k, budget)
-    best: SubgraphResult | None = None
-    for dhat in guesses:
-        if dhat == 0:
-            chosen: tuple[int, ...] = ()
-        else:
-            chosen, _ = max_quasi_density(G, dhat / 4)
-        if len(chosen) < k:
-            chosen = pad_most_neighbors(G, chosen, k)
-        cand = induced_stats(G, chosen)
-        if best is None or better_than(cand, best):
-            best = cand
-    assert best is not None
-    return best
+    candidates = [induced_stats(G, pad_most_neighbors(G, (), k))]
+    if G.m:
+        chain = _quasi_chain(G, Fraction(1, 2 * G.n), Fraction(G.m, 2 * k))
+        for i, (start, chosen) in enumerate(chain):
+            end = chain[i + 1][0] if i + 1 < len(chain) else None
+            if _holds_guess(G, k, start, end):
+                if len(chosen) < k:
+                    chosen = pad_most_neighbors(G, chosen, k)
+                candidates.append(induced_stats(G, chosen))
+    return pick_best(candidates)

@@ -8,7 +8,7 @@ The text format accepted by :func:`parse_edge_list` is one edge per line
 (``"u v"``), ``#`` starting a comment line, blank lines ignored, and an
 optional ``"n <N>"`` header declaring the vertex count (needed to round-trip
 isolated vertices).  Without a header the vertex count is inferred as
-``max id + 1``.
+``max id + 1``.  Either way it may not exceed :data:`MAX_VERTICES`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+# Parsed graphs hold one adjacency list per vertex id, so a single line such
+# as ``0 1000000000`` must not be able to demand a billion of them.
+MAX_VERTICES = 1 << 20
 
 
 class GraphParseError(ValueError):
@@ -97,8 +101,9 @@ def parse_edge_list(source: str | bytes | io.TextIOBase) -> Graph:
     """Parse edge-list text into a :class:`Graph`.
 
     Errors name the offending 1-based line: non-integer tokens, wrong token
-    count, negative ids, ids beyond a declared ``n`` header, duplicate edges,
-    self loops, and duplicate headers are all rejected.
+    count, negative ids, ids beyond a declared ``n`` header, vertex counts or
+    ids beyond :data:`MAX_VERTICES`, duplicate edges, self loops, and
+    duplicate headers are all rejected.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -131,6 +136,10 @@ def parse_edge_list(source: str | bytes | io.TextIOBase) -> Graph:
                 ) from None
             if declared_n < 0:
                 raise GraphParseError(f"negative vertex count {declared_n}", lineno)
+            if declared_n > MAX_VERTICES:
+                raise GraphParseError(
+                    f"vertex count {declared_n} exceeds the limit of {MAX_VERTICES}", lineno
+                )
             continue
         if len(tokens) != 2:
             raise GraphParseError(
@@ -146,6 +155,10 @@ def parse_edge_list(source: str | bytes | io.TextIOBase) -> Graph:
             raise GraphParseError(f"self loop at vertex {u}", lineno)
         if u > v:
             u, v = v, u
+        if v >= MAX_VERTICES:
+            raise GraphParseError(
+                f"vertex id {v} exceeds the limit of {MAX_VERTICES} vertices", lineno
+            )
         if (u, v) in seen:
             raise GraphParseError(f"duplicate edge ({u}, {v})", lineno)
         seen.add((u, v))

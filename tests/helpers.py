@@ -11,7 +11,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from densek.graph import Graph, graph_from_edges
+from densek.flow import max_quasi_density
+from densek.graph import (
+    Graph,
+    SubgraphResult,
+    better_than,
+    graph_from_edges,
+    induced_stats,
+    pad_most_neighbors,
+)
 from densek.simplex import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
 
 
@@ -247,4 +255,26 @@ def best_density_at_most(profile: list[int], k: int) -> Fraction:
     best = Fraction(0)
     for s in range(1, k + 1):
         best = max(best, Fraction(2 * profile[s], s))
+    return best
+
+
+def dalks_every_guess(G: Graph, k: int) -> SubgraphResult:
+    """Reference for ``flow.dalks_2approx``: one min-cut per density guess
+    ``2a/b`` (``0 <= a <= m``, ``k <= b <= n``) with penalty a quarter of the
+    guess, each optimiser padded up to ``k``, keeping the best candidate."""
+    if not (1 <= k <= G.n):
+        raise ValueError(f"k={k} out of range for n={G.n}")
+    guesses = sorted({Fraction(2 * a, b) for a in range(G.m + 1) for b in range(k, G.n + 1)})
+    best: SubgraphResult | None = None
+    for dhat in guesses:
+        if dhat == 0:
+            chosen: tuple[int, ...] = ()
+        else:
+            chosen, _ = max_quasi_density(G, dhat / 4)
+        if len(chosen) < k:
+            chosen = pad_most_neighbors(G, chosen, k)
+        cand = induced_stats(G, chosen)
+        if best is None or better_than(cand, best):
+            best = cand
+    assert best is not None
     return best

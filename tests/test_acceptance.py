@@ -27,7 +27,7 @@ from densek.damks import (
 )
 from densek.exact import ProblemKind, exact_solve, walk_count_matrix
 from densek.fkp import ALGO_NAMES, FkpParams, combined_dks
-from densek.flow import dalks_2approx, dalks_guesses
+from densek.flow import dalks_2approx
 from densek.graph import (
     Graph,
     better_than,
@@ -45,6 +45,7 @@ from helpers import (
     best_edges_by_size,
     connected_random_graph,
     count_induced_edges,
+    dalks_every_guess,
     random_box_lp,
     vertex_enum_optimum,
 )
@@ -99,7 +100,7 @@ def test_criterion_04_dalks_factor_two():
         G = skewed_graph(rng, 4, 14)
         profile = best_edges_by_size(G)
         for k in range(1, G.n + 1):
-            assert dalks_guesses(G, k)[1] == "exact-guess"
+            assert dalks_2approx(G, k) == dalks_every_guess(G, k)
             res = dalks_2approx(G, k)
             assert len(res.vertices) >= k
             opt = best_density_at_least(profile, k)

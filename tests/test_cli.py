@@ -133,6 +133,13 @@ class TestSolve:
     def test_k_larger_than_graph(self, graph_file):
         assert run_cli("solve", "-k", "99", str(graph_file), check=False).returncode == 2
 
+    @pytest.mark.parametrize("flags", [["-k", "0"], ["-k", "3", "--reps", "0"]])
+    def test_bad_arguments_print_nothing(self, graph_file, flags):
+        proc = run_cli("solve", *flags, str(graph_file), check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
 
 class TestExact:
     def test_small_instance(self, graph_file):
@@ -154,6 +161,14 @@ class TestExact:
         proc = run_cli("exact", "-k", "2", str(bad), check=False)
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
+
+    @pytest.mark.parametrize("text", ["0 1000000000\n", "n 1000000000\n"])
+    def test_vertex_cap_refused(self, tmp_path, text):
+        huge = tmp_path / "huge.txt"
+        huge.write_text(text)
+        proc = run_cli("exact", "-k", "2", str(huge), check=False)
+        assert proc.returncode == 2
+        assert "line 1" in proc.stderr and "exceeds the limit" in proc.stderr
 
 
 class TestVerify:

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densek import flow
 from densek.exact import brute_quasi_density
-from densek.flow import (
-    dalks_2approx,
-    dalks_guesses,
-    flow_network,
-    max_flow,
-    max_quasi_density,
+from densek.flow import dalks_2approx, flow_network, max_flow, max_quasi_density
+from densek.graph import average_degree_fraction, gnp_graph, graph_from_edges, induced_stats
+from helpers import (
+    brute_min_cut,
+    connected_random_graph,
+    count_induced_edges,
+    dalks_every_guess,
+    random_graph,
 )
-from densek.graph import average_degree_fraction, graph_from_edges, induced_stats
-from helpers import brute_min_cut, connected_random_graph, count_induced_edges
 
 
 def build_random_network(rng):
@@ -112,27 +113,43 @@ class TestMaxQuasiDensity:
             max_quasi_density(G, Fraction(0))
 
 
-class TestDalksGuesses:
-    def test_exact_guess_small(self):
-        G = graph_from_edges(4, [(0, 1), (1, 2)])
-        guesses, mode = dalks_guesses(G, 3)
-        assert mode == "exact-guess"
-        expected = sorted(
-            {Fraction(2 * a, b) for a in range(3) for b in (3, 4)}
-        )
-        assert guesses == expected
+class TestDalksChain:
+    def corpus(self):
+        rng = random.Random("dalks-chain")
+        yield graph_from_edges(6, [])
+        yield graph_from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+        for n in range(2, 15):
+            yield random_graph(rng, n, n, 0.15, 0.5)
 
-    def test_ladder_when_over_budget(self):
+    def test_matches_every_guess(self):
+        for G in self.corpus():
+            for k in range(1, G.n + 1):
+                assert dalks_2approx(G, k) == dalks_every_guess(G, k), (G, k)
+
+    def test_chain_set_without_a_guess_is_skipped(self):
+        # One chain set's penalty interval holds no guess a/(2b), so trying
+        # every guess never sees it; counting it would return (2, 4, 6, 9).
+        G = graph_from_edges(10, [(0, 8), (1, 5), (2, 9), (4, 6), (4, 9), (7, 8)])
+        res = dalks_2approx(G, 4)
+        assert res == dalks_every_guess(G, 4)
+        assert res.vertices == (0, 2, 4, 6, 7, 8, 9)
+
+    def test_large_complete_graph(self):
         n = 60
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        G = graph_from_edges(n, edges)
-        guesses, mode = dalks_guesses(G, 2, budget=1000)
-        assert mode == "ladder"
-        assert guesses[0] == 0
-        powers = [g for g in guesses if g > 0]
-        assert powers[0] == 1
-        assert all(b == 2 * a for a, b in zip(powers, powers[1:]))
-        assert powers[-1] <= 2 * G.m < 4 * powers[-1]
+        G = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        assert dalks_2approx(G, 2).vertices == tuple(range(n))
+
+    def test_cut_count_linear_in_n(self, monkeypatch):
+        G = gnp_graph(40, 0.2, seed=4)
+        calls = []
+
+        def counted(graph, q):
+            calls.append(q)
+            return max_quasi_density(graph, q)
+
+        monkeypatch.setattr(flow, "max_quasi_density", counted)
+        dalks_2approx(G, 8)
+        assert 0 < len(calls) <= 2 * (G.n + 1)
 
 
 class TestDalks2Approx:
@@ -162,7 +179,6 @@ class TestDalks2Approx:
                 for size in range(k, G.n + 1)
                 for combo in __import__("itertools").combinations(range(G.n), size)
             )
-            # factor-2 guarantee holds in exact-guess mode
             assert 2 * Fraction(2 * res.edge_count, len(res.vertices)) >= best
 
     def test_edgeless(self):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densek.graph import (
+    MAX_VERTICES,
     Graph,
     GraphParseError,
     SubgraphResult,
@@ -93,6 +94,10 @@ class TestParsing:
             ("n 2\nn 3\n", 2, "duplicate 'n' header"),
             ("n -1\n", 1, "negative vertex count"),
             ("n two\n", 1, "non-integer vertex count"),
+            ("0 1000000000\n", 1, "exceeds the limit"),
+            ("n 1000000000\n", 1, "exceeds the limit"),
+            (f"0 1\n1 {MAX_VERTICES}\n", 2, "exceeds the limit"),
+            (f"# c\nn {MAX_VERTICES + 1}\n", 2, "exceeds the limit"),
         ],
     )
     def test_errors_name_the_line(self, text, line, fragment):
