@@ -22,14 +22,7 @@ from .exact import (
     exact_solve,
     walk_count_matrix,
 )
-from .flow import (
-    FlowArc,
-    FlowNetwork,
-    dalks_2approx,
-    flow_network,
-    max_flow,
-    max_quasi_density,
-)
+from .flow import dalks_2approx, max_flow, max_quasi_density
 from .fkp import (
     ALGO_NAMES,
     FkpParams,

@@ -212,6 +212,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 raise ValueError(f"{args.records}: line {lineno} is not JSON") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{args.records}: line {lineno}: not a JSON object")
             if record.get("type") not in ("run", "best") or "vertices" not in record:
                 continue
             vertices = record["vertices"]
@@ -224,18 +226,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     f"{args.records}: line {lineno}: vertices must be a list of "
                     f"distinct integer ids in [0, {G.n})"
                 )
+            edges, avg = record.get("edge_count"), record.get("average_degree")
+            if type(edges) is not int or type(avg) not in (int, float):
+                raise ValueError(
+                    f"{args.records}: line {lineno}: edge_count must be an integer "
+                    "and average_degree a number"
+                )
             checked += 1
             actual = induced_stats(G, vertices)
-            ok = (
-                actual.edge_count == record.get("edge_count")
-                and abs(actual.average_degree - record.get("average_degree", -1.0))
-                <= 1e-9
-            )
-            if not ok:
+            # written with "not <=" so that a NaN average counts as a mismatch
+            if actual.edge_count != edges or not abs(actual.average_degree - avg) <= 1e-9:
                 mismatches += 1
                 _note(
-                    f"line {lineno}: recorded {record.get('edge_count')} edges / "
-                    f"avg {record.get('average_degree')}, recomputed "
+                    f"line {lineno}: recorded {edges} edges / avg {avg}, recomputed "
                     f"{actual.edge_count} / {actual.average_degree}"
                 )
     _emit({"type": "verify", "checked": checked, "mismatches": mismatches})

@@ -1,103 +1,48 @@
-"""Exact max-flow / min-cut over rational capacities, and the flow-based
-at-least-k densest-subgraph 2-approximation built on it, which is within
-factor 2 of the optimum at every graph size.
+"""Exact integer max-flow / min-cut, and the flow-based at-least-k
+densest-subgraph 2-approximation built on it, which is within factor 2 of
+the optimum at every graph size.
 
-Capacities are :class:`fractions.Fraction` (or ``None`` for the infinite
-sentinel).  Before running Dinic the capacities are scaled by the LCM of
-their denominators, so the whole computation is integer and the reported
-flow value is exact.
+Each quasi-density problem ``max |E(S)| - q*|S|`` is one min-cut on
+Goldberg's density network, whose capacities are integers from the start.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import Graph, SubgraphResult, induced_stats, pad_most_neighbors, pick_best
 
 
-@dataclass(frozen=True)
-class FlowArc:
-    """Directed arc; ``capacity=None`` means effectively infinite (the arc can
-    never be part of a minimum cut)."""
-
-    tail: int
-    head: int
-    capacity: Fraction | None
-
-
-@dataclass(frozen=True)
-class FlowNetwork:
-    node_count: int
-    arcs: tuple[FlowArc, ...]
-    source: int
-    sink: int
-
-
-def flow_network(
+def max_flow(
     node_count: int,
-    arcs: Iterable[tuple[int, int, Fraction | int | None]],
+    arcs: Iterable[tuple[int, int, int, int]],
     source: int,
     sink: int,
-) -> FlowNetwork:
-    built = []
-    for tail, head, cap in arcs:
-        if cap is not None:
-            cap = Fraction(cap)
-            if cap < 0:
-                raise ValueError(f"negative capacity {cap} on arc ({tail}, {head})")
-        built.append(FlowArc(tail, head, cap))
-    net = FlowNetwork(node_count, tuple(built), source, sink)
-    _validate(net)
-    return net
-
-
-def _validate(net: FlowNetwork) -> None:
-    if net.source == net.sink:
-        raise ValueError("source and sink must differ")
-    for node in (net.source, net.sink):
-        if not (0 <= node < net.node_count):
-            raise ValueError(f"node {node} out of range")
-    for arc in net.arcs:
-        for node in (arc.tail, arc.head):
-            if not (0 <= node < net.node_count):
-                raise ValueError(f"arc endpoint {node} out of range")
-
-
-def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
-    """Dinic's algorithm.  Returns the exact flow value and the source side of
-    the canonical minimum cut (vertices reachable in the final residual
-    graph); that side is the inclusion-minimal one among all minimum cuts.
+) -> tuple[int, frozenset[int]]:
+    """Dinic's algorithm on integer capacities.  Each arc
+    ``(tail, head, capacity, reverse_capacity)`` is one residual pair, so an
+    undirected edge is one arc with equal capacities both ways.  Returns the
+    flow value and the source side of the canonical minimum cut (nodes
+    reachable in the final residual graph); that side is the
+    inclusion-minimal one among all minimum cuts.
     """
-    _validate(net)
-    scale = 1
-    for arc in net.arcs:
-        if arc.capacity is not None:
-            scale = math.lcm(scale, arc.capacity.denominator)
-    finite_total = sum(
-        int(arc.capacity * scale) for arc in net.arcs if arc.capacity is not None
-    )
-    infinite = finite_total + 1
-
     # Paired residual arcs: edge 2i is forward, 2i+1 its reverse.
     heads: list[int] = []
     caps: list[int] = []
-    out: list[list[int]] = [[] for _ in range(net.node_count)]
-    for arc in net.arcs:
-        cap = infinite if arc.capacity is None else int(arc.capacity * scale)
-        out[arc.tail].append(len(heads))
-        heads.append(arc.head)
+    out: list[list[int]] = [[] for _ in range(node_count)]
+    for tail, head, cap, reverse in arcs:
+        out[tail].append(len(heads))
+        heads.append(head)
         caps.append(cap)
-        out[arc.head].append(len(heads))
-        heads.append(arc.tail)
-        caps.append(0)
+        out[head].append(len(heads))
+        heads.append(tail)
+        caps.append(reverse)
 
-    s, t = net.source, net.sink
+    s, t = source, sink
     total = 0
-    n = net.node_count
+    n = node_count
     while True:
         level = [-1] * n
         level[s] = 0
@@ -145,11 +90,6 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
                 caps[eid] -= push
                 caps[eid ^ 1] += push
             total += push
-            if total > finite_total:
-                raise ValueError(
-                    "max flow exceeds all finite capacity: every s-t cut "
-                    "crosses an infinite arc"
-                )
 
     reachable = {s}
     queue = deque([s])
@@ -160,35 +100,31 @@ def max_flow(net: FlowNetwork) -> tuple[Fraction, frozenset[int]]:
             if caps[eid] > 0 and w not in reachable:
                 reachable.add(w)
                 queue.append(w)
-    return Fraction(total, scale), frozenset(reachable)
+    return total, frozenset(reachable)
 
 
 def max_quasi_density(G: Graph, q: Fraction | int) -> tuple[tuple[int, ...], Fraction]:
     """Maximise ``|E(S)| - q*|S|`` over all vertex sets, exactly, via a single
-    min-cut on a project-selection network.
+    integer min-cut on Goldberg's density network.
 
-    Network: source -> one node per edge (capacity 1), edge node -> both
-    endpoint nodes (infinite), vertex node -> sink (capacity ``q``).  The
-    optimum value is ``m - mincut`` and the optimiser is read off the source
-    side of the cut.  Requires ``q > 0``.
+    With ``q = a/b`` in lowest terms, nodes ``0..n-1`` are the vertices,
+    ``s = n`` and ``t = n+1``: each edge is an arc pair of capacity ``b``
+    both ways, ``s -> v`` has capacity ``b*deg(v)`` and ``v -> t`` capacity
+    ``2a``.  The cut with source side ``S + {s}`` is
+    ``2b*m - 2b*(|E(S)| - q*|S|)``, so the optimum is ``m - mincut/(2b)`` and
+    the canonical cut's source side is the inclusion-minimal optimiser.
+    Requires ``q > 0``.
     """
     q = Fraction(q)
     if q <= 0:
         raise ValueError(f"penalty q must be positive, got {q}")
-    m, n = G.m, G.n
-    source = 0
-    sink = 1 + m + n
-    arcs: list[tuple[int, int, Fraction | None]] = []
-    for i, (u, v) in enumerate(G.edges):
-        arcs.append((source, 1 + i, Fraction(1)))
-        arcs.append((1 + i, 1 + m + u, None))
-        arcs.append((1 + i, 1 + m + v, None))
-    for v in range(n):
-        arcs.append((1 + m + v, sink, q))
-    net = flow_network(2 + m + n, arcs, source, sink)
-    flow, side = max_flow(net)
-    chosen = tuple(sorted(v for v in range(n) if (1 + m + v) in side))
-    value = Fraction(m) - flow
+    n, a, b = G.n, q.numerator, q.denominator
+    arcs = [(u, v, b, b) for u, v in G.edges]
+    arcs += [(n, v, b * G.degree(v), 0) for v in range(n)]
+    arcs += [(v, n + 1, 2 * a, 0) for v in range(n)]
+    cut, side = max_flow(n + 2, arcs, n, n + 1)
+    chosen = tuple(sorted(v for v in side if v < n))
+    value = G.m - Fraction(cut, 2 * b)
     inside = set(chosen)
     induced = sum(1 for u, v in G.edges if u in inside and v in inside)
     if value != induced - q * len(chosen):  # pragma: no cover - construction guard

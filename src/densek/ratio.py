@@ -27,6 +27,10 @@ FKP5 = frozenset({"a1", "a2", "a3", "a4", "a5"})
 A6_COMBO = frozenset({"a1", "a2", "a3", "a4", "a6"})
 RATIO_SETS = {"fkp5": FKP5, "a6combo": A6_COMBO}
 
+# Largest 1/delta accepted: one g-slice holds several (1/delta + 1)^2 float
+# arrays, about 46 bytes per cell, so 2000 steps peak near 214 MB.
+MAX_LATTICE_STEPS = 2000
+
 
 @dataclass(frozen=True)
 class ExponentPoint:
@@ -129,9 +133,10 @@ def grid_max_min(
 
     The lattice is ``g = i*delta`` for ``0 <= i <= 1/delta`` with ``d`` and
     ``K`` running from ``g`` to 1 in the same steps; ``1/delta`` must be an
-    integer.  Ties keep the first point in (g, d, K) scan order.  ``workers``
-    bounds the number of threads used for g-slices; the reduction order is
-    fixed, so the result does not depend on it.
+    integer and at most ``MAX_LATTICE_STEPS``.  Ties keep the first point in
+    (g, d, K) scan order.  ``workers`` bounds the number of threads used for
+    g-slices; the reduction order is fixed, so the result does not depend on
+    it.
     """
     algoset = frozenset(algos)
     unknown = algoset.difference(ALGOS)
@@ -144,6 +149,11 @@ def grid_max_min(
     imax = int(round(1.0 / delta))
     if abs(imax * delta - 1.0) > 1e-9:
         raise ValueError(f"1/delta is not an integer for delta={delta}")
+    if imax > MAX_LATTICE_STEPS:
+        raise ValueError(
+            f"1/delta = {imax} exceeds the lattice limit of {MAX_LATTICE_STEPS} "
+            f"steps (delta >= {1 / MAX_LATTICE_STEPS})"
+        )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 

@@ -92,10 +92,9 @@ def exact_best_subsets(G: Graph, sizes) -> tuple[Fraction, list[tuple[int, ...]]
 
 
 def brute_min_cut(node_count, arcs, source, sink):
-    """Minimum s-t cut by enumerating source sides; None capacity = infinite.
+    """Minimum s-t cut by enumerating source sides.
 
-    Returns (value, sides) with every minimising side, value a Fraction or
-    math.inf.
+    Returns (value, sides) with every minimising side.
     """
     others = [v for v in range(node_count) if v not in (source, sink)]
     best = None
@@ -103,22 +102,13 @@ def brute_min_cut(node_count, arcs, source, sink):
     for r in range(len(others) + 1):
         for extra in itertools.combinations(others, r):
             side = frozenset({source, *extra})
-            value = Fraction(0)
-            infinite = False
-            for tail, head, cap in arcs:
-                if tail in side and head not in side:
-                    if cap is None:
-                        infinite = True
-                        break
-                    value += Fraction(cap)
-            if infinite:
-                continue
+            value = sum(cap for tail, head, cap in arcs if tail in side and head not in side)
             if best is None or value < best:
                 best = value
                 sides = [side]
             elif value == best:
                 sides.append(side)
-    return (math.inf if best is None else best), sides
+    return best, sides
 
 
 def lp_feasible(lp: LinearProgram, x, tol: float = 1e-7) -> bool:

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densek import ratio
 from densek.ratio import (
     A6_COMBO,
     ALGOS,
     FKP5,
+    MAX_LATTICE_STEPS,
     RATIO_SETS,
     ExponentPoint,
     error_bound,
@@ -119,6 +121,13 @@ class TestGrid:
             grid_max_min(0.25, frozenset())
         with pytest.raises(ValueError):
             grid_max_min(0.25, frozenset({"zz"}))
+
+    def test_rejects_lattice_past_the_limit(self, monkeypatch):
+        # Refused before any slice is allocated (one slice at this step
+        # would take gigabytes).
+        monkeypatch.setattr(ratio, "_slice_max", None)
+        with pytest.raises(ValueError, match=str(MAX_LATTICE_STEPS)):
+            grid_max_min(0.0001, FKP5)
 
     def test_evaluation_count_formula(self):
         # sum over grid lines of an (s+1-i)^2 block per outer index

@@ -6,6 +6,7 @@ import pytest
 
 from densek.fkp import FkpParams, combined_dks
 from densek.graph import parse_edge_list
+from densek.ratio import MAX_LATTICE_STEPS
 
 
 def run_cli(*args, stdin=None, env_extra=None, check=True):
@@ -171,6 +172,10 @@ class TestExact:
         assert "line 1" in proc.stderr and "exceeds the limit" in proc.stderr
 
 
+# Vertices 0 and 1 of graph_file induce no edge.
+GOOD_RECORD = {"type": "run", "vertices": [0, 1], "edge_count": 0, "average_degree": 0.0}
+
+
 class TestVerify:
     def test_round_trip(self, graph_file, tmp_path):
         solved = run_cli("solve", "-k", "4", str(graph_file))
@@ -193,14 +198,38 @@ class TestVerify:
 
     @pytest.mark.parametrize("vertices", ["0 1", [0, 0, 0]])
     def test_malformed_vertices_rejected(self, graph_file, tmp_path, vertices):
-        good = {"type": "run", "vertices": [0, 1], "edge_count": 0,
-                "average_degree": 0.0}
-        bad = dict(good, vertices=vertices)
+        bad = dict(GOOD_RECORD, vertices=vertices)
         rec_file = tmp_path / "malformed.jsonl"
-        rec_file.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        rec_file.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(bad) + "\n")
         proc = run_cli("verify", str(graph_file), str(rec_file), check=False)
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            json.dumps(dict(GOOD_RECORD, average_degree="1.0")),
+            json.dumps(dict(GOOD_RECORD, average_degree=None)),
+            json.dumps(dict(GOOD_RECORD, average_degree=False)),
+            json.dumps(dict(GOOD_RECORD, edge_count=True)),
+            json.dumps(dict(GOOD_RECORD, edge_count=0.0)),
+            json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "edge_count"}),
+            "[1, 2]",
+            "3",
+        ],
+        ids=[
+            "avg-string", "avg-null", "avg-bool", "edges-bool", "edges-float",
+            "edges-missing", "list", "number",
+        ],
+    )
+    def test_malformed_fields_rejected(self, graph_file, tmp_path, line):
+        rec_file = tmp_path / "malformed.jsonl"
+        rec_file.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n")
+        proc = run_cli("verify", str(graph_file), str(rec_file), check=False)
+        assert proc.returncode == 2
+        assert f"{rec_file}: line 2: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -244,6 +273,12 @@ class TestAnalyze:
 
     def test_rejects_non_lattice_delta(self):
         assert run_cli("analyze", "--delta", "0.3", check=False).returncode == 2
+
+    def test_rejects_lattice_past_the_limit(self):
+        proc = run_cli("analyze", "--delta", "0.0001", check=False)
+        assert proc.returncode == 2
+        assert str(MAX_LATTICE_STEPS) in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestReduce:
