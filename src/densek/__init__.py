@@ -3,7 +3,6 @@ approximation algorithms, reductions between the problem variants, and a
 worst-case approximation-ratio analyzer."""
 
 from .damks import (
-    DamksLpInstance,
     DistanceLayers,
     RoundingOutcome,
     a6_damks,
@@ -76,9 +75,6 @@ from .reduction import (
     run_damks_driver,
 )
 from .simplex import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
     LinearProgram,
     LpNumericalError,
     LpSolution,

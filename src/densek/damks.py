@@ -14,16 +14,20 @@ min-degree core containing ``i0``, the LP with ``gamma <= d/2`` has optimum
 at most k, so scanning roots and a doubling gamma ladder finds a usable
 fractional solution.  Candidate vertex sets are then drawn by independent
 ``y_i`` rounding over two windows of the BFS distance layers around ``i0``.
+
+Each relaxation is built directly as one standard-form
+:class:`simplex.LinearProgram` matrix, with ``y_i <= 1`` written as rows.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from . import simplex
 from .graph import Graph, SubgraphResult, better_than, doubling_ladder, induced_stats
@@ -33,25 +37,13 @@ from .rng import derive_rng
 LP_SCREEN_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class DamksLpInstance:
-    """The LP for one ``(root, gamma)`` choice plus its variable layout:
-    ``y_i`` is variable ``i``, ``x`` of edge ``graph.edges[e]`` is variable
-    ``n + e``."""
-
-    graph: Graph
-    root: int
-    gamma: float
-    lp: simplex.LinearProgram
-
-    def x_index(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self.graph.n + self.graph.edges.index((u, v))
-
-
-def build_damks_lp(G: Graph, root: int, gamma: float) -> DamksLpInstance:
+def build_damks_lp(G: Graph, root: int, gamma: float) -> simplex.LinearProgram:
     """Assemble the relaxation for one root and density guess.
+
+    Variable ``i < n`` is ``y_i`` and variable ``n + e`` is ``x`` of edge
+    ``G.edges[e]``.  Row 0 is ``y_root = 1``; then come the n degree rows,
+    the two rows ``x_e <= y_u``, ``x_e <= y_v`` of each edge in edge order,
+    and the n rows ``y_i <= 1``.
 
     A root with no incident edges makes the degree constraint at the root
     unsatisfiable together with ``y_i0 = 1`` (for ``gamma > 0``), which the
@@ -62,30 +54,24 @@ def build_damks_lp(G: Graph, root: int, gamma: float) -> DamksLpInstance:
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     n, m = G.n, G.m
-    lp = simplex.LinearProgram(
-        objective=[1.0] * n + [0.0] * m,
-        bounds=[(0.0, 1.0)] * n + [(0.0, math.inf)] * m,
-    )
-    root_row = [0.0] * (n + m)
-    root_row[root] = 1.0
-    lp.add_row(root_row, simplex.EQUAL, 1.0)
-    edge_ids: dict[tuple[int, int], int] = {
-        e: n + idx for idx, e in enumerate(G.edges)
-    }
-    for i in range(n):
-        row = [0.0] * (n + m)
-        row[i] = float(gamma)
-        for j in G.adjacency[i]:
-            e = (i, j) if i < j else (j, i)
-            row[edge_ids[e]] -= 1.0
-        lp.add_row(row, simplex.LESS_EQUAL, 0.0)
-    for (u, v), var in edge_ids.items():
-        for endpoint in (u, v):
-            row = [0.0] * (n + m)
-            row[var] = 1.0
-            row[endpoint] -= 1.0
-            lp.add_row(row, simplex.LESS_EQUAL, 0.0)
-    return DamksLpInstance(graph=G, root=root, gamma=float(gamma), lp=lp)
+    ends = np.array(G.edges, dtype=np.int64).reshape(m, 2)
+    vertex = np.arange(n)
+    x_col = n + np.arange(m)
+    edge_row = 1 + n + 2 * np.arange(m)
+    rows = np.zeros((1 + 2 * n + 2 * m, n + m))
+    rows[0, root] = 1.0
+    rows[1 + vertex, vertex] = float(gamma)
+    rows[1 + ends[:, 0], x_col] = -1.0
+    rows[1 + ends[:, 1], x_col] = -1.0
+    for side in (0, 1):
+        rows[edge_row + side, x_col] = 1.0
+        rows[edge_row + side, ends[:, side]] = -1.0
+    rows[1 + n + 2 * m + vertex, vertex] = 1.0
+    rhs = np.zeros(rows.shape[0])
+    rhs[0] = 1.0
+    rhs[1 + n + 2 * m:] = 1.0
+    objective = np.concatenate([np.ones(n), np.zeros(m)])
+    return simplex.LinearProgram(objective=objective, rows=rows, rhs=rhs, n_eq=1)
 
 
 @dataclass(frozen=True)
@@ -135,12 +121,10 @@ def distance_layers(G: Graph, root: int) -> DistanceLayers:
 @dataclass(frozen=True)
 class RoundingOutcome:
     """One randomised rounding: ``s1`` sampled from layers 0-2, ``s2`` (fresh
-    coins) from layers 1-3, plus the fractional layer masses ``q0..q3`` and
-    the two realised average degrees."""
+    coins) from layers 1-3, and the two realised average degrees."""
 
     s1: tuple[int, ...]
     s2: tuple[int, ...]
-    q: tuple[float, float, float, float]
     d1: float
     d2: float
 
@@ -155,16 +139,13 @@ def round_once(
     layer windows; the two samples use separate draws from ``rng``."""
     if len(y) != G.n:
         raise ValueError(f"{len(y)} y-values for {G.n} vertices")
-    q = tuple(
-        float(sum(y[v] for v in layers.layers[i])) for i in range(4)
-    )
     window1 = sorted(layers.n0 | layers.n1 | layers.n2)
     window2 = sorted(layers.n1 | layers.n2 | layers.n3)
     s1 = tuple(v for v in window1 if rng.random() < y[v])
     s2 = tuple(v for v in window2 if rng.random() < y[v])
     d1 = induced_stats(G, s1).average_degree
     d2 = induced_stats(G, s2).average_degree
-    return RoundingOutcome(s1=s1, s2=s2, q=q, d1=d1, d2=d2)
+    return RoundingOutcome(s1=s1, s2=s2, d1=d1, d2=d2)
 
 
 def gamma_ladder(n: int) -> list[int]:
@@ -179,14 +160,15 @@ def a6_damks(
     k: int,
     reps: int | None = None,
     seed: int = 0,
-    lp_tol: float = 1e-9,
 ) -> SubgraphResult:
     """Randomised-rounding at-most-k heuristic over all roots and gammas.
 
     For every root/gamma pair whose LP is feasible with optimum at most k,
     draw ``reps`` roundings (default ``16n``), take the denser window sample
     of each, trim sets in ``(k, 2k]`` down to k, discard larger ones, and
-    return the best candidate.  Never returns more than k vertices.
+    return the best candidate.  Never returns more than k vertices.  A pair
+    whose LP the simplex cannot certify (:class:`simplex.LpNumericalError`)
+    is skipped like an infeasible one.
     """
     if not (1 <= k <= G.n):
         raise ValueError(f"k={k} out of range for n={G.n}")
@@ -199,8 +181,10 @@ def a6_damks(
         if not G.adjacency[root]:
             continue  # the root constraint is unsatisfiable
         for gamma in gamma_ladder(G.n):
-            instance = build_damks_lp(G, root, gamma)
-            sol = simplex.solve_lp(instance.lp, tol=lp_tol)
+            try:
+                sol = simplex.solve_lp(build_damks_lp(G, root, gamma))
+            except simplex.LpNumericalError:
+                continue
             if sol.status != simplex.OPTIMAL:
                 continue
             assert sol.objective is not None and sol.x is not None

@@ -1,30 +1,30 @@
-"""A small dense two-phase simplex solver.
+"""A small dense two-phase simplex solver for programs in standard form.
 
-Problems are stated as minimisation over variables with per-variable bounds
-(either end may be infinite) and rows ``coeffs . x  <= / = / >=  rhs``.
-Internally variables are shifted/mirrored/split to the non-negative orthant,
-slack and artificial columns are appended, and both phases run on a dense
-numpy tableau.  Pivoting starts with Dantzig's rule and falls back to Bland's
-rule after a fixed number of pivots, which guarantees termination.  A final
-residual check re-verifies the reported optimum against the original problem,
-so a numerically wrong "optimal" is never returned silently.
+A program is ``minimise objective . x`` over ``x >= 0`` subject to
+``rows @ x = rhs`` on its first ``n_eq`` rows and ``rows @ x <= rhs`` on the
+rest.  Rows with a negative rhs are negated, slack and artificial columns are
+appended, and both phases run on a dense numpy tableau.  Pivoting starts with
+Dantzig's rule and falls back to Bland's rule after a fixed number of pivots,
+which guarantees termination.  A final residual check re-verifies the
+reported optimum against the original rows, so a numerically wrong "optimal"
+is never returned silently.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-LESS_EQUAL = "<="
-EQUAL = "="
-GREATER_EQUAL = ">="
-_RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# Mixed absolute/relative tolerance of the infeasibility and residual checks.
+TOL = 1e-9
+# Entries at or below this magnitude never serve as pivots.
+PIVOT_TOL = 1e-10
+MAX_PIVOTS = 200_000
 
 
 class LpNumericalError(RuntimeError):
@@ -33,31 +33,24 @@ class LpNumericalError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """Minimise ``objective . x`` subject to rows and variable bounds."""
+    """Minimise ``objective . x`` over ``x >= 0``; the first ``n_eq`` rows
+    are equalities ``row . x = rhs``, the others ``row . x <= rhs``."""
 
-    objective: list[float]
-    rows: list[tuple[list[float], str, float]] = field(default_factory=list)
-    bounds: list[tuple[float, float]] = field(default_factory=list)
-
-    def add_row(self, coeffs: list[float], relation: str, rhs: float) -> None:
-        self.rows.append((list(coeffs), relation, rhs))
+    objective: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
+    n_eq: int = 0
 
     def validate(self) -> None:
-        nv = len(self.objective)
-        if len(self.bounds) != nv:
+        nv = self.objective.shape[0]
+        m = self.rhs.shape[0]
+        if self.rows.shape != (m, nv):
             raise ValueError(
-                f"{len(self.bounds)} bounds for {nv} variables"
+                f"rows of shape {self.rows.shape} for {m} rhs values and "
+                f"{nv} variables"
             )
-        for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValueError(f"empty bound interval [{lo}, {hi}]")
-        for coeffs, relation, _ in self.rows:
-            if len(coeffs) != nv:
-                raise ValueError(
-                    f"row width {len(coeffs)} does not match {nv} variables"
-                )
-            if relation not in _RELATIONS:
-                raise ValueError(f"unknown relation {relation!r}")
+        if not (0 <= self.n_eq <= m):
+            raise ValueError(f"n_eq={self.n_eq} out of range for {m} rows")
 
 
 @dataclass
@@ -67,7 +60,7 @@ class LpSolution:
     objective: float | None = None
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
@@ -78,14 +71,7 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 
 def _run_simplex(
-    T: np.ndarray,
-    basis: list[int],
-    ncols: int,
-    *,
-    pivot_tol: float,
-    dantzig_limit: int,
-    max_pivots: int,
-    phase: int,
+    T: np.ndarray, basis: np.ndarray, ncols: int, *, dantzig_limit: int, phase: int
 ) -> str:
     """Iterate pivots until optimal or unbounded; returns "optimal" or
     "unbounded".  ``ncols`` excludes the rhs column."""
@@ -94,240 +80,109 @@ def _run_simplex(
         costs = T[-1, :ncols]
         if pivots < dantzig_limit:
             col = int(np.argmin(costs))
-            if costs[col] >= -pivot_tol:
+            if costs[col] >= -PIVOT_TOL:
                 return OPTIMAL
         else:
-            eligible = np.nonzero(costs < -pivot_tol)[0]
+            eligible = np.nonzero(costs < -PIVOT_TOL)[0]
             if eligible.size == 0:
                 return OPTIMAL
             col = int(eligible[0])
         column = T[:-1, col]
-        rhs = T[:-1, -1]
-        best_ratio = math.inf
-        for i in range(column.shape[0]):
-            if column[i] > pivot_tol:
-                ratio = max(rhs[i], 0.0) / column[i]
-                if ratio < best_ratio:
-                    best_ratio = ratio
-        if math.isinf(best_ratio):
+        rows = np.nonzero(column > PIVOT_TOL)[0]
+        if rows.size == 0:
             if phase == 1:
                 raise LpNumericalError("phase-1 objective unbounded below")
             return UNBOUNDED
+        ratios = np.maximum(T[rows, -1], 0.0) / column[rows]
+        best_ratio = ratios.min()
         # Rows tied (within tolerance) at the minimum ratio: repeatedly
         # dividing by a near-zero pivot element is what blows the tableau
         # up on long degenerate runs, so insist on a pivot element within
         # a factor 1e-3 of the best available in the tie before applying
         # the smallest-basis-index anti-cycling preference.
-        window = best_ratio + pivot_tol * (1.0 + best_ratio)
-        tied = [
-            i
-            for i in range(column.shape[0])
-            if column[i] > pivot_tol
-            and max(rhs[i], 0.0) / column[i] <= window
-        ]
-        strong = max(column[i] for i in tied)
-        best_row = min(
-            (i for i in tied if column[i] >= 1e-3 * strong),
-            key=lambda i: basis[i],
-        )
-        _pivot(T, basis, best_row, col)
+        tied = rows[ratios <= best_ratio + PIVOT_TOL * (1.0 + best_ratio)]
+        strong = tied[column[tied] >= 1e-3 * column[tied].max()]
+        _pivot(T, basis, int(strong[np.argmin(basis[strong])]), col)
         pivots += 1
-        if pivots > max_pivots:
-            raise LpNumericalError(f"no convergence after {max_pivots} pivots")
+        if pivots > MAX_PIVOTS:
+            raise LpNumericalError(f"no convergence after {MAX_PIVOTS} pivots")
 
 
-def solve_lp(
-    lp: LinearProgram,
-    *,
-    tol: float = 1e-9,
-    pivot_tol: float = 1e-10,
-    dantzig_limit: int = 2000,
-    max_pivots: int = 200_000,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram, *, dantzig_limit: int = 2000) -> LpSolution:
     """Solve the program; status is one of optimal / infeasible / unbounded.
 
-    An optimal answer is re-checked against every original row and bound with
-    mixed absolute/relative tolerance ``tol``; on failure an
+    An optimal answer is re-checked against every row with mixed
+    absolute/relative tolerance ``TOL``; on failure an
     :class:`LpNumericalError` is raised instead of returning a wrong result.
     """
     lp.validate()
-    nv = len(lp.objective)
+    m, nv = lp.rows.shape
+    ineq = np.arange(m) >= lp.n_eq
+    # Negate rows with a negative rhs: a negated <= row takes a surplus and
+    # an artificial, an equality row always takes an artificial.
+    flip = np.where(lp.rhs < 0, -1.0, 1.0)
+    needs_art = ~ineq | (flip < 0)
+    slack_rows = np.nonzero(ineq)[0]
+    art_rows = np.nonzero(needs_art)[0]
+    art_start = nv + slack_rows.size
+    total = art_start + art_rows.size
 
-    # Map each variable onto non-negative internal columns.
-    transforms: list[tuple] = []
-    col_count = 0
-    extra_rows: list[tuple[list[tuple[int, float]], str, float]] = []
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if math.isfinite(lo):
-            transforms.append(("shift", j, lo, col_count))
-            if math.isfinite(hi):
-                extra_rows.append(([(col_count, 1.0)], LESS_EQUAL, hi - lo))
-            col_count += 1
-        elif math.isfinite(hi):
-            transforms.append(("mirror", j, hi, col_count))
-            col_count += 1
-        else:
-            transforms.append(("free", j, col_count, col_count + 1))
-            col_count += 2
-
-    def to_columns(coeffs: list[float]) -> tuple[np.ndarray, float]:
-        """Rewrite a row over x into columns over u; returns (row, rhs shift)."""
-        row = np.zeros(col_count)
-        shift = 0.0
-        for t in transforms:
-            if t[0] == "shift":
-                _, j, lo, col = t
-                row[col] += coeffs[j]
-                shift += coeffs[j] * lo
-            elif t[0] == "mirror":
-                _, j, hi, col = t
-                row[col] -= coeffs[j]
-                shift += coeffs[j] * hi
-            else:
-                _, j, cp, cn = t
-                row[cp] += coeffs[j]
-                row[cn] -= coeffs[j]
-        return row, shift
-
-    rows_u: list[np.ndarray] = []
-    rels: list[str] = []
-    rhs_u: list[float] = []
-    for coeffs, relation, rhs in lp.rows:
-        row, shift = to_columns(coeffs)
-        rows_u.append(row)
-        rels.append(relation)
-        rhs_u.append(rhs - shift)
-    for sparse_row, relation, rhs in extra_rows:
-        row = np.zeros(col_count)
-        for col, val in sparse_row:
-            row[col] = val
-        rows_u.append(row)
-        rels.append(relation)
-        rhs_u.append(rhs)
-
-    c_u, _ = to_columns(lp.objective)
-
-    m = len(rows_u)
-    # Flip rows to non-negative rhs before adding slack/artificial columns.
-    for i in range(m):
-        if rhs_u[i] < 0:
-            rows_u[i] = -rows_u[i]
-            rhs_u[i] = -rhs_u[i]
-            if rels[i] == LESS_EQUAL:
-                rels[i] = GREATER_EQUAL
-            elif rels[i] == GREATER_EQUAL:
-                rels[i] = LESS_EQUAL
-
-    n_slack = sum(1 for r in rels if r != EQUAL)
-    art_needed = [r != LESS_EQUAL for r in rels]
-    n_art = sum(art_needed)
-    total = col_count + n_slack + n_art
     T = np.zeros((m + 1, total + 1))
-    basis: list[int] = [0] * m
-    slack_at = col_count
-    art_at = col_count + n_slack
-    for i in range(m):
-        T[i, :col_count] = rows_u[i]
-        T[i, -1] = rhs_u[i]
-        if rels[i] == LESS_EQUAL:
-            T[i, slack_at] = 1.0
-            basis[i] = slack_at
-            slack_at += 1
-        elif rels[i] == GREATER_EQUAL:
-            T[i, slack_at] = -1.0
-            slack_at += 1
-            T[i, art_at] = 1.0
-            basis[i] = art_at
-            art_at += 1
-        else:
-            T[i, art_at] = 1.0
-            basis[i] = art_at
-            art_at += 1
+    T[:m, :nv] = flip[:, None] * lp.rows
+    T[:m, -1] = flip * lp.rhs
+    T[slack_rows, nv + np.arange(slack_rows.size)] = flip[slack_rows]
+    T[art_rows, art_start + np.arange(art_rows.size)] = 1.0
+    basis = np.empty(m, dtype=np.int64)
+    basis[slack_rows] = nv + np.arange(slack_rows.size)
+    basis[art_rows] = art_start + np.arange(art_rows.size)
 
-    art_start = col_count + n_slack
-    if n_art:
+    if art_rows.size:
         # Phase 1: minimise the artificial sum; reduced costs of the current
         # (artificial) basis must start at zero.
         T[-1, art_start:total] = 1.0
-        for i in range(m):
-            if basis[i] >= art_start:
-                T[-1] -= T[i]
-        _run_simplex(
-            T, basis, total,
-            pivot_tol=pivot_tol, dantzig_limit=dantzig_limit,
-            max_pivots=max_pivots, phase=1,
-        )
-        infeas = -T[-1, -1]
-        if infeas > tol * (1.0 + sum(abs(b) for b in rhs_u)):
+        for i in art_rows:
+            T[-1] -= T[i]
+        _run_simplex(T, basis, total, dantzig_limit=dantzig_limit, phase=1)
+        if -T[-1, -1] > TOL * (1.0 + np.abs(lp.rhs).sum()):
             return LpSolution(status=INFEASIBLE)
         # Pivot surviving artificials out of the basis; rows that cannot be
         # pivoted are redundant and get dropped.
-        drop: list[int] = []
-        for i in range(m):
-            if basis[i] >= art_start:
-                cols = np.nonzero(np.abs(T[i, :art_start]) > pivot_tol)[0]
-                if cols.size:
-                    _pivot(T, basis, i, int(cols[0]))
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            T = T[keep + [m], :]
-            basis = [basis[i] for i in keep]
-            m = len(basis)
+        keep = np.ones(m + 1, dtype=bool)
+        for i in np.nonzero(basis >= art_start)[0]:
+            cols = np.nonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)[0]
+            if cols.size:
+                _pivot(T, basis, i, int(cols[0]))
+            else:
+                keep[i] = False
+        T = T[keep]
+        basis = basis[keep[:m]]
 
     # Phase 2 on the artificial-free tableau.
     T = np.hstack([T[:, :art_start], T[:, -1:]])
     T[-1, :] = 0.0
-    T[-1, :col_count] = c_u
-    for i in range(m):
-        T[-1] -= T[-1, basis[i]] * T[i]
-    status = _run_simplex(
-        T, basis, art_start,
-        pivot_tol=pivot_tol, dantzig_limit=dantzig_limit,
-        max_pivots=max_pivots, phase=2,
-    )
+    T[-1, :nv] = lp.objective
+    for i, col in enumerate(basis):
+        T[-1] -= T[-1, col] * T[i]
+    status = _run_simplex(T, basis, art_start, dantzig_limit=dantzig_limit, phase=2)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
     u = np.zeros(art_start)
-    for i in range(m):
-        u[basis[i]] = max(T[i, -1], 0.0)
-    x = [0.0] * nv
-    for t in transforms:
-        if t[0] == "shift":
-            _, j, lo, col = t
-            x[j] = lo + u[col]
-        elif t[0] == "mirror":
-            _, j, hi, col = t
-            x[j] = hi - u[col]
-        else:
-            _, j, cp, cn = t
-            x[j] = u[cp] - u[cn]
-
-    _verify_feasible(lp, x, tol)
-    value = float(np.dot(lp.objective, x))
-    return LpSolution(status=OPTIMAL, x=x, objective=value)
+    u[basis] = np.maximum(T[:-1, -1], 0.0)
+    x = u[:nv]
+    _verify_feasible(lp, x)
+    return LpSolution(
+        status=OPTIMAL, x=x.tolist(), objective=float(np.dot(lp.objective, x))
+    )
 
 
-def _verify_feasible(lp: LinearProgram, x: list[float], tol: float) -> None:
-    for j, (lo, hi) in enumerate(lp.bounds):
-        slack = tol * (1.0 + abs(lo) if math.isfinite(lo) else 1.0)
-        if math.isfinite(lo) and x[j] < lo - slack:
-            raise LpNumericalError(
-                f"variable {j} = {x[j]} violates lower bound {lo}"
-            )
-        slack = tol * (1.0 + abs(hi) if math.isfinite(hi) else 1.0)
-        if math.isfinite(hi) and x[j] > hi + slack:
-            raise LpNumericalError(
-                f"variable {j} = {x[j]} violates upper bound {hi}"
-            )
-    for idx, (coeffs, relation, rhs) in enumerate(lp.rows):
-        lhs = float(np.dot(coeffs, x))
-        slack = tol * (1.0 + abs(rhs) + float(np.abs(coeffs).sum()))
-        if relation == LESS_EQUAL and lhs > rhs + slack:
-            raise LpNumericalError(f"row {idx}: {lhs} > {rhs}")
-        if relation == GREATER_EQUAL and lhs < rhs - slack:
-            raise LpNumericalError(f"row {idx}: {lhs} < {rhs}")
-        if relation == EQUAL and abs(lhs - rhs) > slack:
-            raise LpNumericalError(f"row {idx}: {lhs} != {rhs}")
+def _verify_feasible(lp: LinearProgram, x: np.ndarray) -> None:
+    lhs = lp.rows @ x
+    slack = TOL * (1.0 + np.abs(lp.rhs) + np.abs(lp.rows).sum(axis=1))
+    excess = np.abs(lhs - lp.rhs)
+    excess[lp.n_eq:] = lhs[lp.n_eq:] - lp.rhs[lp.n_eq:]
+    bad = np.nonzero(excess > slack)[0]
+    if bad.size:
+        i = int(bad[0])
+        relation = "!=" if i < lp.n_eq else ">"
+        raise LpNumericalError(f"row {i}: {lhs[i]} {relation} {lp.rhs[i]}")

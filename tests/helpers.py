@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,11 @@ from densek.graph import (
     induced_stats,
     pad_most_neighbors,
 )
-from densek.simplex import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram
+from densek.simplex import OPTIMAL, LinearProgram, LpSolution, solve_lp
+
+LESS_EQUAL = "<="
+EQUAL = "="
+GREATER_EQUAL = ">="
 
 
 def petersen() -> Graph:
@@ -111,7 +116,55 @@ def brute_min_cut(node_count, arcs, source, sink):
     return best, sides
 
 
-def lp_feasible(lp: LinearProgram, x, tol: float = 1e-7) -> bool:
+@dataclass
+class GeneralLp:
+    """Minimise ``objective . x`` subject to rows ``coeffs . x  <= / = / >=
+    rhs`` and bounds ``lo <= x_j <= hi``: the form the oracles below read."""
+
+    objective: list[float]
+    bounds: list[tuple[float, float]]
+    rows: list[tuple[list[float], str, float]] = field(default_factory=list)
+
+
+def standard_form(lp: GeneralLp) -> tuple[LinearProgram, np.ndarray]:
+    """Rewrite ``lp`` over ``u = x - lo >= 0`` for ``solve_lp``: equalities
+    first, then ``<=`` rows and negated ``>=`` rows, then ``u_j <= hi - lo``
+    for every finite upper bound.  Needs finite lower bounds; returns the
+    program and ``lo``."""
+    lo = np.array([b[0] for b in lp.bounds], dtype=float)
+    assert np.isfinite(lo).all(), "standard_form needs finite lower bounds"
+    eq, ub = [], []
+    for coeffs, relation, rhs in lp.rows:
+        coeffs = np.array(coeffs, dtype=float)
+        rhs = rhs - float(coeffs @ lo)
+        if relation == EQUAL:
+            eq.append((coeffs, rhs))
+        else:
+            sign = -1.0 if relation == GREATER_EQUAL else 1.0
+            ub.append((sign * coeffs, sign * rhs))
+    nv = len(lp.objective)
+    for j, (low, high) in enumerate(lp.bounds):
+        if math.isfinite(high):
+            ub.append((np.eye(nv)[j], high - low))
+    pairs = eq + ub
+    rows = np.array([c for c, _ in pairs]).reshape(len(pairs), nv)
+    rhs = np.array([b for _, b in pairs], dtype=float)
+    program = LinearProgram(np.array(lp.objective, dtype=float), rows, rhs, len(eq))
+    return program, lo
+
+
+def solve_general(lp: GeneralLp) -> LpSolution:
+    """``solve_lp`` on :func:`standard_form`, mapped back to ``lp``'s
+    variables and objective."""
+    program, lo = standard_form(lp)
+    sol = solve_lp(program)
+    if sol.status != OPTIMAL:
+        return sol
+    x = np.array(sol.x) + lo
+    return LpSolution(OPTIMAL, x.tolist(), float(np.dot(lp.objective, x)))
+
+
+def lp_feasible(lp: GeneralLp, x, tol: float = 1e-7) -> bool:
     for j, (lo, hi) in enumerate(lp.bounds):
         if x[j] < lo - tol or x[j] > hi + tol:
             return False
@@ -126,7 +179,7 @@ def lp_feasible(lp: LinearProgram, x, tol: float = 1e-7) -> bool:
     return True
 
 
-def vertex_enum_optimum(lp: LinearProgram, tol: float = 1e-7):
+def vertex_enum_optimum(lp: GeneralLp, tol: float = 1e-7):
     """Best objective over basic points: solve every square subsystem drawn
     from constraint hyperplanes and bound faces, keep feasible ones.  Only
     valid for LPs whose feasible set is a bounded polytope (finite boxes)."""
@@ -161,10 +214,10 @@ def vertex_enum_optimum(lp: LinearProgram, tol: float = 1e-7):
     return "optimal", best, best_x
 
 
-def random_box_lp(rng: random.Random, max_vars: int = 4) -> LinearProgram:
+def random_box_lp(rng: random.Random, max_vars: int = 4) -> GeneralLp:
     """A random LP over a finite box, so the optimum sits on a vertex."""
     nv = rng.randint(1, max_vars)
-    lp = LinearProgram(
+    lp = GeneralLp(
         objective=[round(rng.uniform(-5, 5), 3) for _ in range(nv)],
         bounds=[
             tuple(sorted((round(rng.uniform(-4, 1), 3), round(rng.uniform(0, 5), 3))))
@@ -180,7 +233,7 @@ def random_box_lp(rng: random.Random, max_vars: int = 4) -> LinearProgram:
             # of them to a feasible interior point instead.
             mid = [(lo + hi) / 2.0 for lo, hi in lp.bounds]
             rhs = round(float(np.dot(coeffs, mid)), 6)
-        lp.add_row(coeffs, relation, rhs)
+        lp.rows.append((coeffs, relation, rhs))
     return lp
 
 

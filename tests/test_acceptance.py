@@ -47,6 +47,7 @@ from helpers import (
     count_induced_edges,
     dalks_every_guess,
     random_box_lp,
+    solve_general,
     vertex_enum_optimum,
 )
 
@@ -203,7 +204,7 @@ def test_criterion_09_lp_oracle_agreement():
     rng = random.Random("criterion-09")
     for _ in range(20):
         lp = random_box_lp(rng)
-        sol = solve_lp(lp)
+        sol = solve_general(lp)
         status, best, _ = vertex_enum_optimum(lp)
         assert sol.status == status
         if status == OPTIMAL:
@@ -215,7 +216,7 @@ def test_criterion_09_lp_oracle_agreement():
         (graph_from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]), 3, 4.0),
     ]
     for G, gamma, want in examples:
-        sol = solve_lp(build_damks_lp(G, 0, gamma).lp)
+        sol = solve_lp(build_damks_lp(G, 0, gamma))
         assert sol.status == OPTIMAL
         assert abs(sol.objective - want) <= 1e-7
 
@@ -238,7 +239,7 @@ def test_criterion_10_relaxation_screen():
             for root in roots:
                 if not G.adjacency[root]:
                     continue
-                sol = solve_lp(build_damks_lp(G, root, gamma).lp)
+                sol = solve_lp(build_damks_lp(G, root, gamma))
                 if sol.status == OPTIMAL and sol.objective <= k + LP_SCREEN_TOL:
                     found = True
                     break

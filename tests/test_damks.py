@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densek import simplex
 from densek.damks import (
-    DamksLpInstance,
     a6_damks,
     build_damks_lp,
     check_cauchy_mass,
@@ -15,7 +16,7 @@ from densek.damks import (
     round_once,
 )
 from densek.rng import derive_rng
-from densek.simplex import EQUAL, INFEASIBLE, OPTIMAL, solve_lp
+from densek.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from densek.graph import gnp_graph, graph_from_edges
 from helpers import count_induced_edges, petersen
 
@@ -26,22 +27,35 @@ def complete_graph(n):
 
 class TestLpConstruction:
     def test_shape(self):
+        # cell for cell against a row-by-row build of the documented layout
         G = petersen()
-        inst = build_damks_lp(G, root=0, gamma=3)
-        lp = inst.lp
-        assert len(lp.objective) == G.n + G.m
-        assert lp.objective == [1.0] * G.n + [0.0] * G.m
-        assert len(lp.rows) == 1 + G.n + 2 * G.m
-        coeffs, relation, rhs = lp.rows[0]
-        assert relation == EQUAL and rhs == 1.0
-        assert coeffs[0] == 1.0 and sum(map(abs, coeffs)) == 1.0
-        assert all(lp.bounds[i] == (0.0, 1.0) for i in range(G.n))
+        n, m = G.n, G.m
 
-    def test_x_index(self):
-        G = graph_from_edges(4, [(0, 1), (1, 3), (0, 2)])
-        inst = build_damks_lp(G, root=1, gamma=1)
-        assert inst.x_index(0, 1) == 4 + G.edges.index((0, 1))
-        assert inst.x_index(3, 1) == inst.x_index(1, 3)
+        def unit(j, value=1.0):
+            return [value if c == j else 0.0 for c in range(n + m)]
+
+        rows, rhs = [unit(2)], [1.0]
+        for i in range(n):
+            row = unit(i, 3.0)
+            for e, edge in enumerate(G.edges):
+                if i in edge:
+                    row[n + e] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+        for e, edge in enumerate(G.edges):
+            for end in edge:
+                row = unit(n + e)
+                row[end] = -1.0
+                rows.append(row)
+                rhs.append(0.0)
+        for i in range(n):
+            rows.append(unit(i))
+            rhs.append(1.0)
+        lp = build_damks_lp(G, root=2, gamma=3)
+        assert lp.objective.tolist() == [1.0] * n + [0.0] * m
+        assert lp.n_eq == 1
+        assert lp.rows.tolist() == rows
+        assert lp.rhs.tolist() == rhs
 
     def test_validation(self):
         G = complete_graph(3)
@@ -57,13 +71,13 @@ class TestLpConstruction:
         (complete_graph(4), 0, 2, 3.0),
     ])
     def test_known_optima(self, G, root, gamma, want):
-        sol = solve_lp(build_damks_lp(G, root, gamma).lp)
+        sol = solve_lp(build_damks_lp(G, root, gamma))
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(want)
 
     def test_isolated_root_infeasible(self):
         G = graph_from_edges(3, [(1, 2)])
-        assert solve_lp(build_damks_lp(G, 0, 1).lp).status == INFEASIBLE
+        assert solve_lp(build_damks_lp(G, 0, 1)).status == INFEASIBLE
 
     def test_matches_scipy(self):
         opt = pytest.importorskip("scipy.optimize")
@@ -72,23 +86,15 @@ class TestLpConstruction:
             G = gnp_graph(rng.randint(3, 7), 0.6, rng.randint(0, 99))
             root = rng.randrange(G.n)
             gamma = rng.choice([1, 2, 3])
-            inst = build_damks_lp(G, root, gamma)
-            sol = solve_lp(inst.lp)
-            A_ub, b_ub, A_eq, b_eq = [], [], [], []
-            for coeffs, rel, rhs in inst.lp.rows:
-                if rel == EQUAL:
-                    A_eq.append(coeffs)
-                    b_eq.append(rhs)
-                else:
-                    A_ub.append(coeffs)
-                    b_ub.append(rhs)
+            lp = build_damks_lp(G, root, gamma)
+            sol = solve_lp(lp)
             ref = opt.linprog(
-                inst.lp.objective,
-                A_ub=A_ub or None,
-                b_ub=b_ub or None,
-                A_eq=A_eq,
-                b_eq=b_eq,
-                bounds=inst.lp.bounds,
+                lp.objective,
+                A_ub=lp.rows[lp.n_eq:],
+                b_ub=lp.rhs[lp.n_eq:],
+                A_eq=lp.rows[:lp.n_eq],
+                b_eq=lp.rhs[:lp.n_eq],
+                bounds=(0, None),
                 method="highs",
             )
             if ref.status == 0:
@@ -130,7 +136,6 @@ class TestRounding:
         out = round_once(G, L, [1.0] * G.n, derive_rng(0, "t"))
         assert set(out.s1) == set(L.n0 | L.n1 | L.n2)
         assert set(out.s2) == set(L.n1 | L.n2 | L.n3)
-        assert out.q[0] == 1.0
 
     def test_all_zeros(self):
         G = petersen()
@@ -184,6 +189,50 @@ class TestA6:
             res = a6_damks(G, k, seed=3, reps=4 * G.n)
             assert 1 <= len(res.vertices) <= k
             assert count_induced_edges(G, res.vertices) == res.edge_count
+
+    @pytest.mark.parametrize("n,p,graph_seed,k,vertices,edges", [
+        # a6_damks(gnp_graph(n, p, graph_seed), k, reps=2 * n, seed=graph_seed)
+        # as computed before the LP moved to standard form
+        (8, 0.5, 1, 3, (0, 1, 4), 3),
+        (9, 0.4, 2, 4, (0, 5, 8), 3),
+        (10, 0.3, 3, 5, (0, 2, 6, 7, 8), 5),
+        (10, 0.6, 4, 6, (0, 1, 2, 5, 7), 10),
+        (11, 0.45, 5, 4, (0, 2, 6, 8), 4),
+        (12, 0.35, 6, 7, (0, 1, 4, 5, 11), 5),
+        (13, 0.3, 7, 5, (0, 3, 4), 3),
+        (14, 0.4, 8, 8, (2, 5, 7, 8, 9, 10, 11, 13), 19),
+    ])
+    def test_pinned_outputs(self, n, p, graph_seed, k, vertices, edges):
+        res = a6_damks(gnp_graph(n, p, graph_seed), k, reps=2 * n, seed=graph_seed)
+        assert (res.vertices, res.edge_count) == (vertices, edges)
+
+    def test_numerical_error_skips_the_pair(self, monkeypatch):
+        # An LP the simplex cannot certify is skipped like an infeasible one.
+        G = gnp_graph(10, 0.6, 4)
+        real = simplex.solve_lp
+        failed = []
+
+        def failing_on_root_1_gamma_2(outcome):
+            def solve(lp):
+                root = int(np.argmax(lp.rows[0]))
+                if (root, lp.rows[1 + root, root]) != (1, 2.0):
+                    return real(lp)
+                failed.append(root)
+                return outcome()
+            return solve
+
+        def numerical_error():
+            raise simplex.LpNumericalError("row 2: 0.0013 > 0.0")
+
+        monkeypatch.setattr(
+            simplex, "solve_lp", failing_on_root_1_gamma_2(numerical_error)
+        )
+        skipped = a6_damks(G, 6, reps=20, seed=4)
+        monkeypatch.setattr(simplex, "solve_lp", failing_on_root_1_gamma_2(
+            lambda: simplex.LpSolution(simplex.INFEASIBLE)
+        ))
+        assert skipped == a6_damks(G, 6, reps=20, seed=4)
+        assert failed == [1, 1]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

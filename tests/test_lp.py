@@ -1,114 +1,118 @@
-import math
 import random
 
+import numpy as np
 import pytest
 
 from densek.simplex import (
-    EQUAL,
-    GREATER_EQUAL,
     INFEASIBLE,
-    LESS_EQUAL,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
     solve_lp,
 )
-from helpers import lp_feasible, random_box_lp, vertex_enum_optimum
+from helpers import (
+    GeneralLp,
+    lp_feasible,
+    random_box_lp,
+    solve_general,
+    standard_form,
+    vertex_enum_optimum,
+)
 
-INF = math.inf
 
-
-def box(n, lo=0.0, hi=INF):
-    return [(lo, hi)] * n
+def program(objective, rows=(), rhs=(), n_eq=0):
+    """``LinearProgram`` from nested lists; ``rows`` may be empty."""
+    nv = len(objective)
+    return LinearProgram(
+        np.array(objective, dtype=float),
+        np.array(rows, dtype=float).reshape(len(rhs), nv),
+        np.array(rhs, dtype=float),
+        n_eq,
+    )
 
 
 class TestKnownPrograms:
     def test_two_variable_corner(self):
         # min -x - y  s.t.  x + 2y <= 4, 3x + y <= 6, x,y >= 0
-        lp = LinearProgram([-1.0, -1.0], bounds=box(2))
-        lp.add_row([1.0, 2.0], LESS_EQUAL, 4.0)
-        lp.add_row([3.0, 1.0], LESS_EQUAL, 6.0)
+        lp = program([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-14.0 / 5.0)
         assert sol.x == pytest.approx([8.0 / 5.0, 6.0 / 5.0])
 
     def test_equality_row(self):
-        # min x + y  s.t.  x + y = 3, x - y >= 1
-        lp = LinearProgram([1.0, 1.0], bounds=box(2))
-        lp.add_row([1.0, 1.0], EQUAL, 3.0)
-        lp.add_row([1.0, -1.0], GREATER_EQUAL, 1.0)
+        # min x + y  s.t.  x + y = 3, x - y >= 1 (negated to -x + y <= -1)
+        lp = program([1.0, 1.0], [[1.0, 1.0], [-1.0, 1.0]], [3.0, -1.0], n_eq=1)
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(3.0)
 
     def test_free_variable(self):
-        # min y  s.t.  y >= x - 2, y >= -x, with x free: optimum y = -1 at x = 1
-        lp = LinearProgram([0.0, 1.0], bounds=[(-INF, INF), (-INF, INF)])
-        lp.add_row([-1.0, 1.0], GREATER_EQUAL, -2.0)
-        lp.add_row([1.0, 1.0], GREATER_EQUAL, 0.0)
+        # min y  s.t.  y >= x - 2, y >= -x, with x and y free: optimum y = -1
+        # at x = 1.  Variables are (x+, x-, y+, y-) with x = x+ - x-.
+        lp = program(
+            [0.0, 0.0, 1.0, -1.0],
+            [[1.0, -1.0, -1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]],
+            [2.0, 0.0],
+        )
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-1.0)
-        assert sol.x[0] == pytest.approx(1.0)
+        assert sol.x[0] - sol.x[1] == pytest.approx(1.0)
 
     def test_upper_bounded_variable(self):
-        # maximise x + 2y (minimise the negation) within 0<=x<=1, 0<=y<=2, x+y<=2
-        lp = LinearProgram([-1.0, -2.0], bounds=[(0.0, 1.0), (0.0, 2.0)])
-        lp.add_row([1.0, 1.0], LESS_EQUAL, 2.0)
+        # maximise x + 2y (minimise the negation) within x<=1, y<=2, x+y<=2
+        lp = program(
+            [-1.0, -2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [2.0, 1.0, 2.0]
+        )
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-4.0)
         assert sol.x == pytest.approx([0.0, 2.0])
 
     def test_negative_lower_bounds(self):
-        # min x + y over [-3,-1] x [-2,5] with x + y >= -4
-        lp = LinearProgram([1.0, 1.0], bounds=[(-3.0, -1.0), (-2.0, 5.0)])
-        lp.add_row([1.0, 1.0], GREATER_EQUAL, -4.0)
+        # min x + y over [-3,-1] x [-2,5] with x + y >= -4.  Shifted to
+        # u = x + 3 in [0, 2], v = y + 2 in [0, 7]: x + y = u + v - 5.
+        lp = program(
+            [1.0, 1.0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-1.0, 2.0, 7.0]
+        )
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(-4.0)
+        assert sol.objective - 5.0 == pytest.approx(-4.0)
 
     def test_degenerate_rows(self):
-        lp = LinearProgram([1.0], bounds=box(1))
-        lp.add_row([1.0], GREATER_EQUAL, 2.0)
-        lp.add_row([1.0], GREATER_EQUAL, 2.0)
-        lp.add_row([2.0], GREATER_EQUAL, 4.0)
+        # x >= 2 twice and 2x >= 4, each negated
+        lp = program([1.0], [[-1.0], [-1.0], [-2.0]], [-2.0, -2.0, -4.0])
         sol = solve_lp(lp)
         assert sol.status == OPTIMAL and sol.objective == pytest.approx(2.0)
 
 
 class TestStatuses:
     def test_infeasible_rows(self):
-        lp = LinearProgram([1.0], bounds=box(1))
-        lp.add_row([1.0], LESS_EQUAL, 1.0)
-        lp.add_row([1.0], GREATER_EQUAL, 2.0)
+        # x <= 1 and x >= 2
+        lp = program([1.0], [[1.0], [-1.0]], [1.0, -2.0])
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_infeasible_equalities(self):
-        lp = LinearProgram([0.0, 0.0], bounds=box(2))
-        lp.add_row([1.0, 1.0], EQUAL, 1.0)
-        lp.add_row([2.0, 2.0], EQUAL, 3.0)
+        lp = program([0.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0], n_eq=2)
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_unbounded(self):
-        lp = LinearProgram([-1.0], bounds=box(1))
-        assert solve_lp(lp).status == UNBOUNDED
+        assert solve_lp(program([-1.0])).status == UNBOUNDED
 
     def test_unbounded_free_pair(self):
-        lp = LinearProgram([1.0, -1.0], bounds=[(-INF, INF), (-INF, INF)])
-        lp.add_row([1.0, -1.0], LESS_EQUAL, 0.0)
+        # min x - y  s.t.  x - y <= 0, x and y free, as (x+, x-, y+, y-)
+        lp = program([1.0, -1.0, -1.0, 1.0], [[1.0, -1.0, -1.0, 1.0]], [0.0])
         assert solve_lp(lp).status == UNBOUNDED
 
     def test_bound_validation(self):
-        lp = LinearProgram([1.0], bounds=[(2.0, 1.0)])
+        lp = LinearProgram(np.array([1.0, 2.0]), np.zeros((1, 1)), np.zeros(1))
         with pytest.raises(ValueError):
             solve_lp(lp)
-        lp = LinearProgram([1.0, 2.0], bounds=box(1))
+        lp = LinearProgram(np.array([1.0]), np.zeros((2, 1)), np.zeros(1))
         with pytest.raises(ValueError):
             solve_lp(lp)
-        lp = LinearProgram([1.0], bounds=box(1))
-        lp.add_row([1.0], "<", 0.0)
+        lp = program([1.0], [[1.0]], [1.0], n_eq=2)
         with pytest.raises(ValueError):
             solve_lp(lp)
 
@@ -116,13 +120,15 @@ class TestStatuses:
 class TestPivotingRules:
     def beale(self):
         # the classic cycling instance for naive Dantzig pivoting
-        lp = LinearProgram(
-            [-0.75, 150.0, -0.02, 6.0], bounds=box(4)
+        return program(
+            [-0.75, 150.0, -0.02, 6.0],
+            [
+                [0.25, -60.0, -0.04, 9.0],
+                [0.5, -90.0, -0.02, 3.0],
+                [0.0, 0.0, 1.0, 0.0],
+            ],
+            [0.0, 0.0, 1.0],
         )
-        lp.add_row([0.25, -60.0, -0.04, 9.0], LESS_EQUAL, 0.0)
-        lp.add_row([0.5, -90.0, -0.02, 3.0], LESS_EQUAL, 0.0)
-        lp.add_row([0.0, 0.0, 1.0, 0.0], LESS_EQUAL, 1.0)
-        return lp
 
     def test_beale_default(self):
         sol = solve_lp(self.beale())
@@ -138,7 +144,7 @@ class TestPivotingRules:
     def test_dantzig_limit_does_not_change_answers(self):
         rng = random.Random("bland")
         for _ in range(20):
-            lp = random_box_lp(rng)
+            lp, _ = standard_form(random_box_lp(rng))
             a = solve_lp(lp)
             b = solve_lp(lp, dantzig_limit=0)
             assert a.status == b.status
@@ -152,7 +158,7 @@ class TestAgainstEnumeration:
         disagreements = []
         for i in range(120):
             lp = random_box_lp(rng)
-            sol = solve_lp(lp)
+            sol = solve_general(lp)
             status, best, _ = vertex_enum_optimum(lp)
             if sol.status != status:
                 disagreements.append((i, sol.status, status))
@@ -167,12 +173,12 @@ class TestAgainstEnumeration:
         rng = random.Random("scale")
         for _ in range(15):
             lp = random_box_lp(rng)
-            scaled = LinearProgram(
+            scaled = GeneralLp(
                 [scale * c for c in lp.objective],
-                rows=[(list(r), rel, rhs) for r, rel, rhs in lp.rows],
                 bounds=list(lp.bounds),
+                rows=[(list(r), rel, rhs) for r, rel, rhs in lp.rows],
             )
-            a, b = solve_lp(lp), solve_lp(scaled)
+            a, b = solve_general(lp), solve_general(scaled)
             assert a.status == b.status
             if a.status == OPTIMAL:
                 assert b.objective == pytest.approx(scale * a.objective, abs=1e-6 * max(1.0, scale))
@@ -183,26 +189,16 @@ class TestAgainstScipy:
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = random.Random("scipy-lp")
         for _ in range(60):
-            lp = random_box_lp(rng)
+            lp, _ = standard_form(random_box_lp(rng))
             sol = solve_lp(lp)
-            A_ub, b_ub, A_eq, b_eq = [], [], [], []
-            for coeffs, rel, rhs in lp.rows:
-                if rel == LESS_EQUAL:
-                    A_ub.append(coeffs)
-                    b_ub.append(rhs)
-                elif rel == GREATER_EQUAL:
-                    A_ub.append([-c for c in coeffs])
-                    b_ub.append(-rhs)
-                else:
-                    A_eq.append(coeffs)
-                    b_eq.append(rhs)
+            eq, ub = slice(None, lp.n_eq), slice(lp.n_eq, None)
             ref = linprog(
                 lp.objective,
-                A_ub=A_ub or None,
-                b_ub=b_ub or None,
-                A_eq=A_eq or None,
-                b_eq=b_eq or None,
-                bounds=lp.bounds,
+                A_ub=lp.rows[ub] if lp.rows[ub].size else None,
+                b_ub=lp.rhs[ub] if lp.rows[ub].size else None,
+                A_eq=lp.rows[eq] if lp.rows[eq].size else None,
+                b_eq=lp.rhs[eq] if lp.rows[eq].size else None,
+                bounds=(0, None),
                 method="highs",
             )
             if ref.status == 0:
