@@ -4,14 +4,13 @@ worst-case approximation-ratio analyzer."""
 
 from .damks import (
     DistanceLayers,
-    RoundingOutcome,
     a6_damks,
     build_damks_lp,
-    check_cauchy_mass,
     distance_layers,
     gamma_ladder,
+    lp_pairs,
     min_degree_core,
-    round_once,
+    round_batch,
 )
 from .exact import (
     DEFAULT_ENUMERATION_CAP,

@@ -15,8 +15,22 @@ at most k, so scanning roots and a doubling gamma ladder finds a usable
 fractional solution.  Candidate vertex sets are then drawn by independent
 ``y_i`` rounding over two windows of the BFS distance layers around ``i0``.
 
+Two exact screens decide, before any simplex run, which relaxations cannot
+be rounded (:func:`lp_pairs`):
+
+* the LP is feasible iff ``i0`` lies in the gamma-core, the largest vertex
+  set of induced minimum degree at least gamma (on the support S of a
+  feasible y, a vertex with fewer than gamma neighbours in S breaks its
+  degree row; the core's indicator vector is feasible);
+* every feasible LP has objective at least ``1 + gamma``, because
+  ``y_i0 = 1`` and ``sum_{j ~ i0} y_j >= sum_j x_i0j >= gamma``; so the
+  ladder stops once ``1 + gamma`` exceeds k.
+
 Each relaxation is built directly as one standard-form
 :class:`simplex.LinearProgram` matrix, with ``y_i <= 1`` written as rows.
+The roundings of one relaxation are drawn in one numpy batch
+(:func:`round_batch`), and only their distinct candidate sets are trimmed
+and scored.
 """
 
 from __future__ import annotations
@@ -118,34 +132,48 @@ def distance_layers(G: Graph, root: int) -> DistanceLayers:
     return DistanceLayers(root=root, layers=layers)
 
 
-@dataclass(frozen=True)
-class RoundingOutcome:
-    """One randomised rounding: ``s1`` sampled from layers 0-2, ``s2`` (fresh
-    coins) from layers 1-3, and the two realised average degrees."""
-
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-    d1: float
-    d2: float
-
-
-def round_once(
+def round_batch(
     G: Graph,
     layers: DistanceLayers,
     y: Sequence[float],
     rng: random.Random,
-) -> RoundingOutcome:
-    """Independently keep vertex ``i`` with probability ``y_i`` over the two
-    layer windows; the two samples use separate draws from ``rng``."""
+    reps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``reps`` independent roundings at once: per rep, keep vertex ``v`` of
+    window 1 (layers 0-2) and then, with fresh draws, of window 2 (layers
+    1-3) when ``rng.random() < y[v]``.  Returns the ``s1`` and ``s2``
+    samples as two ``reps x n`` bool masks.
+
+    The draws come from ``rng`` in the order of ``reps`` one-at-a-time
+    roundings (rep by rep, window 1 before window 2, each window in vertex
+    order), so the samples and the generator's final state match that loop.
+    The batch holds at most ``16n * 2n`` draws at a6's default ``reps``,
+    about the size of the LP tableau a6 frees before rounding.
+    """
     if len(y) != G.n:
         raise ValueError(f"{len(y)} y-values for {G.n} vertices")
     window1 = sorted(layers.n0 | layers.n1 | layers.n2)
     window2 = sorted(layers.n1 | layers.n2 | layers.n3)
-    s1 = tuple(v for v in window1 if rng.random() < y[v])
-    s2 = tuple(v for v in window2 if rng.random() < y[v])
-    d1 = induced_stats(G, s1).average_degree
-    d2 = induced_stats(G, s2).average_degree
-    return RoundingOutcome(s1=s1, s2=s2, d1=d1, d2=d2)
+    columns = np.array(window1 + window2, dtype=np.intp)
+    draws = np.fromiter(iter(rng.random, None), float, reps * len(columns))
+    kept = draws.reshape(reps, len(columns)) < np.asarray(y, dtype=float)[columns]
+    masks = []
+    for part in (slice(None, len(window1)), slice(len(window1), None)):
+        mask = np.zeros((reps, G.n), dtype=bool)
+        mask[:, columns[part]] = kept[:, part]
+        masks.append(mask)
+    return masks[0], masks[1]
+
+
+def _average_degrees(adjacency: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Average degree ``2e / s`` of the set each mask row induces (0.0 for
+    the empty set), with the same float operations as ``induced_stats``."""
+    rows = masks.astype(float)
+    twice_edges = np.einsum("ij,ij->i", rows @ adjacency, rows)
+    sizes = rows.sum(axis=1)
+    out = np.zeros(len(rows))
+    np.divide(twice_edges, sizes, out=out, where=sizes > 0)
+    return out
 
 
 def gamma_ladder(n: int) -> list[int]:
@@ -153,6 +181,21 @@ def gamma_ladder(n: int) -> list[int]:
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     return doubling_ladder(n)
+
+
+def lp_pairs(G: Graph, k: int) -> list[tuple[int, int]]:
+    """The ``(root, gamma)`` pairs, root-major, whose relaxation can be
+    feasible with optimum at most k: gamma on the ladder with
+    ``1 + gamma <= k`` (within ``LP_SCREEN_TOL``) and root in the gamma-core.
+    Every other pair's LP is infeasible or has optimum above k."""
+    ladder = [g for g in gamma_ladder(G.n) if 1 + g <= k + LP_SCREEN_TOL]
+    cores = [frozenset(min_degree_core(G, range(G.n), g)) for g in ladder]
+    return [
+        (root, gamma)
+        for root in range(G.n)
+        for gamma, core in zip(ladder, cores)
+        if root in core
+    ]
 
 
 def a6_damks(
@@ -163,12 +206,13 @@ def a6_damks(
 ) -> SubgraphResult:
     """Randomised-rounding at-most-k heuristic over all roots and gammas.
 
-    For every root/gamma pair whose LP is feasible with optimum at most k,
-    draw ``reps`` roundings (default ``16n``), take the denser window sample
-    of each, trim sets in ``(k, 2k]`` down to k, discard larger ones, and
-    return the best candidate.  Never returns more than k vertices.  A pair
-    whose LP the simplex cannot certify (:class:`simplex.LpNumericalError`)
-    is skipped like an infeasible one.
+    For every root/gamma pair of :func:`lp_pairs` whose LP is feasible with
+    optimum at most k, draw ``reps`` roundings (default ``16n``), take the
+    denser window sample of each, discard empty sets and sets larger than
+    2k, trim the distinct remaining sets larger than k down to k, and return
+    the best candidate.  Never returns more than k vertices.  A pair whose
+    LP the simplex cannot certify (:class:`simplex.LpNumericalError`) is
+    skipped like an infeasible one.
     """
     if not (1 <= k <= G.n):
         raise ValueError(f"k={k} out of range for n={G.n}")
@@ -176,33 +220,38 @@ def a6_damks(
         reps = 16 * G.n
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
+    adjacency = np.zeros((G.n, G.n))
+    for u, v in G.edges:
+        adjacency[u, v] = adjacency[v, u] = 1.0
     best: SubgraphResult | None = None
-    for root in range(G.n):
-        if not G.adjacency[root]:
-            continue  # the root constraint is unsatisfiable
-        for gamma in gamma_ladder(G.n):
-            try:
-                sol = simplex.solve_lp(build_damks_lp(G, root, gamma))
-            except simplex.LpNumericalError:
-                continue
-            if sol.status != simplex.OPTIMAL:
-                continue
-            assert sol.objective is not None and sol.x is not None
-            if sol.objective > k + LP_SCREEN_TOL:
-                continue
-            y = [min(1.0, max(0.0, val)) for val in sol.x[: G.n]]
-            layers = distance_layers(G, root)
-            rng = derive_rng(seed, "a6", root, gamma)
-            for _ in range(reps):
-                outcome = round_once(G, layers, y, rng)
-                chosen = outcome.s1 if outcome.d1 >= outcome.d2 else outcome.s2
-                if not chosen or len(chosen) > 2 * k:
-                    continue
-                if len(chosen) > k:
-                    chosen = fixing_trim(G, chosen, k)
-                cand = induced_stats(G, chosen)
-                if best is None or better_than(cand, best):
-                    best = cand
+    for root, gamma in lp_pairs(G, k):
+        try:
+            sol = simplex.solve_lp(build_damks_lp(G, root, gamma))
+        except simplex.LpNumericalError:
+            continue
+        if sol.status != simplex.OPTIMAL:
+            continue
+        assert sol.objective is not None and sol.x is not None
+        if sol.objective > k + LP_SCREEN_TOL:
+            continue
+        y = [min(1.0, max(0.0, val)) for val in sol.x[: G.n]]
+        layers = distance_layers(G, root)
+        rng = derive_rng(seed, "a6", root, gamma)
+        s1, s2 = round_batch(G, layers, y, rng, reps)
+        denser = _average_degrees(adjacency, s1) >= _average_degrees(adjacency, s2)
+        chosen = np.where(denser[:, None], s1, s2)
+        sizes = chosen.sum(axis=1)
+        chosen = chosen[(sizes > 0) & (sizes <= 2 * k)]
+        # better_than is a strict total order on distinct vertex sets, so
+        # scoring each distinct set once, in any order, gives the same best.
+        distinct = {row.tobytes(): i for i, row in enumerate(np.packbits(chosen, axis=1))}
+        for i in distinct.values():
+            vertices = np.flatnonzero(chosen[i]).tolist()
+            if len(vertices) > k:
+                vertices = fixing_trim(G, vertices, k)
+            cand = induced_stats(G, vertices)
+            if best is None or better_than(cand, best):
+                best = cand
     if best is None:
         # Nothing rounded usefully (e.g. edgeless graph): any single vertex
         # achieves the optimum-0 trivially.
@@ -233,15 +282,3 @@ def min_degree_core(
                         deg[u] -= 1
                 changed = True
     return tuple(sorted(alive))
-
-
-def check_cauchy_mass(y: Sequence[float], n: int | None = None) -> bool:
-    """Cauchy-Schwarz sanity check: ``sum y_i^2 >= (sum y_i)^2 / n`` (within
-    floating slack)."""
-    if n is None:
-        n = len(y)
-    if n <= 0:
-        raise ValueError("need a positive dimension")
-    lhs = sum(v * v for v in y)
-    rhs = (sum(y) ** 2) / n
-    return lhs >= rhs - 1e-9 * (1.0 + abs(rhs))

@@ -210,9 +210,12 @@ def average_degree_fraction(r: SubgraphResult) -> Fraction:
 def better_than(a: SubgraphResult, b: SubgraphResult) -> bool:
     """True when ``a`` beats ``b``: higher average degree (compared exactly),
     then more induced edges, then lexicographically smaller vertex tuple."""
-    fa, fb = average_degree_fraction(a), average_degree_fraction(b)
-    if fa != fb:
-        return fa > fb
+    # 2e_a/|a| against 2e_b/|b| as e_a*|b| against e_b*|a|; an empty set has
+    # density 0, i.e. counts as 0 edges on 1 vertex.
+    ea, sa = (a.edge_count, len(a.vertices)) if a.vertices else (0, 1)
+    eb, sb = (b.edge_count, len(b.vertices)) if b.vertices else (0, 1)
+    if ea * sb != eb * sa:
+        return ea * sb > eb * sa
     if a.edge_count != b.edge_count:
         return a.edge_count > b.edge_count
     return a.vertices < b.vertices

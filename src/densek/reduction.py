@@ -56,11 +56,11 @@ def oracle_damks_handle(cap: int = exact.DEFAULT_ENUMERATION_CAP) -> DamksSolver
 
 
 def _edge_weight(weights: Mapping[tuple[int, int], Fraction | int] | None,
-                 u: int, v: int) -> Fraction:
+                 u: int, v: int) -> Fraction | int:
+    if weights is None:
+        return 1
     if u > v:
         u, v = v, u
-    if weights is None:
-        return Fraction(1)
     try:
         w = Fraction(weights[(u, v)])
     except KeyError:
@@ -93,7 +93,8 @@ def fixing_trim(
     if len(alive) <= k:
         raise ValueError(f"set of size {len(alive)} is not larger than k={k}")
 
-    wdeg: dict[int, Fraction] = {v: Fraction(0) for v in alive}
+    # Unweighted degrees stay ints; Fractions only carry real weights.
+    wdeg: dict[int, Fraction | int] = {v: 0 for v in alive}
     for v in alive:
         for u in G.adjacency[v]:
             if u in alive:

@@ -9,9 +9,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
+from densek.damks import DistanceLayers
 from densek.flow import max_quasi_density
 from densek.graph import (
     Graph,
@@ -321,3 +323,46 @@ def dalks_every_guess(G: Graph, k: int) -> SubgraphResult:
             best = cand
     assert best is not None
     return best
+
+
+@dataclass(frozen=True)
+class RoundingOutcome:
+    """One randomised rounding: ``s1`` sampled from layers 0-2, ``s2`` (fresh
+    coins) from layers 1-3, and the two realised average degrees."""
+
+    s1: tuple[int, ...]
+    s2: tuple[int, ...]
+    d1: float
+    d2: float
+
+
+def round_once(
+    G: Graph,
+    layers: DistanceLayers,
+    y: Sequence[float],
+    rng: random.Random,
+) -> RoundingOutcome:
+    """Per-rep reference for ``damks.round_batch``: independently keep vertex
+    ``i`` with probability ``y_i`` over the two layer windows; the two
+    samples use separate draws from ``rng``."""
+    if len(y) != G.n:
+        raise ValueError(f"{len(y)} y-values for {G.n} vertices")
+    window1 = sorted(layers.n0 | layers.n1 | layers.n2)
+    window2 = sorted(layers.n1 | layers.n2 | layers.n3)
+    s1 = tuple(v for v in window1 if rng.random() < y[v])
+    s2 = tuple(v for v in window2 if rng.random() < y[v])
+    d1 = induced_stats(G, s1).average_degree
+    d2 = induced_stats(G, s2).average_degree
+    return RoundingOutcome(s1=s1, s2=s2, d1=d1, d2=d2)
+
+
+def check_cauchy_mass(y: Sequence[float], n: int | None = None) -> bool:
+    """Cauchy-Schwarz sanity check: ``sum y_i^2 >= (sum y_i)^2 / n`` (within
+    floating slack)."""
+    if n is None:
+        n = len(y)
+    if n <= 0:
+        raise ValueError("need a positive dimension")
+    lhs = sum(v * v for v in y)
+    rhs = (sum(y) ** 2) / n
+    return lhs >= rhs - 1e-9 * (1.0 + abs(rhs))

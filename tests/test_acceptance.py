@@ -23,7 +23,6 @@ from densek.damks import (
     distance_layers,
     gamma_ladder,
     min_degree_core,
-    round_once,
 )
 from densek.exact import ProblemKind, exact_solve, walk_count_matrix
 from densek.fkp import ALGO_NAMES, FkpParams, combined_dks
@@ -47,6 +46,7 @@ from helpers import (
     count_induced_edges,
     dalks_every_guess,
     random_box_lp,
+    round_once,
     solve_general,
     vertex_enum_optimum,
 )

@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 
 from densek import simplex
 from densek.damks import (
+    LP_SCREEN_TOL,
     a6_damks,
     build_damks_lp,
-    check_cauchy_mass,
     distance_layers,
     gamma_ladder,
+    lp_pairs,
     min_degree_core,
-    round_once,
+    round_batch,
 )
 from densek.rng import derive_rng
 from densek.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from densek.graph import gnp_graph, graph_from_edges
-from helpers import count_induced_edges, petersen
+from helpers import check_cauchy_mass, count_induced_edges, petersen, round_once
 
 
 def complete_graph(n):
@@ -155,6 +156,31 @@ class TestRounding:
         G = petersen()
         with pytest.raises(ValueError):
             round_once(G, distance_layers(G, 0), [1.0], derive_rng(0))
+        with pytest.raises(ValueError):
+            round_batch(G, distance_layers(G, 0), [1.0], derive_rng(0), 3)
+
+    @pytest.mark.parametrize("name,G,root,y", [
+        ("fractional", petersen(), 0, [((i * 7) % 10 + 1) / 11 for i in range(10)]),
+        ("all-zero", petersen(), 4, [0.0] * 10),
+        ("all-one", petersen(), 7, [1.0] * 10),
+        # path 0-1-2-3 and isolated 4: seen from vertex 1, layer 3 is empty
+        ("empty-layer-3", graph_from_edges(5, [(0, 1), (1, 2), (2, 3)]), 1,
+         [0.9, 0.5, 0.25, 0.75, 1.0]),
+        ("edges-at-gnp", gnp_graph(12, 0.4, 3), 5, [i / 11 for i in range(12)]),
+    ])
+    def test_batch_matches_one_at_a_time(self, name, G, root, y):
+        layers = distance_layers(G, root)
+        if name == "empty-layer-3":
+            assert layers.n3 == frozenset()
+        reps = 37
+        loop_rng, batch_rng = derive_rng(5, name), derive_rng(5, name)
+        outcomes = [round_once(G, layers, y, loop_rng) for _ in range(reps)]
+        s1, s2 = round_batch(G, layers, y, batch_rng, reps)
+        assert s1.shape == s2.shape == (reps, G.n)
+        for rep, out in enumerate(outcomes):
+            assert tuple(np.flatnonzero(s1[rep]).tolist()) == out.s1
+            assert tuple(np.flatnonzero(s2[rep]).tolist()) == out.s2
+        assert batch_rng.getstate() == loop_rng.getstate()
 
 
 class TestA6:
@@ -233,6 +259,35 @@ class TestA6:
         ))
         assert skipped == a6_damks(G, 6, reps=20, seed=4)
         assert failed == [1, 1]
+
+    def test_screens_skip_only_lps_that_cannot_be_rounded(self):
+        # Every (root, gamma) pair lp_pairs leaves out, for any k, must be an
+        # LP a6 would have skipped after solving it: not optimal, not
+        # certifiable, or with optimum above k.
+        rng = random.Random("a6-screens")
+        skipped = 0
+        for _ in range(30):
+            G = gnp_graph(rng.randint(3, 14), rng.uniform(0.1, 0.7), rng.randint(0, 999))
+            solved = {}
+            for k in range(1, G.n + 1):
+                kept = set(lp_pairs(G, k))
+                for root in range(G.n):
+                    for gamma in gamma_ladder(G.n):
+                        if (root, gamma) in kept:
+                            continue
+                        skipped += 1
+                        if (root, gamma) not in solved:
+                            try:
+                                solved[root, gamma] = solve_lp(build_damks_lp(G, root, gamma))
+                            except simplex.LpNumericalError:
+                                solved[root, gamma] = None
+                        sol = solved[root, gamma]
+                        assert (
+                            sol is None
+                            or sol.status != OPTIMAL
+                            or sol.objective > k + LP_SCREEN_TOL
+                        ), (G.edges, k, root, gamma)
+        assert skipped > 0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
