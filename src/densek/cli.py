@@ -85,14 +85,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"k={k} out of range [1, {G.n}]")
     if args.reps is not None and args.reps < 1:
         raise ValueError(f"reps must be positive, got {args.reps}")
-    params = fkp.FkpParams.for_graph(G, seed=args.seed)
     shared = {"seed": args.seed, "reps": args.reps}
     include = fkp.ALGO_NAMES if args.algo == "all" else (args.algo,)
     if "a2" in include and k < 2:
         if args.algo == "a2":
             raise ValueError(f"a2 needs k >= 2, got k={k}")
         _note(f"skipping a2: needs k >= 2, got k={k}")
-    runs = fkp.dks_candidates(G, k, params, include, a6_reps=args.reps)
+    runs = fkp.dks_candidates(G, k, args.seed, include, a6_reps=args.reps)
     candidates = []
     total = 0.0
     start = time.perf_counter()

@@ -28,9 +28,9 @@ be rounded (:func:`lp_pairs`):
 
 Each relaxation is built directly as one standard-form
 :class:`simplex.LinearProgram` matrix, with ``y_i <= 1`` written as rows.
-The roundings of one relaxation are drawn in one numpy batch
-(:func:`round_batch`), and only their distinct candidate sets are trimmed
-and scored.
+The roundings of one relaxation are drawn in numpy batches of at most
+``ROUND_CHUNK`` reps (:func:`round_batch`), and only their distinct
+candidate sets are trimmed and scored.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ from .reduction import fixing_trim
 from .rng import derive_rng
 
 LP_SCREEN_TOL = 1e-6
+# Most roundings a6 draws in one batch, so its memory does not grow with reps.
+ROUND_CHUNK = 4096
 
 
 def build_damks_lp(G: Graph, root: int, gamma: float) -> simplex.LinearProgram:
@@ -146,9 +148,8 @@ def round_batch(
 
     The draws come from ``rng`` in the order of ``reps`` one-at-a-time
     roundings (rep by rep, window 1 before window 2, each window in vertex
-    order), so the samples and the generator's final state match that loop.
-    The batch holds at most ``16n * 2n`` draws at a6's default ``reps``,
-    about the size of the LP tableau a6 frees before rounding.
+    order), so the samples and the generator's final state match that loop,
+    and consecutive batches from one generator match one larger batch.
     """
     if len(y) != G.n:
         raise ValueError(f"{len(y)} y-values for {G.n} vertices")
@@ -176,19 +177,12 @@ def _average_degrees(adjacency: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def gamma_ladder(n: int) -> list[int]:
-    """Doubling density guesses ``1, 2, 4, ...`` capped at n."""
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
-    return doubling_ladder(n)
-
-
 def lp_pairs(G: Graph, k: int) -> list[tuple[int, int]]:
     """The ``(root, gamma)`` pairs, root-major, whose relaxation can be
     feasible with optimum at most k: gamma on the ladder with
     ``1 + gamma <= k`` (within ``LP_SCREEN_TOL``) and root in the gamma-core.
     Every other pair's LP is infeasible or has optimum above k."""
-    ladder = [g for g in gamma_ladder(G.n) if 1 + g <= k + LP_SCREEN_TOL]
+    ladder = [g for g in doubling_ladder(G.n) if 1 + g <= k + LP_SCREEN_TOL]
     cores = [frozenset(min_degree_core(G, range(G.n), g)) for g in ladder]
     return [
         (root, gamma)
@@ -207,10 +201,10 @@ def a6_damks(
     """Randomised-rounding at-most-k heuristic over all roots and gammas.
 
     For every root/gamma pair of :func:`lp_pairs` whose LP is feasible with
-    optimum at most k, draw ``reps`` roundings (default ``16n``), take the
-    denser window sample of each, discard empty sets and sets larger than
-    2k, trim the distinct remaining sets larger than k down to k, and return
-    the best candidate.  Never returns more than k vertices.  A pair whose
+    optimum at most k, draw ``reps`` roundings (default ``16n``) in batches
+    of at most ``ROUND_CHUNK``, take the denser window sample of each,
+    discard empty sets and sets larger than 2k, trim the distinct remaining
+    sets larger than k down to k, and return the best candidate.  Never returns more than k vertices.  A pair whose
     LP the simplex cannot certify (:class:`simplex.LpNumericalError`) is
     skipped like an infeasible one.
     """
@@ -237,21 +231,26 @@ def a6_damks(
         y = [min(1.0, max(0.0, val)) for val in sol.x[: G.n]]
         layers = distance_layers(G, root)
         rng = derive_rng(seed, "a6", root, gamma)
-        s1, s2 = round_batch(G, layers, y, rng, reps)
-        denser = _average_degrees(adjacency, s1) >= _average_degrees(adjacency, s2)
-        chosen = np.where(denser[:, None], s1, s2)
-        sizes = chosen.sum(axis=1)
-        chosen = chosen[(sizes > 0) & (sizes <= 2 * k)]
         # better_than is a strict total order on distinct vertex sets, so
         # scoring each distinct set once, in any order, gives the same best.
-        distinct = {row.tobytes(): i for i, row in enumerate(np.packbits(chosen, axis=1))}
-        for i in distinct.values():
-            vertices = np.flatnonzero(chosen[i]).tolist()
-            if len(vertices) > k:
-                vertices = fixing_trim(G, vertices, k)
-            cand = induced_stats(G, vertices)
-            if best is None or better_than(cand, best):
-                best = cand
+        seen: set[bytes] = set()
+        for start in range(0, reps, ROUND_CHUNK):
+            s1, s2 = round_batch(G, layers, y, rng, min(ROUND_CHUNK, reps - start))
+            denser = _average_degrees(adjacency, s1) >= _average_degrees(adjacency, s2)
+            chosen = np.where(denser[:, None], s1, s2)
+            sizes = chosen.sum(axis=1)
+            chosen = chosen[(sizes > 0) & (sizes <= 2 * k)]
+            for row, packed in zip(chosen, np.packbits(chosen, axis=1)):
+                key = packed.tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                vertices = np.flatnonzero(row).tolist()
+                if len(vertices) > k:
+                    vertices = fixing_trim(G, vertices, k)
+                cand = induced_stats(G, vertices)
+                if best is None or better_than(cand, best):
+                    best = cand
     if best is None:
         # Nothing rounded usefully (e.g. edgeless graph): any single vertex
         # achieves the optimum-0 trivially.

@@ -1,4 +1,5 @@
-"""Exponential-time exact solvers used as ground truth by the heuristics.
+"""The exhaustive densest-subgraph solver used as ground truth by the
+heuristics, for the exactly-k, at-least-k and at-most-k constraints.
 
 Subset enumeration walks a Gray code over bitmask vertex sets so each step
 flips one vertex and updates the induced edge count from a precomputed
@@ -9,7 +10,6 @@ in exact integer arithmetic.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .graph import Graph, SubgraphResult
 
@@ -132,82 +132,3 @@ def exact_solve(
     verts = _mask_to_tuple(best_mask)
     avg = 0.0 if not verts else 2.0 * best_ec / len(verts)
     return SubgraphResult(verts, best_ec, avg)
-
-
-def brute_quasi_density(
-    G: Graph,
-    q: Fraction | int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[tuple[int, ...], Fraction]:
-    """Maximise ``|E(S)| - q*|S|`` by enumeration, exactly.
-
-    Ties are broken toward smaller sets, then lexicographically, which matches
-    the canonical (inclusion-minimal) optimiser that the min-cut solver
-    returns.
-    """
-    if G.n > cap:
-        raise EnumerationCapError(
-            f"n={G.n} exceeds the enumeration cap {cap}; refusing 2^{G.n} subsets"
-        )
-    q = Fraction(q)
-    num, den = q.numerator, q.denominator
-
-    adj = _adjacency_masks(G)
-    best_scaled = 0  # value of the empty set, scaled by den
-    best_size = 0
-    best_mask = 0
-    cur = 0
-    size = 0
-    ec = 0
-    for t in range(1, 1 << G.n):
-        v = (t & -t).bit_length() - 1
-        bit = 1 << v
-        if cur & bit:
-            cur ^= bit
-            size -= 1
-            ec -= (adj[v] & cur).bit_count()
-        else:
-            ec += (adj[v] & cur).bit_count()
-            cur ^= bit
-            size += 1
-        scaled = ec * den - num * size
-        if scaled > best_scaled:
-            best_scaled, best_size, best_mask = scaled, size, cur
-        elif scaled == best_scaled:
-            if size < best_size:
-                best_scaled, best_size, best_mask = scaled, size, cur
-            elif size == best_size and _mask_lex_less(cur, best_mask):
-                best_scaled, best_size, best_mask = scaled, size, cur
-    return _mask_to_tuple(best_mask), Fraction(best_scaled, den)
-
-
-def walk_powers(G: Graph, top: int) -> list[list[list[int]]]:
-    """``powers[l]`` (``1 <= l <= top``) counts walks of exactly ``l`` edges;
-    entry 0 is unused.  Python integers throughout, so counts never
-    overflow."""
-    n = G.n
-    first = [[0] * n for _ in range(n)]
-    for u, v in G.edges:
-        first[u][v] = 1
-        first[v][u] = 1
-    powers: list[list[list[int]]] = [[], first]
-    for _ in range(top - 1):
-        prev = powers[-1]
-        nxt = [[0] * n for _ in range(n)]
-        for u in range(n):
-            row = prev[u]
-            acc = nxt[u]
-            for w in range(n):
-                c = row[w]
-                if c:
-                    for z in G.adjacency[w]:
-                        acc[z] += c
-        powers.append(nxt)
-    return powers
-
-
-def walk_count_matrix(G: Graph, length: int) -> list[list[int]]:
-    """``W[u][v]`` = number of walks of exactly ``length`` edges from u to v."""
-    if length < 1:
-        raise ValueError(f"walk length must be >= 1, got {length}")
-    return walk_powers(G, length)[length]

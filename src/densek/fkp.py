@@ -10,16 +10,19 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
   around single vertices and pairs.
 * ``a4_edge_dense`` — run the three algorithms above inside the joint
   neighborhood of every edge.
-* ``a5_walks`` — pick the pair joined by the most length-5 walks, slice the
-  graph into walk layers between them, and harvest candidate sets from the
-  middle layers (including a thresholded "good vertex" sweep and random
+* ``a5_walks`` — pick the pair joined by the most length-5 walks (counted
+  by ``walk_powers``), slice the graph into walk layers between them, and
+  harvest candidate sets from the middle layers (including a thresholded
+  "good vertex" sweep over a doubling ladder of density guesses, and random
   sparsification).
 * ``a6_damks`` (in :mod:`densek.damks`) — LP rounding.
 
 ``dks_candidates`` runs any subset of the six on the graph itself and on
 the graph with its top-degree half removed, and yields each run's answer
-padded to exactly k; ``combined_dks`` keeps the densest of them.  With a
-fixed seed, enlarging the subset can never make the answer worse.
+padded to exactly k; ``combined_dks`` keeps the densest of them.  Both take
+a ``seed``, from which each branch and algorithm derives its own random
+stream; with a fixed seed, enlarging the subset can never make the answer
+worse.
 ``densek solve --algo all`` reports the main-branch candidates as its
 ``run`` records and picks its ``best`` record from those same runs plus
 the peeled branch, so each algorithm runs once per branch.
@@ -27,13 +30,11 @@ the peeled branch, so each algorithm runs once per branch.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .damks import a6_damks
-from .exact import walk_powers
 from .graph import (
     Graph,
     SubgraphResult,
@@ -50,44 +51,12 @@ from .rng import derive_rng, derive_seed
 
 ALGO_NAMES = ("a1", "a2", "a3", "a4", "a5", "a6")
 
-
-@dataclass(frozen=True)
-class FkpParams:
-    """Shared knobs for the walk-based generator and the combiner.
-
-    ``epsilon_ladder`` and ``dstar_ladder`` enumerate slack factors and
-    density guesses for the good-vertex thresholds; both must be positive
-    and strictly increasing.  ``max_candidates`` caps how many candidate
-    sets one a5 invocation may enumerate; ``sample_retries`` is the number
-    of random sparsification draws.
-    """
-
-    epsilon_ladder: tuple[float, ...] = tuple(2.0**i for i in range(-8, 5))
-    dstar_ladder: tuple[float, ...] = tuple(float(2**i) for i in range(9))
-    seed: int = 0
-    max_candidates: int = 512
-    sample_retries: int = 32
-
-    def __post_init__(self) -> None:
-        for name in ("epsilon_ladder", "dstar_ladder"):
-            ladder = getattr(self, name)
-            if not ladder:
-                raise ValueError(f"{name} must be non-empty")
-            if any(v <= 0 for v in ladder):
-                raise ValueError(f"{name} must be positive")
-            if any(b <= a for a, b in zip(ladder, ladder[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
-        if self.sample_retries < 0:
-            raise ValueError("sample_retries must be >= 0")
-
-    @classmethod
-    def for_graph(cls, G: Graph, seed: int = 0) -> "FkpParams":
-        """Defaults with the density-guess ladder stretched to cover n: it
-        ends at the smallest power of two that is at least ``max(2, n)``."""
-        ladder = doubling_ladder(2 * max(2, G.n) - 1)
-        return cls(dstar_ladder=tuple(float(v) for v in ladder), seed=seed)
+# Slack factors of a5's good-vertex thresholds.
+EPSILON_LADDER = tuple(2.0**i for i in range(-8, 5))
+# Most candidate sets one a5 call enumerates, and its random sparsification
+# draws.
+MAX_CANDIDATES = 512
+SAMPLE_RETRIES = 32
 
 
 def _check_k(G: Graph, k: int, minimum: int = 1) -> None:
@@ -114,11 +83,6 @@ def a1_matching(G: Graph, k: int) -> SubgraphResult:
     edges the result keeps at least that many."""
     _check_k(G, k)
     return induced_stats(G, pad_lowest_id(G, _greedy_matching(G, k), k))
-
-
-def greedy_matching_size(G: Graph, k: int) -> int:
-    """Number of edges the a1 greedy sweep collects (for certificates)."""
-    return len(_greedy_matching(G, k)) // 2
 
 
 def attachment_counts(G: Graph, heavy: set[int]) -> dict[int, int]:
@@ -194,6 +158,31 @@ class WalkLayers:
         return (self.n1, self.n2, self.n3, self.n4)[i - 1]
 
 
+def walk_powers(G: Graph, top: int) -> list[list[list[int]]]:
+    """``powers[l]`` (``1 <= l <= top``) counts walks of exactly ``l`` edges;
+    entry 0 is unused.  Python integers throughout, so counts never
+    overflow."""
+    n = G.n
+    first = [[0] * n for _ in range(n)]
+    for u, v in G.edges:
+        first[u][v] = 1
+        first[v][u] = 1
+    powers: list[list[list[int]]] = [[], first]
+    for _ in range(top - 1):
+        prev = powers[-1]
+        nxt = [[0] * n for _ in range(n)]
+        for u in range(n):
+            row = prev[u]
+            acc = nxt[u]
+            for w in range(n):
+                c = row[w]
+                if c:
+                    for z in G.adjacency[w]:
+                        acc[z] += c
+        powers.append(nxt)
+    return powers
+
+
 def _walk_layers(
     G: Graph, powers: list[list[list[int]]], u: int, v: int
 ) -> WalkLayers:
@@ -204,10 +193,6 @@ def _walk_layers(
         back = powers[5 - i][v]
         sets.append(frozenset(w for w in range(G.n) if fwd[w] and back[w]))
     return WalkLayers(u=u, v=v, n1=sets[0], n2=sets[1], n3=sets[2], n4=sets[3])
-
-
-def build_walk_layers(G: Graph, u: int, v: int) -> WalkLayers:
-    return _walk_layers(G, walk_powers(G, 4), u, v)
 
 
 def _trim_to(G: Graph, verts: Iterable[int], k: int) -> tuple[int, ...]:
@@ -271,12 +256,19 @@ def _good_vertex_candidates(
     return out
 
 
-def a5_walks(G: Graph, k: int, params: FkpParams | None = None) -> SubgraphResult:
+def a5_walks(
+    G: Graph, k: int, seed: int = 0, ladder_n: int | None = None
+) -> SubgraphResult:
     """Walk-layer candidate harvest around the pair with the most length-5
-    walks; falls back to a1 when no such walk exists."""
+    walks; falls back to a1 when no such walk exists.
+
+    The density guesses of the good-vertex thresholds are ``1, 2, 4, ...``
+    up to the smallest power of two that is at least ``max(2, ladder_n)``;
+    ``ladder_n`` defaults to ``G.n``.
+    """
     _check_k(G, k)
-    if params is None:
-        params = FkpParams.for_graph(G)
+    if ladder_n is None:
+        ladder_n = G.n
     powers = walk_powers(G, 5)
     w5 = powers[5]
     best_pair = None
@@ -297,9 +289,9 @@ def a5_walks(G: Graph, k: int, params: FkpParams | None = None) -> SubgraphResul
     middle = sorted(layers.n2 | layers.n3)
     raw.append(_trim_to(G, middle, k))
 
-    rng = derive_rng(params.seed, "a5-sample", u, v)
+    rng = derive_rng(seed, "a5-sample", u, v)
     keep_p = min(1.0, k / (2.0 * d_max * d_max))
-    for _ in range(params.sample_retries):
+    for _ in range(SAMPLE_RETRIES):
         sampled = [w for w in middle if rng.random() < keep_p]
         if sampled:
             raw.append(_trim_to(G, sampled, k))
@@ -314,7 +306,7 @@ def a5_walks(G: Graph, k: int, params: FkpParams | None = None) -> SubgraphResul
         raw.append(_trim_to(G, (set(G.adjacency[star]) & layers.n2) | layers.n1, k))
 
     taus: set[float] = set()
-    for dstar in params.dstar_ladder:
+    for dstar in map(float, doubling_ladder(2 * max(2, ladder_n) - 1)):
         closed = (
             min(
                 dstar**3 / (k**0.6 * d_max**1.6),
@@ -322,13 +314,13 @@ def a5_walks(G: Graph, k: int, params: FkpParams | None = None) -> SubgraphResul
             ),
             min(dstar**3 / (k**0.4 * d_max**2), dstar ** (5.0 / 3.0) / d_max ** (4.0 / 3.0)),
         )
-        for eps in (*params.epsilon_ladder, *closed):
+        for eps in (*EPSILON_LADDER, *closed):
             if eps <= 0:
                 continue
             taus.add(dstar**5 / (2.0 * d_max**2 * eps * k))
             taus.add(dstar**5 / (2.0 * d_max**4 * eps))
     for tau in sorted(taus, reverse=True):
-        if len(raw) >= params.max_candidates:
+        if len(raw) >= MAX_CANDIDATES:
             break
         for cand in _good_vertex_candidates(G, layers, powers, tau, k):
             raw.append(_trim_to(G, cand, k))
@@ -342,7 +334,7 @@ def a5_walks(G: Graph, k: int, params: FkpParams | None = None) -> SubgraphResul
 def dks_candidates(
     G: Graph,
     k: int,
-    params: FkpParams | None = None,
+    seed: int = 0,
     include: Iterable[str] = ALGO_NAMES,
     a6_reps: int | None = None,
 ) -> Iterator[tuple[str, str, SubgraphResult]]:
@@ -353,8 +345,9 @@ def dks_candidates(
     Every result is mapped back to ``G``'s ids and padded (lowest ids first)
     to exactly k.  Random streams are keyed by ``(seed, branch, algorithm)``
     independently of ``include``, so with a fixed seed the candidates of one
-    algorithm do not depend on which others run.  a2 is skipped where the
-    branch has ``k < 2``.
+    algorithm do not depend on which others run.  a5 takes its density
+    guesses from ``G.n`` on both branches.  a2 is skipped where the branch
+    has ``k < 2``.
     """
     _check_k(G, k)
     chosen = set(include)
@@ -363,8 +356,6 @@ def dks_candidates(
         raise ValueError(f"unknown algorithms {sorted(unknown)}")
     if not chosen:
         raise ValueError("no algorithms selected")
-    if params is None:
-        params = FkpParams.for_graph(G)
 
     branches: list[tuple[str, Graph, tuple[int, ...] | None]] = [("main", G, None)]
     if (k + 1) // 2 < G.n:
@@ -373,15 +364,10 @@ def dks_candidates(
 
     for branch, bg, ids in branches:
         kk = min(k, bg.n)
-        branch_params = (
-            params
+        a5_seed, a6_seed = (
+            (seed, seed)
             if branch == "main"
-            else dataclasses.replace(
-                params, seed=derive_seed(params.seed, branch, "a5")
-            )
-        )
-        a6_seed = (
-            params.seed if branch == "main" else derive_seed(params.seed, branch, "a6")
+            else (derive_seed(seed, branch, "a5"), derive_seed(seed, branch, "a6"))
         )
         for algo in ALGO_NAMES:
             if algo not in chosen:
@@ -399,7 +385,7 @@ def dks_candidates(
             elif algo == "a4":
                 res = a4_edge_dense(bg, kk)
             elif algo == "a5":
-                res = a5_walks(bg, kk, branch_params)
+                res = a5_walks(bg, kk, a5_seed, ladder_n=G.n)
             else:
                 reps = a6_reps if a6_reps is not None else 16 * bg.n
                 res = a6_damks(bg, kk, reps=reps, seed=a6_seed)
@@ -412,12 +398,12 @@ def dks_candidates(
 def combined_dks(
     G: Graph,
     k: int,
-    params: FkpParams | None = None,
+    seed: int = 0,
     include: Iterable[str] = ALGO_NAMES,
     a6_reps: int | None = None,
 ) -> SubgraphResult:
     """Best exactly-k candidate of :func:`dks_candidates` over both branches
     and the selected algorithms."""
     return pick_best(
-        res for _, _, res in dks_candidates(G, k, params, include, a6_reps)
+        res for _, _, res in dks_candidates(G, k, seed, include, a6_reps)
     )

@@ -16,7 +16,6 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 # Parsed graphs hold one adjacency list per vertex id, so a single line such
@@ -48,9 +47,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -200,13 +196,6 @@ def induced_stats(G: Graph, vertices: Iterable[int]) -> SubgraphResult:
     return SubgraphResult(verts, count, avg)
 
 
-def average_degree_fraction(r: SubgraphResult) -> Fraction:
-    """Exact rational average degree of a result (0 for the empty set)."""
-    if not r.vertices:
-        return Fraction(0)
-    return Fraction(2 * r.edge_count, len(r.vertices))
-
-
 def better_than(a: SubgraphResult, b: SubgraphResult) -> bool:
     """True when ``a`` beats ``b``: higher average degree (compared exactly),
     then more induced edges, then lexicographically smaller vertex tuple."""
@@ -241,37 +230,12 @@ def doubling_ladder(top: int) -> list[int]:
     return ladder
 
 
-def cut_size(G: Graph, side_a: Iterable[int], side_b: Iterable[int]) -> int:
-    """Number of edges with one endpoint in each (disjoint) side."""
-    sa, sb = set(side_a), set(side_b)
-    if sa & sb:
-        raise ValueError(f"sides overlap on {sorted(sa & sb)}")
-    count = 0
-    for v in sa:
-        for u in G.adjacency[v]:
-            if u in sb:
-                count += 1
-    return count
-
-
 def top_degree_vertices(G: Graph, count: int) -> tuple[int, ...]:
     """The ``count`` highest-degree vertices; degree ties go to lower ids."""
     if not (0 <= count <= G.n):
         raise ValueError(f"count {count} out of range for n={G.n}")
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
     return tuple(order[:count])
-
-
-def top_half_degree_stats(G: Graph, k: int) -> tuple[float, int]:
-    """``(d_H_avg, d_H_max)``: the mean degree of the ``ceil(k/2)`` highest
-    degree vertices and the maximum degree of the whole graph."""
-    if not (1 <= k <= G.n):
-        raise ValueError(f"k={k} out of range for n={G.n}")
-    half = (k + 1) // 2
-    top = top_degree_vertices(G, half)
-    d_avg = sum(G.degree(v) for v in top) / half
-    d_max = max((G.degree(v) for v in range(G.n)), default=0)
-    return d_avg, d_max
 
 
 def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -7,11 +7,11 @@ approximation ratio on that class is known; the guarantee of running a whole
 set of algorithms and keeping the best answer is the minimum over the set,
 and the hardest class for the set is the lattice maximum of that minimum.
 
-``ratio_exponent`` evaluates one algorithm at one point (the reference
-scalar route); ``grid_max_min`` sweeps the full lattice with numpy, slice by
-slice in ``g``, using identical expression order so both routes agree bit
-for bit.  The lattice maximum underestimates the continuous one by at most
-``error_bound(delta)``.
+``grid_max_min`` sweeps the full lattice with numpy, slice by slice in
+``g``, evaluating each algorithm's formula over a whole (d, K) block at
+once.  The scalar route in the test helpers evaluates the same expressions
+in the same order, so the two agree bit for bit.  The lattice maximum
+underestimates the continuous one by at most ``error_bound(delta)``.
 """
 
 from __future__ import annotations
@@ -40,37 +40,6 @@ class ExponentPoint:
     g: float
     K: float
     d: float
-
-
-def _validate_point(p: ExponentPoint) -> None:
-    if not (0.0 <= p.g <= p.d <= 1.0):
-        raise ValueError(f"need 0 <= g <= d <= 1, got g={p.g}, d={p.d}")
-    if not (p.g <= p.K <= 1.0):
-        raise ValueError(f"need g <= K <= 1, got g={p.g}, K={p.K}")
-
-
-def ratio_exponent(algo: str, point: ExponentPoint) -> float | None:
-    """Approximation-ratio exponent of one algorithm at one point, or None
-    where the algorithm's analysis does not apply."""
-    _validate_point(point)
-    g, K, d = point.g, point.K, point.d
-    if algo == "a1":
-        return g
-    if algo == "a2":
-        return g - K - d + 1.0
-    if algo == "a3":
-        return g - 2 * g + max(K, d)
-    if algo == "a4":
-        return g - 3 * g + 2 * K + d / 3.0
-    if algo == "a5":
-        if 2 * d <= K:
-            return g - min(3 * g - 1.6 * d - 0.6 * K, (5.0 * g - K - 2.0 * d) / 3.0)
-        if K < 2 * d and K > d:
-            return g - min(3 * g - 2 * d - 0.4 * K, (5.0 * g - 4.0 * d) / 3.0)
-        return None
-    if algo == "a6":
-        return g - (7.0 * g - 4.0 * d - K) / 3.0
-    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def error_bound(delta: float) -> float:

@@ -36,13 +36,10 @@ class SolverContractError(RuntimeError):
 class DamksSolverHandle:
     """An abstract at-most-k densest-subgraph solver.
 
-    ``solve(G, k)`` must return a set of at most k vertices.  ``quality`` is
-    the declared approximation factor gamma (1 for an exact oracle, or None
-    when unknown); the driver's guarantee degrades linearly in it.
+    ``solve(G, k)`` must return a set of at most k vertices.
     """
 
     solve: Callable[[Graph, int], SubgraphResult]
-    quality: float | None = None
     name: str = "damks"
 
 
@@ -52,7 +49,7 @@ def oracle_damks_handle(cap: int = exact.DEFAULT_ENUMERATION_CAP) -> DamksSolver
     def solve(G: Graph, k: int) -> SubgraphResult:
         return exact.exact_solve(G, k, exact.ProblemKind.AT_MOST_K, cap=cap)
 
-    return DamksSolverHandle(solve=solve, quality=1.0, name="exact-oracle")
+    return DamksSolverHandle(solve=solve, name="exact-oracle")
 
 
 def _edge_weight(weights: Mapping[tuple[int, int], Fraction | int] | None,

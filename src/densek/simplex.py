@@ -4,7 +4,7 @@ A program is ``minimise objective . x`` over ``x >= 0`` subject to
 ``rows @ x = rhs`` on its first ``n_eq`` rows and ``rows @ x <= rhs`` on the
 rest.  Rows with a negative rhs are negated, slack and artificial columns are
 appended, and both phases run on a dense numpy tableau.  Pivoting starts with
-Dantzig's rule and falls back to Bland's rule after a fixed number of pivots,
+Dantzig's rule and falls back to Bland's rule after ``DANTZIG_LIMIT`` pivots,
 which guarantees termination.  A final residual check re-verifies the
 reported optimum against the original rows, so a numerically wrong "optimal"
 is never returned silently.
@@ -24,6 +24,8 @@ UNBOUNDED = "unbounded"
 TOL = 1e-9
 # Entries at or below this magnitude never serve as pivots.
 PIVOT_TOL = 1e-10
+# Dantzig's rule for this many pivots of a phase, Bland's rule after.
+DANTZIG_LIMIT = 2000
 MAX_PIVOTS = 200_000
 
 
@@ -70,15 +72,13 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(
-    T: np.ndarray, basis: np.ndarray, ncols: int, *, dantzig_limit: int, phase: int
-) -> str:
+def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, *, phase: int) -> str:
     """Iterate pivots until optimal or unbounded; returns "optimal" or
     "unbounded".  ``ncols`` excludes the rhs column."""
     pivots = 0
     while True:
         costs = T[-1, :ncols]
-        if pivots < dantzig_limit:
+        if pivots < DANTZIG_LIMIT:
             col = int(np.argmin(costs))
             if costs[col] >= -PIVOT_TOL:
                 return OPTIMAL
@@ -108,7 +108,7 @@ def _run_simplex(
             raise LpNumericalError(f"no convergence after {MAX_PIVOTS} pivots")
 
 
-def solve_lp(lp: LinearProgram, *, dantzig_limit: int = 2000) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the program; status is one of optimal / infeasible / unbounded.
 
     An optimal answer is re-checked against every row with mixed
@@ -142,7 +142,7 @@ def solve_lp(lp: LinearProgram, *, dantzig_limit: int = 2000) -> LpSolution:
         T[-1, art_start:total] = 1.0
         for i in art_rows:
             T[-1] -= T[i]
-        _run_simplex(T, basis, total, dantzig_limit=dantzig_limit, phase=1)
+        _run_simplex(T, basis, total, phase=1)
         if -T[-1, -1] > TOL * (1.0 + np.abs(lp.rhs).sum()):
             return LpSolution(status=INFEASIBLE)
         # Pivot surviving artificials out of the basis; rows that cannot be
@@ -163,7 +163,7 @@ def solve_lp(lp: LinearProgram, *, dantzig_limit: int = 2000) -> LpSolution:
     T[-1, :nv] = lp.objective
     for i, col in enumerate(basis):
         T[-1] -= T[-1, col] * T[i]
-    status = _run_simplex(T, basis, art_start, dantzig_limit=dantzig_limit, phase=2)
+    status = _run_simplex(T, basis, art_start, phase=2)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 

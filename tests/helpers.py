@@ -14,6 +14,14 @@ from typing import Sequence
 import numpy as np
 
 from densek.damks import DistanceLayers
+from densek.exact import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    _adjacency_masks,
+    _mask_lex_less,
+    _mask_to_tuple,
+)
+from densek.fkp import walk_powers
 from densek.flow import max_quasi_density
 from densek.graph import (
     Graph,
@@ -23,6 +31,7 @@ from densek.graph import (
     induced_stats,
     pad_most_neighbors,
 )
+from densek.ratio import ExponentPoint
 from densek.simplex import OPTIMAL, LinearProgram, LpSolution, solve_lp
 
 LESS_EQUAL = "<="
@@ -79,6 +88,67 @@ def count_induced_edges(G: Graph, vertices) -> int:
     """Edge-list recount, independent of Graph.adjacency."""
     inside = set(vertices)
     return sum(1 for u, v in G.edges if u in inside and v in inside)
+
+
+def average_degree_fraction(r: SubgraphResult) -> Fraction:
+    """Exact rational average degree of a result (0 for the empty set)."""
+    if not r.vertices:
+        return Fraction(0)
+    return Fraction(2 * r.edge_count, len(r.vertices))
+
+
+def walk_count_matrix(G: Graph, length: int) -> list[list[int]]:
+    """``W[u][v]`` = number of walks of exactly ``length`` edges from u to v."""
+    if length < 1:
+        raise ValueError(f"walk length must be >= 1, got {length}")
+    return walk_powers(G, length)[length]
+
+
+def brute_quasi_density(
+    G: Graph,
+    q: Fraction | int,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[tuple[int, ...], Fraction]:
+    """Maximise ``|E(S)| - q*|S|`` by enumeration, exactly.
+
+    Ties are broken toward smaller sets, then lexicographically, which matches
+    the canonical (inclusion-minimal) optimiser that the min-cut solver
+    returns.
+    """
+    if G.n > cap:
+        raise EnumerationCapError(
+            f"n={G.n} exceeds the enumeration cap {cap}; refusing 2^{G.n} subsets"
+        )
+    q = Fraction(q)
+    num, den = q.numerator, q.denominator
+
+    adj = _adjacency_masks(G)
+    best_scaled = 0  # value of the empty set, scaled by den
+    best_size = 0
+    best_mask = 0
+    cur = 0
+    size = 0
+    ec = 0
+    for t in range(1, 1 << G.n):
+        v = (t & -t).bit_length() - 1
+        bit = 1 << v
+        if cur & bit:
+            cur ^= bit
+            size -= 1
+            ec -= (adj[v] & cur).bit_count()
+        else:
+            ec += (adj[v] & cur).bit_count()
+            cur ^= bit
+            size += 1
+        scaled = ec * den - num * size
+        if scaled > best_scaled:
+            best_scaled, best_size, best_mask = scaled, size, cur
+        elif scaled == best_scaled:
+            if size < best_size:
+                best_scaled, best_size, best_mask = scaled, size, cur
+            elif size == best_size and _mask_lex_less(cur, best_mask):
+                best_scaled, best_size, best_mask = scaled, size, cur
+    return _mask_to_tuple(best_mask), Fraction(best_scaled, den)
 
 
 def exact_best_subsets(G: Graph, sizes) -> tuple[Fraction, list[tuple[int, ...]]]:
@@ -239,11 +309,40 @@ def random_box_lp(rng: random.Random, max_vars: int = 4) -> GeneralLp:
     return lp
 
 
+def _validate_point(p: ExponentPoint) -> None:
+    if not (0.0 <= p.g <= p.d <= 1.0):
+        raise ValueError(f"need 0 <= g <= d <= 1, got g={p.g}, d={p.d}")
+    if not (p.g <= p.K <= 1.0):
+        raise ValueError(f"need g <= K <= 1, got g={p.g}, K={p.K}")
+
+
+def ratio_exponent(algo: str, point: ExponentPoint) -> float | None:
+    """Approximation-ratio exponent of one algorithm at one point, or None
+    where the algorithm's analysis does not apply."""
+    _validate_point(point)
+    g, K, d = point.g, point.K, point.d
+    if algo == "a1":
+        return g
+    if algo == "a2":
+        return g - K - d + 1.0
+    if algo == "a3":
+        return g - 2 * g + max(K, d)
+    if algo == "a4":
+        return g - 3 * g + 2 * K + d / 3.0
+    if algo == "a5":
+        if 2 * d <= K:
+            return g - min(3 * g - 1.6 * d - 0.6 * K, (5.0 * g - K - 2.0 * d) / 3.0)
+        if K < 2 * d and K > d:
+            return g - min(3 * g - 2 * d - 0.4 * K, (5.0 * g - 4.0 * d) / 3.0)
+        return None
+    if algo == "a6":
+        return g - (7.0 * g - 4.0 * d - K) / 3.0
+    raise ValueError(f"unknown algorithm {algo!r}")
+
+
 def scalar_grid_oracle(delta: float, algos) -> tuple[float, tuple[float, float, float], int]:
     """Triple-loop reference for the lattice max-min: g outer, then d, then K,
     strict improvement only (first-attained argmax)."""
-    from densek.ratio import ExponentPoint, ratio_exponent
-
     steps = int(round(1.0 / delta))
     assert abs(steps * delta - 1.0) < delta / 2
     best = -math.inf

@@ -21,15 +21,15 @@ from densek.damks import (
     a6_damks,
     build_damks_lp,
     distance_layers,
-    gamma_ladder,
     min_degree_core,
 )
-from densek.exact import ProblemKind, exact_solve, walk_count_matrix
-from densek.fkp import ALGO_NAMES, FkpParams, combined_dks
+from densek.exact import ProblemKind, exact_solve
+from densek.fkp import ALGO_NAMES, combined_dks
 from densek.flow import dalks_2approx
 from densek.graph import (
     Graph,
     better_than,
+    doubling_ladder,
     gnp_graph,
     graph_from_edges,
     induced_stats,
@@ -49,6 +49,7 @@ from helpers import (
     round_once,
     solve_general,
     vertex_enum_optimum,
+    walk_count_matrix,
 )
 
 
@@ -231,7 +232,7 @@ def test_criterion_10_relaxation_screen():
             d_am = best_density_at_most(profile, k)
             if d_am < 2:
                 continue
-            gamma = max(g for g in gamma_ladder(G.n) if g <= d_am / 2)
+            gamma = max(g for g in doubling_ladder(G.n) if g <= d_am / 2)
             witness = exact_solve(G, k, ProblemKind.AT_MOST_K).vertices
             core = min_degree_core(G, witness, d_am / 2)
             roots = list(core) + [v for v in range(G.n) if v not in set(core)]
@@ -257,10 +258,9 @@ def test_criterion_11_a6_sanity():
         assert 1 <= len(res.vertices) <= k
         assert count_induced_edges(G, res.vertices) == res.edge_count
         if i % 4 == 0 and k >= 1:
-            params = FkpParams.for_graph(G, seed=i)
-            with_a6 = combined_dks(G, k, params, include=ALGO_NAMES, a6_reps=4 * G.n)
+            with_a6 = combined_dks(G, k, seed=i, include=ALGO_NAMES, a6_reps=4 * G.n)
             without = combined_dks(
-                G, k, params, include=("a1", "a2", "a3", "a4", "a5")
+                G, k, seed=i, include=("a1", "a2", "a3", "a4", "a5")
             )
             assert not better_than(without, with_a6)
 
@@ -337,7 +337,7 @@ def test_criterion_12_determinism():
             H = skewed_graph(rng, 3, 12)
             k = rng.randint(1, H.n)
             out.append(a6_damks(H, k, seed=i, reps=2 * H.n))
-            out.append(combined_dks(H, k, FkpParams.for_graph(H, seed=i)))
+            out.append(combined_dks(H, k, seed=i))
             out.append(dalks_2approx(H, k))
         out.append(a6_damks(G, 5, seed=9))
         return json.dumps(

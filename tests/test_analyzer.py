@@ -14,9 +14,8 @@ from densek.ratio import (
     ExponentPoint,
     error_bound,
     grid_max_min,
-    ratio_exponent,
 )
-from helpers import scalar_grid_oracle
+from helpers import ratio_exponent, scalar_grid_oracle
 
 
 class TestExponentPoint:

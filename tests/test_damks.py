@@ -5,25 +5,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densek import simplex
+from densek import damks, simplex
 from densek.damks import (
     LP_SCREEN_TOL,
     a6_damks,
     build_damks_lp,
     distance_layers,
-    gamma_ladder,
     lp_pairs,
     min_degree_core,
     round_batch,
 )
 from densek.rng import derive_rng
 from densek.simplex import INFEASIBLE, OPTIMAL, solve_lp
-from densek.graph import gnp_graph, graph_from_edges
+from densek.graph import doubling_ladder, gnp_graph, graph_from_edges
 from helpers import check_cauchy_mass, count_induced_edges, petersen, round_once
 
 
 def complete_graph(n):
     return graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+# a6_damks(gnp_graph(n, p, graph_seed), k, reps=2 * n, seed=graph_seed) as
+# computed before the LP moved to standard form, and before a6 drew its
+# roundings in chunks.
+PINNED_A6 = [
+    (8, 0.5, 1, 3, (0, 1, 4), 3),
+    (9, 0.4, 2, 4, (0, 5, 8), 3),
+    (10, 0.3, 3, 5, (0, 2, 6, 7, 8), 5),
+    (10, 0.6, 4, 6, (0, 1, 2, 5, 7), 10),
+    (11, 0.45, 5, 4, (0, 2, 6, 8), 4),
+    (12, 0.35, 6, 7, (0, 1, 4, 5, 11), 5),
+    (13, 0.3, 7, 5, (0, 3, 4), 3),
+    (14, 0.4, 8, 8, (2, 5, 7, 8, 9, 10, 11, 13), 19),
+]
 
 
 class TestLpConstruction:
@@ -216,21 +230,29 @@ class TestA6:
             assert 1 <= len(res.vertices) <= k
             assert count_induced_edges(G, res.vertices) == res.edge_count
 
-    @pytest.mark.parametrize("n,p,graph_seed,k,vertices,edges", [
-        # a6_damks(gnp_graph(n, p, graph_seed), k, reps=2 * n, seed=graph_seed)
-        # as computed before the LP moved to standard form
-        (8, 0.5, 1, 3, (0, 1, 4), 3),
-        (9, 0.4, 2, 4, (0, 5, 8), 3),
-        (10, 0.3, 3, 5, (0, 2, 6, 7, 8), 5),
-        (10, 0.6, 4, 6, (0, 1, 2, 5, 7), 10),
-        (11, 0.45, 5, 4, (0, 2, 6, 8), 4),
-        (12, 0.35, 6, 7, (0, 1, 4, 5, 11), 5),
-        (13, 0.3, 7, 5, (0, 3, 4), 3),
-        (14, 0.4, 8, 8, (2, 5, 7, 8, 9, 10, 11, 13), 19),
-    ])
+    @pytest.mark.parametrize("n,p,graph_seed,k,vertices,edges", PINNED_A6)
     def test_pinned_outputs(self, n, p, graph_seed, k, vertices, edges):
         res = a6_damks(gnp_graph(n, p, graph_seed), k, reps=2 * n, seed=graph_seed)
         assert (res.vertices, res.edge_count) == (vertices, edges)
+
+    @pytest.mark.parametrize("n,p,graph_seed,k,vertices,edges", PINNED_A6)
+    def test_chunked_rounding_keeps_outputs(
+        self, monkeypatch, n, p, graph_seed, k, vertices, edges
+    ):
+        # With chunks of 7, the 2n reps of each LP span three or four
+        # batches, the last one partial; the answer must not change.
+        monkeypatch.setattr(damks, "ROUND_CHUNK", 7)
+        batches = []
+
+        def spy(G, layers, y, rng, reps):
+            batches.append(reps)
+            return round_batch(G, layers, y, rng, reps)
+
+        monkeypatch.setattr(damks, "round_batch", spy)
+        res = a6_damks(gnp_graph(n, p, graph_seed), k, reps=2 * n, seed=graph_seed)
+        assert (res.vertices, res.edge_count) == (vertices, edges)
+        assert batches and max(batches) <= 7
+        assert sum(batches) % (2 * n) == 0
 
     def test_numerical_error_skips_the_pair(self, monkeypatch):
         # An LP the simplex cannot certify is skipped like an infeasible one.
@@ -272,7 +294,7 @@ class TestA6:
             for k in range(1, G.n + 1):
                 kept = set(lp_pairs(G, k))
                 for root in range(G.n):
-                    for gamma in gamma_ladder(G.n):
+                    for gamma in doubling_ladder(G.n):
                         if (root, gamma) in kept:
                             continue
                         skipped += 1
@@ -336,12 +358,11 @@ class TestCoreAndLadder:
             )
 
     def test_gamma_ladder(self):
-        assert gamma_ladder(1) == [1]
-        assert gamma_ladder(6) == [1, 2, 4]
-        assert gamma_ladder(16) == [1, 2, 4, 8, 16]
-        assert gamma_ladder(17) == [1, 2, 4, 8, 16]
-        with pytest.raises(ValueError):
-            gamma_ladder(0)
+        # a6's density guesses on an n-vertex graph: doubling_ladder(n)
+        assert doubling_ladder(1) == [1]
+        assert doubling_ladder(6) == [1, 2, 4]
+        assert doubling_ladder(16) == [1, 2, 4, 8, 16]
+        assert doubling_ladder(17) == [1, 2, 4, 8, 16]
 
 
 class TestCauchyMass:

@@ -9,12 +9,16 @@ from densek.exact import (
     EnumerationCapError,
     ProblemKind,
     _mask_lex_less,
-    brute_quasi_density,
     exact_solve,
-    walk_count_matrix,
 )
 from densek.graph import graph_from_edges
-from helpers import count_induced_edges, exact_best_subsets, petersen
+from helpers import (
+    brute_quasi_density,
+    count_induced_edges,
+    exact_best_subsets,
+    petersen,
+    walk_count_matrix,
+)
 
 
 def complete_graph(n):

@@ -1,24 +1,26 @@
-import dataclasses
 import random
 
 import pytest
 
-from densek.exact import walk_count_matrix
 from densek.fkp import (
     ALGO_NAMES,
-    FkpParams,
+    EPSILON_LADDER,
+    MAX_CANDIDATES,
+    SAMPLE_RETRIES,
+    _greedy_matching,
+    _walk_layers,
     a1_matching,
     a2_top_degrees,
     a3_neighborhoods,
     a4_edge_dense,
     a5_walks,
     attachment_counts,
-    build_walk_layers,
     combined_dks,
-    greedy_matching_size,
+    dks_candidates,
+    walk_powers,
 )
 from densek.graph import better_than, gnp_graph, graph_from_edges
-from helpers import count_induced_edges, petersen
+from helpers import count_induced_edges, walk_count_matrix
 
 
 def complete_graph(n):
@@ -40,26 +42,9 @@ def random_graphs(key, count, lo=3, hi=10):
 
 class TestParams:
     def test_defaults_are_valid(self):
-        p = FkpParams()
-        assert p.epsilon_ladder[0] < 1 < p.epsilon_ladder[-1]
-        assert p.dstar_ladder[0] == 1
-
-    def test_for_graph_covers_n(self):
-        p = FkpParams.for_graph(petersen(), seed=9)
-        assert p.seed == 9
-        assert p.dstar_ladder[-1] >= 10
-
-    @pytest.mark.parametrize("patch", [
-        {"epsilon_ladder": ()},
-        {"dstar_ladder": (1.0, 1.0)},
-        {"epsilon_ladder": (0.5, 0.25)},
-        {"dstar_ladder": (0.0, 1.0)},
-        {"max_candidates": 0},
-        {"sample_retries": -1},
-    ])
-    def test_rejects_bad_fields(self, patch):
-        with pytest.raises(ValueError):
-            dataclasses.replace(FkpParams(), **patch)
+        assert EPSILON_LADDER[0] < 1 < EPSILON_LADDER[-1]
+        assert all(0 < a < b for a, b in zip(EPSILON_LADDER, EPSILON_LADDER[1:]))
+        assert MAX_CANDIDATES >= 1 and SAMPLE_RETRIES >= 0
 
 
 class TestA1:
@@ -67,7 +52,7 @@ class TestA1:
         G = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
         res = a1_matching(G, 4)
         assert res.vertices == (0, 1, 2, 3) and res.edge_count == 3
-        assert greedy_matching_size(G, 4) == 2
+        assert len(_greedy_matching(G, 4)) // 2 == 2
 
     def test_pads_with_lowest_ids(self):
         G = graph_from_edges(5, [(3, 4)])
@@ -79,7 +64,7 @@ class TestA1:
             k = random.Random(G.n * 131 + G.m).randint(1, G.n)
             res = a1_matching(G, k)
             assert len(res.vertices) == k
-            assert res.edge_count >= min(greedy_matching_size(G, k), k // 2)
+            assert res.edge_count >= min(len(_greedy_matching(G, k)) // 2, k // 2)
             assert count_induced_edges(G, res.vertices) == res.edge_count
 
 
@@ -149,7 +134,7 @@ class TestWalkLayers:
                 continue
             powers = [None] + [walk_count_matrix(G, i) for i in range(1, 5)]
             u, v = G.edges[0]
-            L = build_walk_layers(G, u, v)
+            L = _walk_layers(G, walk_powers(G, 4), u, v)
             for i in range(1, 5):
                 expect = {
                     w
@@ -164,7 +149,7 @@ class TestWalkLayers:
             [(u, v) for u in range(4) for v in range(u + 1, 4)]
             + [(4, 5), (5, 6)],
         )
-        L = build_walk_layers(G, 0, 1)
+        L = _walk_layers(G, walk_powers(G, 4), 0, 1)
         assert L.n1 == {1, 2, 3}
         assert L.n2 == {0, 1, 2, 3}
         assert L.n4 == {0, 2, 3}
@@ -186,8 +171,7 @@ class TestA5:
 
     def test_deterministic(self):
         G = gnp_graph(11, 0.35, 8)
-        p = FkpParams.for_graph(G, seed=4)
-        assert a5_walks(G, 5, p) == a5_walks(G, 5, p)
+        assert a5_walks(G, 5, seed=4) == a5_walks(G, 5, seed=4)
 
     def test_size_and_recount(self):
         for G in random_graphs("a5", 12, lo=4, hi=9):
@@ -210,9 +194,8 @@ class TestCombined:
     def test_monotone_in_algorithm_subset(self):
         for G in random_graphs("combined", 8, lo=4, hi=9):
             k = random.Random(G.m + 29).randint(2, G.n)
-            params = FkpParams.for_graph(G, seed=17)
-            small = combined_dks(G, k, params, include=("a1", "a3"))
-            full = combined_dks(G, k, params, include=ALGO_NAMES)
+            small = combined_dks(G, k, seed=17, include=("a1", "a3"))
+            full = combined_dks(G, k, seed=17, include=ALGO_NAMES)
             assert not better_than(small, full)
             assert len(full.vertices) == k
 
@@ -221,6 +204,18 @@ class TestCombined:
         a = combined_dks(G, 5)
         b = combined_dks(G, 5)
         assert a == b and len(a.vertices) == 5
+
+    def test_peeled_a5_takes_its_ladder_from_the_whole_graph(self):
+        # The peeled branch has 26 of the 33 vertices.  Its a5 guesses
+        # densities up to 64, as on the main branch; a ladder that stopped
+        # at 32 picks a different set of the same edge count here.
+        G = gnp_graph(33, 0.6118898549715303, 24)
+        runs = {
+            branch: res
+            for branch, _, res in dks_candidates(G, 13, seed=24, include=("a5",))
+        }
+        assert runs["peeled"].vertices == (1, 2, 5, 6, 8, 10, 11, 12, 18, 20, 22, 26, 32)
+        assert runs["peeled"].edge_count == 59
 
     def test_k_one(self):
         res = combined_dks(complete_graph(3), 1)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densek import flow
-from densek.exact import brute_quasi_density
 from densek.flow import dalks_2approx, max_flow, max_quasi_density
-from densek.graph import average_degree_fraction, gnp_graph, graph_from_edges, induced_stats
+from densek.graph import gnp_graph, graph_from_edges, induced_stats
 from helpers import (
+    average_degree_fraction,
     best_edges_by_size,
     brute_min_cut,
+    brute_quasi_density,
     connected_random_graph,
     count_induced_edges,
     dalks_every_guess,

@@ -10,7 +10,6 @@ from densek.graph import (
     GraphParseError,
     SubgraphResult,
     better_than,
-    cut_size,
     gnp_graph,
     graph_from_edges,
     induced_stats,
@@ -22,7 +21,6 @@ from densek.graph import (
     remove_top_degrees,
     serialize_edge_list,
     top_degree_vertices,
-    top_half_degree_stats,
 )
 from helpers import count_induced_edges, petersen
 
@@ -139,13 +137,6 @@ class TestStats:
                 2 * res.edge_count / len(res.vertices)
             )
 
-    def test_petersen_spokes(self):
-        assert cut_size(petersen(), range(5), range(5, 10)) == 5
-
-    def test_cut_rejects_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            cut_size(petersen(), [0, 1], [1, 2])
-
 
 class TestDegreeSelections:
     def _example(self):
@@ -153,11 +144,6 @@ class TestDegreeSelections:
         return graph_from_edges(
             6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (1, 3)]
         )
-
-    def test_top_half_degree_stats(self):
-        d_avg, d_max = top_half_degree_stats(self._example(), 4)
-        assert d_avg == 4.0  # mean of degrees 5 and 3
-        assert d_max == 5
 
     def test_degree_ties_take_lower_id(self):
         assert top_degree_vertices(self._example(), 3) == (0, 1, 2)

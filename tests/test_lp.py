@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from densek import simplex
 from densek.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -135,18 +136,21 @@ class TestPivotingRules:
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-0.05)
 
-    def test_beale_immediate_bland(self):
+    def test_beale_immediate_bland(self, monkeypatch):
         # force Bland's rule from the very first pivot
-        sol = solve_lp(self.beale(), dantzig_limit=0)
+        monkeypatch.setattr(simplex, "DANTZIG_LIMIT", 0)
+        sol = solve_lp(self.beale())
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-0.05)
 
-    def test_dantzig_limit_does_not_change_answers(self):
+    def test_dantzig_limit_does_not_change_answers(self, monkeypatch):
         rng = random.Random("bland")
         for _ in range(20):
             lp, _ = standard_form(random_box_lp(rng))
             a = solve_lp(lp)
-            b = solve_lp(lp, dantzig_limit=0)
+            with monkeypatch.context() as bland:
+                bland.setattr(simplex, "DANTZIG_LIMIT", 0)
+                b = solve_lp(lp)
             assert a.status == b.status
             if a.status == OPTIMAL:
                 assert a.objective == pytest.approx(b.objective, abs=1e-6)
