@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -63,19 +62,6 @@ def _result_record(
         "params": params,
         "wall_time_ms": wall_ms,
     }
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("DENSEK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"DENSEK_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"DENSEK_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -141,7 +127,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(
             f"unknown set {args.set!r}; use fkp5, a6combo or custom:a1,a2,..."
         )
-    workers = _workers_from_env()
+    workers = ratio.workers_from_env()
     start = time.perf_counter()
     grid = ratio.grid_max_min(args.delta, algos, workers=workers)
     wall = (time.perf_counter() - start) * 1000.0

@@ -21,7 +21,9 @@ be rounded (:func:`lp_pairs`):
 * the LP is feasible iff ``i0`` lies in the gamma-core, the largest vertex
   set of induced minimum degree at least gamma (on the support S of a
   feasible y, a vertex with fewer than gamma neighbours in S breaks its
-  degree row; the core's indicator vector is feasible);
+  degree row; the core's indicator vector is feasible); one min-degree peel
+  gives the core number of every vertex (:func:`core_numbers`), and so
+  every core of the ladder at once;
 * every feasible LP has objective at least ``1 + gamma``, because
   ``y_i0 = 1`` and ``sum_{j ~ i0} y_j >= sum_j x_i0j >= gamma``; so the
   ladder stops once ``1 + gamma`` exceeds k.
@@ -38,14 +40,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import simplex
 from .graph import Graph, SubgraphResult, better_than, doubling_ladder, induced_stats
-from .reduction import fixing_trim
+from .reduction import fixing_trim, peel
 from .rng import derive_rng
 
 LP_SCREEN_TOL = 1e-6
@@ -177,18 +178,31 @@ def _average_degrees(adjacency: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return out
 
 
+def core_numbers(G: Graph, vertices) -> dict[int, int]:
+    """Core number of each of ``vertices`` in the subgraph they induce: the
+    running maximum of the deletion degrees of :func:`reduction.peel`.  A
+    vertex lies in the t-core, the largest subset of induced minimum degree
+    at least t, iff its core number is at least t."""
+    cores: dict[int, int] = {}
+    level = 0
+    for v, degree in peel(G, vertices):
+        level = max(level, degree)
+        cores[v] = level
+    return cores
+
+
 def lp_pairs(G: Graph, k: int) -> list[tuple[int, int]]:
     """The ``(root, gamma)`` pairs, root-major, whose relaxation can be
     feasible with optimum at most k: gamma on the ladder with
     ``1 + gamma <= k`` (within ``LP_SCREEN_TOL``) and root in the gamma-core.
     Every other pair's LP is infeasible or has optimum above k."""
     ladder = [g for g in doubling_ladder(G.n) if 1 + g <= k + LP_SCREEN_TOL]
-    cores = [frozenset(min_degree_core(G, range(G.n), g)) for g in ladder]
+    cores = core_numbers(G, range(G.n))
     return [
         (root, gamma)
         for root in range(G.n)
-        for gamma, core in zip(ladder, cores)
-        if root in core
+        for gamma in ladder
+        if cores[root] >= gamma
     ]
 
 
@@ -204,9 +218,9 @@ def a6_damks(
     optimum at most k, draw ``reps`` roundings (default ``16n``) in batches
     of at most ``ROUND_CHUNK``, take the denser window sample of each,
     discard empty sets and sets larger than 2k, trim the distinct remaining
-    sets larger than k down to k, and return the best candidate.  Never returns more than k vertices.  A pair whose
-    LP the simplex cannot certify (:class:`simplex.LpNumericalError`) is
-    skipped like an infeasible one.
+    sets to at most k, and return the best candidate.  Never returns more
+    than k vertices.  A pair whose LP the simplex cannot certify
+    (:class:`simplex.LpNumericalError`) is skipped like an infeasible one.
     """
     if not (1 <= k <= G.n):
         raise ValueError(f"k={k} out of range for n={G.n}")
@@ -245,10 +259,7 @@ def a6_damks(
                 if key in seen:
                     continue
                 seen.add(key)
-                vertices = np.flatnonzero(row).tolist()
-                if len(vertices) > k:
-                    vertices = fixing_trim(G, vertices, k)
-                cand = induced_stats(G, vertices)
+                cand = induced_stats(G, fixing_trim(G, np.flatnonzero(row).tolist(), k))
                 if best is None or better_than(cand, best):
                     best = cand
     if best is None:
@@ -256,28 +267,3 @@ def a6_damks(
         # achieves the optimum-0 trivially.
         best = induced_stats(G, (0,))
     return best
-
-
-def min_degree_core(
-    G: Graph, vertices, threshold: Fraction | float
-) -> tuple[int, ...]:
-    """Largest subset of ``vertices`` whose induced minimum degree is at least
-    ``threshold`` (possibly empty); computed by iterative peeling."""
-    alive = set(vertices)
-    for v in alive:
-        if not (0 <= v < G.n):
-            raise ValueError(f"vertex {v} out of range for n={G.n}")
-    deg = {
-        v: sum(1 for u in G.adjacency[v] if u in alive) for v in alive
-    }
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if deg[v] < threshold:
-                alive.remove(v)
-                for u in G.adjacency[v]:
-                    if u in alive:
-                        deg[u] -= 1
-                changed = True
-    return tuple(sorted(alive))

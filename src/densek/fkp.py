@@ -195,42 +195,18 @@ def _walk_layers(
     return WalkLayers(u=u, v=v, n1=sets[0], n2=sets[1], n3=sets[2], n4=sets[3])
 
 
-def _trim_to(G: Graph, verts: Iterable[int], k: int) -> tuple[int, ...]:
-    vs = tuple(sorted(set(verts)))
-    if len(vs) > k:
-        return fixing_trim(G, vs, k)
-    return vs
-
-
 def _good_vertex_candidates(
     G: Graph,
     layers: WalkLayers,
-    powers: list[list[list[int]]],
+    cut: list[tuple[int, int, int]],
     tau: float,
     k: int,
 ) -> list[tuple[int, ...]]:
-    """Sweep the layer-2/layer-3 cut edges whose walk-count load reaches
-    ``tau``, repeatedly collecting an endpoint well connected to the outer
-    layer on its side and deleting its edges; returns the two side sets
-    augmented by their outer layers."""
-    u, v = layers.u, layers.v
-    w2u = powers[2][u]
-    w2v = powers[2][v]
-    cut: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for a, b in G.edges:
-        oriented = None
-        if a in layers.n2 and b in layers.n3:
-            oriented = (a, b)
-        if b in layers.n2 and a in layers.n3:
-            alt = (b, a)
-            if oriented is None or alt < oriented:
-                oriented = alt
-        if oriented and oriented not in seen:
-            seen.add(oriented)
-            cut.append(oriented)
-    cut.sort()
-    surviving = [e for e in cut if w2u[e[0]] * w2v[e[1]] >= tau]
+    """Sweep the layer-2/layer-3 cut edges ``(w, z, load)`` whose walk-count
+    load reaches ``tau``, repeatedly collecting an endpoint well connected to
+    the outer layer on its side and deleting its edges; returns the two side
+    sets augmented by their outer layers."""
+    surviving = [(w, z) for w, z, load in cut if load >= tau]
     need = math.sqrt(tau)
     side2: list[int] = []
     side3: list[int] = []
@@ -285,25 +261,39 @@ def a5_walks(
     layers = _walk_layers(G, powers, u, v)
     d_max = max(G.degree(x) for x in range(G.n))
 
+    # Candidates as sorted tuples, trimmed to k once each at the end.
     raw: list[tuple[int, ...]] = []
     middle = sorted(layers.n2 | layers.n3)
-    raw.append(_trim_to(G, middle, k))
+    raw.append(tuple(middle))
 
     rng = derive_rng(seed, "a5-sample", u, v)
     keep_p = min(1.0, k / (2.0 * d_max * d_max))
     for _ in range(SAMPLE_RETRIES):
         sampled = [w for w in middle if rng.random() < keep_p]
         if sampled:
-            raw.append(_trim_to(G, sampled, k))
+            raw.append(tuple(sampled))
 
     w3v = powers[3][v]
     w3u = powers[3][u]
     if layers.n2:
         star = min(layers.n2, key=lambda w: (-w3v[w], w))
-        raw.append(_trim_to(G, (set(G.adjacency[star]) & layers.n3) | layers.n4, k))
+        raw.append(tuple(sorted((set(G.adjacency[star]) & layers.n3) | layers.n4)))
     if layers.n3:
         star = min(layers.n3, key=lambda w: (-w3u[w], w))
-        raw.append(_trim_to(G, (set(G.adjacency[star]) & layers.n2) | layers.n1, k))
+        raw.append(tuple(sorted((set(G.adjacency[star]) & layers.n2) | layers.n1)))
+
+    # Each layer-2/layer-3 edge once, oriented from layer 2 (the smaller
+    # orientation when both ends lie in both layers), with its walk load.
+    w2u, w2v = powers[2][u], powers[2][v]
+    cut = []
+    for a, b in G.edges:
+        oriented = [
+            (w, z) for w, z in ((a, b), (b, a)) if w in layers.n2 and z in layers.n3
+        ]
+        if oriented:
+            w, z = min(oriented)
+            cut.append((w, z, w2u[w] * w2v[z]))
+    cut.sort()
 
     taus: set[float] = set()
     for dstar in map(float, doubling_ladder(2 * max(2, ladder_n) - 1)):
@@ -322,10 +312,9 @@ def a5_walks(
     for tau in sorted(taus, reverse=True):
         if len(raw) >= MAX_CANDIDATES:
             break
-        for cand in _good_vertex_candidates(G, layers, powers, tau, k):
-            raw.append(_trim_to(G, cand, k))
+        raw.extend(_good_vertex_candidates(G, layers, cut, tau, k))
 
-    unique = sorted(set(raw))
+    unique = sorted({fixing_trim(G, cand, k) for cand in set(raw)})
     return pick_best(
         induced_stats(G, pad_lowest_id(G, cand, k)) for cand in unique if cand
     )
@@ -387,11 +376,8 @@ def dks_candidates(
             elif algo == "a5":
                 res = a5_walks(bg, kk, a5_seed, ladder_n=G.n)
             else:
-                reps = a6_reps if a6_reps is not None else 16 * bg.n
-                res = a6_damks(bg, kk, reps=reps, seed=a6_seed)
+                res = a6_damks(bg, kk, reps=a6_reps, seed=a6_seed)
             verts = res.vertices if ids is None else tuple(ids[x] for x in res.vertices)
-            if len(verts) > k:
-                verts = fixing_trim(G, verts, k)
             yield branch, algo, induced_stats(G, pad_lowest_id(G, verts, k))
 
 

@@ -16,6 +16,7 @@ underestimates the continuous one by at most ``error_bound(delta)``.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -93,6 +94,21 @@ def _slice_max(i: int, imax: int, delta: float, algos: frozenset[str]):
     flat = int(masked.argmax())
     j, l = np.unravel_index(flat, shape)
     return float(masked[j, l]), int(idx[j]), int(idx[l]), size
+
+
+def workers_from_env() -> int:
+    """Thread count from ``DENSEK_THREADS`` (default 1); ``ValueError`` if
+    it is not an integer of at least 1."""
+    raw = os.environ.get("DENSEK_THREADS")
+    if raw is None:
+        return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"DENSEK_THREADS must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"DENSEK_THREADS must be >= 1, got {value}")
+    return value
 
 
 def grid_max_min(

@@ -1,8 +1,11 @@
 """Reductions between the dense-subgraph problem variants.
 
-* ``fixing_trim`` — greedy deletion of minimum-weighted-degree vertices,
-  shrinking a set to exactly k vertices while keeping at least a
-  ``k(k-1) / (|U| (|U|-1))`` fraction of the induced edge weight.
+* ``peel`` — the minimum-weighted-degree deletion order of a vertex set,
+  the one min-degree peel behind both the trim below and the gamma-cores of
+  :func:`densek.damks.core_numbers`.
+* ``fixing_trim`` — the first deletions of that peel, shrinking a set to at
+  most k vertices while keeping at least a ``k(k-1) / (|U| (|U|-1))``
+  fraction of the induced edge weight.
 * ``run_damks_driver`` / ``dks_via_damks`` — the exactly-k solver built by
   repeatedly calling an at-most-k solver, removing the edges it finds, and
   stopping once a quarter of the guessed density mass is collected.
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from itertools import islice
+from typing import Callable, Iterator, Mapping
 
 from . import exact
 from .graph import (
@@ -43,11 +47,12 @@ class DamksSolverHandle:
     name: str = "damks"
 
 
-def oracle_damks_handle(cap: int = exact.DEFAULT_ENUMERATION_CAP) -> DamksSolverHandle:
-    """Exact at-most-k solver by enumeration, usable as a driver plug-in."""
+def oracle_damks_handle() -> DamksSolverHandle:
+    """Exact at-most-k solver by enumeration (up to
+    ``exact.DEFAULT_ENUMERATION_CAP`` vertices), usable as a driver plug-in."""
 
     def solve(G: Graph, k: int) -> SubgraphResult:
-        return exact.exact_solve(G, k, exact.ProblemKind.AT_MOST_K, cap=cap)
+        return exact.exact_solve(G, k, exact.ProblemKind.AT_MOST_K)
 
     return DamksSolverHandle(solve=solve, name="exact-oracle")
 
@@ -67,42 +72,59 @@ def _edge_weight(weights: Mapping[tuple[int, int], Fraction | int] | None,
     return w
 
 
-def fixing_trim(
+def peel(
     G: Graph,
     vertices,
-    k: int,
     weights: Mapping[tuple[int, int], Fraction | int] | None = None,
-) -> tuple[int, ...]:
-    """Shrink ``vertices`` to exactly ``k`` by repeatedly deleting the vertex
-    of minimum induced weighted degree (ties to the lower id).
+) -> Iterator[tuple[int, Fraction | int]]:
+    """Delete the vertex of minimum induced weighted degree (ties to the
+    lower id) until none is left, yielding ``(vertex, degree at deletion)``.
 
-    The surviving induced edge weight is at least ``W * k(k-1) / (s(s-1))``
-    where ``W`` and ``s`` are the starting weight and size.  (For ``k=1`` the
-    bound is vacuous but the trim is still well defined.)  All arithmetic is
-    exact.
+    Ids and weights are checked when ``peel`` is called; the deletions run
+    lazily as the result is iterated.  All arithmetic is exact.
     """
     alive = set(vertices)
     for v in alive:
         if not (0 <= v < G.n):
             raise ValueError(f"vertex {v} out of range for n={G.n}")
-    if k < 1:
-        raise ValueError(f"target size k={k} must be >= 1")
-    if len(alive) <= k:
-        raise ValueError(f"set of size {len(alive)} is not larger than k={k}")
-
     # Unweighted degrees stay ints; Fractions only carry real weights.
     wdeg: dict[int, Fraction | int] = {v: 0 for v in alive}
     for v in alive:
         for u in G.adjacency[v]:
             if u in alive:
                 wdeg[v] += _edge_weight(weights, v, u)
-    while len(alive) > k:
-        victim = min(alive, key=lambda v: (wdeg[v], v))
+
+    def deletions() -> Iterator[tuple[int, Fraction | int]]:
+        while alive:
+            victim = min(alive, key=lambda v: (wdeg[v], v))
+            alive.remove(victim)
+            yield victim, wdeg.pop(victim)
+            for u in G.adjacency[victim]:
+                if u in alive:
+                    wdeg[u] -= _edge_weight(weights, victim, u)
+
+    return deletions()
+
+
+def fixing_trim(
+    G: Graph,
+    vertices,
+    k: int,
+    weights: Mapping[tuple[int, int], Fraction | int] | None = None,
+) -> tuple[int, ...]:
+    """``vertices`` without the first ``max(0, |vertices| - k)`` deletions of
+    :func:`peel`, sorted: a set of at most ``k`` comes back whole.
+
+    The surviving induced edge weight is at least ``W * k(k-1) / (s(s-1))``
+    where ``W`` and ``s`` are the starting weight and size.  (For ``k=1`` the
+    bound is vacuous but the trim is still well defined.)
+    """
+    if k < 1:
+        raise ValueError(f"target size k={k} must be >= 1")
+    alive = set(vertices)
+    deletions = peel(G, alive, weights)
+    for victim, _ in islice(deletions, max(0, len(alive) - k)):
         alive.remove(victim)
-        del wdeg[victim]
-        for u in G.adjacency[victim]:
-            if u in alive:
-                wdeg[u] -= _edge_weight(weights, victim, u)
     return tuple(sorted(alive))
 
 
@@ -182,15 +204,8 @@ def run_damks_driver(
             run.aborted = True
             break
 
-    final: tuple[int, ...]
-    if len(acc_vertices) < k:
-        final = pad_most_neighbors(G, acc_vertices, k)
-    elif len(acc_vertices) > k:
-        final = fixing_trim(G, acc_vertices, k)
-    else:
-        final = tuple(sorted(acc_vertices))
-    run.vertices = final
-    run.result = induced_stats(G, final)
+    run.vertices = pad_most_neighbors(G, fixing_trim(G, acc_vertices, k), k)
+    run.result = induced_stats(G, run.vertices)
     return run
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from densek.damks import DistanceLayers
+from densek.damks import DistanceLayers, core_numbers
 from densek.exact import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -465,3 +465,10 @@ def check_cauchy_mass(y: Sequence[float], n: int | None = None) -> bool:
     lhs = sum(v * v for v in y)
     rhs = (sum(y) ** 2) / n
     return lhs >= rhs - 1e-9 * (1.0 + abs(rhs))
+
+
+def min_degree_core(G: Graph, vertices, threshold: Fraction | float) -> tuple[int, ...]:
+    """Largest subset of ``vertices`` whose induced minimum degree is at least
+    ``threshold`` (possibly empty): the vertices of core number at least
+    ``threshold``."""
+    return tuple(sorted(v for v, c in core_numbers(G, vertices).items() if c >= threshold))

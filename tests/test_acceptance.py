@@ -21,7 +21,6 @@ from densek.damks import (
     a6_damks,
     build_damks_lp,
     distance_layers,
-    min_degree_core,
 )
 from densek.exact import ProblemKind, exact_solve
 from densek.fkp import ALGO_NAMES, combined_dks
@@ -45,6 +44,7 @@ from helpers import (
     connected_random_graph,
     count_induced_edges,
     dalks_every_guess,
+    min_degree_core,
     random_box_lp,
     round_once,
     solve_general,

@@ -311,3 +311,28 @@ def test_bare_import_exposes_submodules():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [([], {"DENSEK_THREADS": "abc"}), ([], {"DENSEK_THREADS": "0"}), (["--workers", "0"], {})],
+    ids=["env-abc", "env-0", "workers-0"],
+)
+def test_headline_script_rejects_bad_worker_count(flags, env):
+    import os
+    from pathlib import Path
+
+    import densek
+
+    src = os.path.dirname(os.path.dirname(densek.__file__))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_headline_ratios.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--delta", "0.05", *flags],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""

@@ -10,15 +10,21 @@ from densek.damks import (
     LP_SCREEN_TOL,
     a6_damks,
     build_damks_lp,
+    core_numbers,
     distance_layers,
     lp_pairs,
-    min_degree_core,
     round_batch,
 )
 from densek.rng import derive_rng
 from densek.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from densek.graph import doubling_ladder, gnp_graph, graph_from_edges
-from helpers import check_cauchy_mass, count_induced_edges, petersen, round_once
+from helpers import (
+    check_cauchy_mass,
+    count_induced_edges,
+    min_degree_core,
+    petersen,
+    round_once,
+)
 
 
 def complete_graph(n):
@@ -335,27 +341,47 @@ class TestCoreAndLadder:
         with pytest.raises(ValueError):
             min_degree_core(K4, [0, 9], 1)
 
+    @staticmethod
+    def reverse_order_core(G, thr):
+        """The threshold-``thr`` core, peeled in reverse id order."""
+        alive = set(range(G.n))
+        while True:
+            doomed = [
+                v
+                for v in sorted(alive, reverse=True)
+                if sum(1 for u in G.adjacency[v] if u in alive) < thr
+            ]
+            if not doomed:
+                return alive
+            alive.remove(doomed[0])
+
     def test_matches_independent_peeler(self):
         rng = random.Random("core")
         for _ in range(25):
             G = gnp_graph(rng.randint(3, 10), rng.uniform(0.2, 0.8), rng.randint(0, 99))
             thr = rng.randint(1, 4)
             got = set(min_degree_core(G, range(G.n), thr))
-            # peel in the reverse order; the result must not depend on order
-            alive = set(range(G.n))
-            while True:
-                doomed = [
-                    v
-                    for v in sorted(alive, reverse=True)
-                    if sum(1 for u in G.adjacency[v] if u in alive) < thr
-                ]
-                if not doomed:
-                    break
-                alive.remove(doomed[0])
-            assert got == alive
+            # the result must not depend on the peeling order
+            assert got == self.reverse_order_core(G, thr)
             assert all(
                 sum(1 for u in G.adjacency[v] if u in got) >= thr for v in got
             )
+
+    def test_core_numbers_give_every_core(self):
+        rng = random.Random("core-numbers")
+        graphs = [
+            gnp_graph(rng.randint(3, 14), rng.uniform(0.1, 0.9), rng.randint(0, 999))
+            for _ in range(25)
+        ]
+        graphs += [graph_from_edges(n, []) for n in (1, 4)]
+        graphs += [complete_graph(n) for n in (1, 2, 5, 8)]
+        for G in graphs:
+            cores = core_numbers(G, range(G.n))
+            assert sorted(cores) == list(range(G.n))
+            top = max(cores.values())
+            for thr in range(top + 2):
+                want = self.reverse_order_core(G, thr)
+                assert {v for v, c in cores.items() if c >= thr} == want, (G.edges, thr)
 
     def test_gamma_ladder(self):
         # a6's density guesses on an n-vertex graph: doubling_ladder(n)

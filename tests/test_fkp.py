@@ -155,7 +155,27 @@ class TestWalkLayers:
         assert L.n4 == {0, 2, 3}
 
 
+# a5_walks(gnp_graph(n, p, graph_seed), k, seed=seed) as computed before a5
+# trimmed each distinct candidate once and built its cut list once per call.
+PINNED_A5 = [
+    (12, 0.4, 1, 4, (2, 6, 7, 9), 5),
+    (14, 0.3, 2, 5, (3, 4, 5, 10, 11), 7),
+    (16, 0.5, 3, 6, (2, 3, 11, 12, 13, 14), 12),
+    (18, 0.25, 4, 7, (0, 2, 5, 8, 14, 15, 17), 10),
+    (20, 0.35, 5, 5, (0, 4, 12, 13, 16), 10),
+    (24, 0.2, 6, 8, (0, 1, 2, 9, 10, 15, 20, 23), 14),
+    (27, 0.3, 7, 9, (1, 10, 15, 18, 19, 21, 23, 24, 26), 21),
+    (30, 0.25, 8, 10, (7, 8, 12, 15, 16, 19, 22, 24, 25, 28), 24),
+]
+
+
 class TestA5:
+    @pytest.mark.parametrize("n,p,graph_seed,k,vertices,edges", PINNED_A5)
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_pinned_outputs(self, n, p, graph_seed, k, vertices, edges, seed):
+        res = a5_walks(gnp_graph(n, p, graph_seed), k, seed=seed)
+        assert (res.vertices, res.edge_count) == (vertices, edges)
+
     def test_finds_clique(self):
         G = graph_from_edges(
             7,

@@ -51,25 +51,22 @@ class TestFixingTrim:
 
     def test_validation(self):
         G = complete_graph(4)
-        with pytest.raises(ValueError):
-            fixing_trim(G, (0, 1), 3)
-        with pytest.raises(ValueError, match="not larger"):
-            fixing_trim(G, (0, 1, 2), 3)
-        with pytest.raises(ValueError):
-            fixing_trim(G, (0, 1, 2), 0)
-        with pytest.raises(ValueError):
-            fixing_trim(G, (0, 1, 2), 2, weights={(0, 1): Fraction(1)})
-        with pytest.raises(ValueError):
-            fixing_trim(
-                G,
-                (0, 1, 2),
-                2,
-                weights={
-                    (0, 1): Fraction(0),
-                    (1, 2): Fraction(1),
-                    (0, 2): Fraction(1),
-                },
-            )
+        # A set of at most k vertices comes back whole and sorted.
+        assert fixing_trim(G, (1, 0), 3) == (0, 1)
+        assert fixing_trim(G, (2, 0, 1), 3) == (0, 1, 2)
+        missing = {(0, 1): Fraction(1)}
+        zero = {(0, 1): Fraction(0), (1, 2): Fraction(1), (0, 2): Fraction(1)}
+        # Bad input raises whether the set is larger than k or not.
+        for k in (2, 3, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                fixing_trim(G, (0, 1, 9), k)
+            with pytest.raises(ValueError, match="missing weight"):
+                fixing_trim(G, (0, 1, 2), k, weights=missing)
+            with pytest.raises(ValueError, match="must be positive"):
+                fixing_trim(G, (0, 1, 2), k, weights=zero)
+        for vertices in ((), (0, 1), (0, 1, 2)):
+            with pytest.raises(ValueError, match="k=0"):
+                fixing_trim(G, vertices, 0)
 
 
 class TestDriver:
