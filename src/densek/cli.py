@@ -4,7 +4,8 @@ Machine-readable results go to stdout as one JSON object per line
 (``json.dumps(..., sort_keys=True)``, so identical runs are byte-identical
 except for the ``wall_time_ms`` field); human-oriented notes go to stderr.
 Exit codes: 0 success, 1 verification mismatch, 2 usage/input errors, 3
-refusal because an instance exceeds the exact-enumeration cap.
+refusal because an instance exceeds the exact-enumeration cap (or the 52
+vertices past which exact's int64 subset keys would overflow).
 
 The ``DENSEK_THREADS`` environment variable caps the number of worker
 threads the grid analyzer may use (default 1); results do not depend on it.
@@ -17,7 +18,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
 
 from . import exact, fkp, ratio, reduction
 from .graph import (
@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cap", type=int, default=exact.DEFAULT_ENUMERATION_CAP,
-        help="refuse instances with more vertices than this",
+        help="refuse instances with more vertices than this "
+        f"(never more than {exact.MAX_KEY_VERTICES})",
     )
     p.set_defaults(func=_cmd_exact)
 

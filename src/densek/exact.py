@@ -1,19 +1,34 @@
 """The exhaustive densest-subgraph solver used as ground truth by the
 heuristics, for the exactly-k, at-least-k and at-most-k constraints.
 
-Subset enumeration walks a Gray code over bitmask vertex sets so each step
-flips one vertex and updates the induced edge count from a precomputed
-adjacency mask in O(1) big-int operations.  All density comparisons are done
-in exact integer arithmetic.
+One pass scores every vertex subset of every size.  The vertices split into
+a low block ``0..b-1`` (``b = min(n, LOW_BITS)``) and a high block.  numpy
+tables hold, for all ``2^b`` low masks ``L``, the induced edge count of ``L``
+and, per high vertex ``v``, the number of ``v``'s neighbours in ``L``.  A
+Gray code then walks the ``2^(n-b)`` high masks ``H``: each step adds or
+subtracts one high vertex's table in place, so one vector holds the edge
+count of ``L + H`` for every ``L``, and one ``np.maximum.reduceat`` over the
+low masks grouped by popcount gives every size's best.  Ties within a size
+go to the lexicographically smallest vertex tuple, which for sets of equal
+size is the one with the largest bit-reversed mask, so a single int64 key
+``edges << n | reversed mask`` ranks them.  The per-size bests are then
+compared in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from .graph import Graph, SubgraphResult
 
 DEFAULT_ENUMERATION_CAP = 24
+# Vertices in the low block, whose 2^LOW_BITS masks each numpy table spans.
+LOW_BITS = 12
+# Largest n whose keys edges << n | mask fit in int64: with at most
+# n(n-1)/2 edges, (n(n-1)/2 + 1) * 2^n must not exceed 2^63.
+MAX_KEY_VERTICES = 52
 
 
 class ProblemKind(str, Enum):
@@ -62,6 +77,60 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _best_key_by_size(G: Graph) -> list[int]:
+    """``out[s]`` = the largest key ``edges << n | reversed mask`` over the
+    ``s``-vertex subsets: the most induced edges, ties to the smallest vertex
+    tuple.  ``reversed mask`` reverses the subset's n-bit mask."""
+    n = G.n
+    b = min(n, LOW_BITS)
+    high = n - b
+    adj = _adjacency_masks(G)
+    masks = np.arange(1 << b, dtype=np.int64)
+    # Edge count and bit-reversed mask of every low mask, built one vertex
+    # at a time: the masks with top bit v are those below 2^v plus v.
+    edges = np.zeros(1 << b, dtype=np.int64)
+    rev = np.zeros(1 << b, dtype=np.int64)
+    for v in range(b):
+        half = 1 << v
+        edges[half:2 * half] = edges[:half] + np.bitwise_count(masks[:half] & adj[v])
+        rev[half:2 * half] = rev[:half] | (1 << (n - 1 - v))
+    # Group the low masks by popcount, so one reduceat gives each size.
+    sizes = np.bitwise_count(masks)
+    order = np.argsort(sizes, kind="stable")
+    starts = np.searchsorted(sizes[order], np.arange(b + 1))
+    cur = ((edges << n) | rev)[order]
+    cross = [
+        (np.bitwise_count(masks & adj[v]).astype(np.int64) << n)[order]
+        for v in range(b, n)
+    ]
+    high_adj = [adj[v] >> b for v in range(b, n)]
+
+    best = np.full(n + 1, -1, dtype=np.int64)
+    best[: b + 1] = np.maximum.reduceat(cur, starts)
+    h = 0  # high mask, bit j for vertex b + j
+    h_size = 0
+    h_key = 0  # (edges inside h) << n | reversed bits of h's vertices
+    for t in range(1, 1 << high):
+        j = (t & -t).bit_length() - 1
+        bit = 1 << j
+        if h & bit:
+            h ^= bit
+            h_size -= 1
+            h_key -= (high_adj[j] & h).bit_count() << n
+            cur -= cross[j]
+        else:
+            h_key += (high_adj[j] & h).bit_count() << n
+            h ^= bit
+            h_size += 1
+            cur += cross[j]
+        h_key ^= 1 << (high - 1 - j)
+        top = np.maximum.reduceat(cur, starts)
+        top += h_key
+        seg = best[h_size : h_size + b + 1]
+        np.maximum(seg, top, out=seg)
+    return best.tolist()
+
+
 def exact_solve(
     G: Graph,
     k: int,
@@ -79,56 +148,41 @@ def exact_solve(
         raise EnumerationCapError(
             f"n={G.n} exceeds the enumeration cap {cap}; refusing 2^{G.n} subsets"
         )
+    if G.n > MAX_KEY_VERTICES:
+        raise EnumerationCapError(
+            f"n={G.n} exceeds {MAX_KEY_VERTICES}, the most vertices whose "
+            "subset keys fit in int64"
+        )
     if not (1 <= k <= G.n):
         raise ValueError(f"k={k} out of range for n={G.n}")
 
     if kind is ProblemKind.EXACTLY_K:
-        legal = [size == k for size in range(G.n + 1)]
+        legal = range(k, k + 1)
     elif kind is ProblemKind.AT_LEAST_K:
-        legal = [size >= k for size in range(G.n + 1)]
+        legal = range(k, G.n + 1)
     else:
-        legal = [size <= k for size in range(G.n + 1)]
+        legal = range(0, k + 1)
 
-    adj = _adjacency_masks(G)
+    n = G.n
+    keys = _best_key_by_size(G)
     # Best-so-far stored as (edge_count, size, mask); average degree compared
     # by cross multiplication, the empty set counting as 0/1.
-    best_ec, best_size, best_mask = 0, 0, 0
-    have_best = legal[0]
-
-    cur = 0
-    size = 0
-    ec = 0
-    for t in range(1, 1 << G.n):
-        v = (t & -t).bit_length() - 1
-        bit = 1 << v
-        if cur & bit:
-            cur ^= bit
-            size -= 1
-            ec -= (adj[v] & cur).bit_count()
-        else:
-            ec += (adj[v] & cur).bit_count()
-            cur ^= bit
-            size += 1
-        if not legal[size]:
+    best_ec = best_size = best_mask = None
+    for size in legal:
+        ec = keys[size] >> n
+        # The key's low n bits hold the mask reversed; reverse them back.
+        mask = int(format(keys[size] & ((1 << n) - 1), f"0{n}b")[::-1], 2)
+        if best_ec is None:
+            best_ec, best_size, best_mask = ec, size, mask
             continue
-        if not have_best:
-            best_ec, best_size, best_mask = ec, size, cur
-            have_best = True
-            continue
-        # Cross-multiplied average-degree comparison; an empty set has
-        # edge count 0 and denominator 1, so the substitution below is exact.
         lhs = ec * (best_size if best_size else 1)
         rhs = best_ec * (size if size else 1)
-        if lhs > rhs:
-            best_ec, best_size, best_mask = ec, size, cur
-        elif lhs == rhs:
-            if ec > best_ec:
-                best_ec, best_size, best_mask = ec, size, cur
-            elif ec == best_ec and _mask_lex_less(cur, best_mask):
-                best_ec, best_size, best_mask = ec, size, cur
+        if lhs > rhs or (
+            lhs == rhs
+            and (ec > best_ec or (ec == best_ec and _mask_lex_less(mask, best_mask)))
+        ):
+            best_ec, best_size, best_mask = ec, size, mask
 
-    if not have_best:  # pragma: no cover - legal[] always admits some size
-        raise RuntimeError("no feasible subset size")
     verts = _mask_to_tuple(best_mask)
     avg = 0.0 if not verts else 2.0 * best_ec / len(verts)
     return SubgraphResult(verts, best_ec, avg)

@@ -196,34 +196,31 @@ def _walk_layers(
 
 
 def _good_vertex_candidates(
-    G: Graph,
     layers: WalkLayers,
-    cut: list[tuple[int, int, int]],
+    cut: list[tuple[int, int, int, int, int]],
     tau: float,
     k: int,
 ) -> list[tuple[int, ...]]:
-    """Sweep the layer-2/layer-3 cut edges ``(w, z, load)`` whose walk-count
-    load reaches ``tau``, repeatedly collecting an endpoint well connected to
-    the outer layer on its side and deleting its edges; returns the two side
-    sets augmented by their outer layers."""
-    surviving = [(w, z) for w, z, load in cut if load >= tau]
+    """Sweep the layer-2/layer-3 cut edges ``(w, z, load, w_n1, z_n4)``
+    whose walk-count load reaches ``tau``, collecting an endpoint well
+    connected to the outer layer on its side (``w_n1`` and ``z_n4`` count
+    those neighbours) and skipping every later edge that touches a collected
+    vertex; returns the two side sets augmented by their outer layers."""
     need = math.sqrt(tau)
+    taken: set[int] = set()
     side2: list[int] = []
     side3: list[int] = []
-    collected = 0
-    while surviving and collected < k:
-        w, z = surviving[0]
-        if sum(1 for t in G.adjacency[w] if t in layers.n1) >= need:
-            good = w
-            side2.append(w)
-        elif sum(1 for t in G.adjacency[z] if t in layers.n4) >= need:
-            good = z
-            side3.append(z)
-        else:
-            surviving.pop(0)
+    for w, z, load, w_n1, z_n4 in cut:
+        if len(taken) >= k:
+            break
+        if load < tau or w in taken or z in taken:
             continue
-        collected += 1
-        surviving = [e for e in surviving if good not in e]
+        if w_n1 >= need:
+            taken.add(w)
+            side2.append(w)
+        elif z_n4 >= need:
+            taken.add(z)
+            side3.append(z)
     out = []
     if side2:
         out.append(tuple(sorted(set(side2) | layers.n1)))
@@ -283,7 +280,8 @@ def a5_walks(
         raw.append(tuple(sorted((set(G.adjacency[star]) & layers.n2) | layers.n1)))
 
     # Each layer-2/layer-3 edge once, oriented from layer 2 (the smaller
-    # orientation when both ends lie in both layers), with its walk load.
+    # orientation when both ends lie in both layers), with its walk load and
+    # its ends' neighbour counts in layer 1 (of w) and layer 4 (of z).
     w2u, w2v = powers[2][u], powers[2][v]
     cut = []
     for a, b in G.edges:
@@ -292,7 +290,13 @@ def a5_walks(
         ]
         if oriented:
             w, z = min(oriented)
-            cut.append((w, z, w2u[w] * w2v[z]))
+            cut.append((
+                w,
+                z,
+                w2u[w] * w2v[z],
+                len(layers.n1.intersection(G.adjacency[w])),
+                len(layers.n4.intersection(G.adjacency[z])),
+            ))
     cut.sort()
 
     taus: set[float] = set()
@@ -312,7 +316,7 @@ def a5_walks(
     for tau in sorted(taus, reverse=True):
         if len(raw) >= MAX_CANDIDATES:
             break
-        raw.extend(_good_vertex_candidates(G, layers, cut, tau, k))
+        raw.extend(_good_vertex_candidates(layers, cut, tau, k))
 
     unique = sorted({fixing_trim(G, cand, k) for cand in set(raw)})
     return pick_best(

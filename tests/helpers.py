@@ -17,11 +17,12 @@ from densek.damks import DistanceLayers, core_numbers
 from densek.exact import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
+    ProblemKind,
     _adjacency_masks,
     _mask_lex_less,
     _mask_to_tuple,
 )
-from densek.fkp import walk_powers
+from densek.fkp import WalkLayers, walk_powers
 from densek.flow import max_quasi_density
 from densek.graph import (
     Graph,
@@ -102,6 +103,105 @@ def walk_count_matrix(G: Graph, length: int) -> list[list[int]]:
     if length < 1:
         raise ValueError(f"walk length must be >= 1, got {length}")
     return walk_powers(G, length)[length]
+
+
+def gray_exact_solve(
+    G: Graph,
+    k: int,
+    kind: ProblemKind = ProblemKind.EXACTLY_K,
+) -> SubgraphResult:
+    """Reference for ``exact.exact_solve``: one Gray-code walk over every
+    vertex subset, flipping one vertex per step and updating the induced edge
+    count from adjacency bitmasks; same tie rules (more edges, then the
+    lexicographically smallest tuple, the empty set allowed when legal)."""
+    kind = ProblemKind(kind)
+    if not (1 <= k <= G.n):
+        raise ValueError(f"k={k} out of range for n={G.n}")
+
+    if kind is ProblemKind.EXACTLY_K:
+        legal = [size == k for size in range(G.n + 1)]
+    elif kind is ProblemKind.AT_LEAST_K:
+        legal = [size >= k for size in range(G.n + 1)]
+    else:
+        legal = [size <= k for size in range(G.n + 1)]
+
+    adj = _adjacency_masks(G)
+    # Best-so-far stored as (edge_count, size, mask); average degree compared
+    # by cross multiplication, the empty set counting as 0/1.
+    best_ec, best_size, best_mask = 0, 0, 0
+    have_best = legal[0]
+
+    cur = 0
+    size = 0
+    ec = 0
+    for t in range(1, 1 << G.n):
+        v = (t & -t).bit_length() - 1
+        bit = 1 << v
+        if cur & bit:
+            cur ^= bit
+            size -= 1
+            ec -= (adj[v] & cur).bit_count()
+        else:
+            ec += (adj[v] & cur).bit_count()
+            cur ^= bit
+            size += 1
+        if not legal[size]:
+            continue
+        if not have_best:
+            best_ec, best_size, best_mask = ec, size, cur
+            have_best = True
+            continue
+        lhs = ec * (best_size if best_size else 1)
+        rhs = best_ec * (size if size else 1)
+        if lhs > rhs:
+            best_ec, best_size, best_mask = ec, size, cur
+        elif lhs == rhs:
+            if ec > best_ec:
+                best_ec, best_size, best_mask = ec, size, cur
+            elif ec == best_ec and _mask_lex_less(cur, best_mask):
+                best_ec, best_size, best_mask = ec, size, cur
+
+    verts = _mask_to_tuple(best_mask)
+    avg = 0.0 if not verts else 2.0 * best_ec / len(verts)
+    return SubgraphResult(verts, best_ec, avg)
+
+
+def good_vertex_candidates_rebuild(
+    G: Graph,
+    layers: WalkLayers,
+    cut: list[tuple[int, int, int]],
+    tau: float,
+    k: int,
+) -> list[tuple[int, ...]]:
+    """Reference for ``fkp._good_vertex_candidates`` on cut edges
+    ``(w, z, load)``: keep the edges whose load reaches ``tau``; while any
+    remain, collect an end of the first one well connected to its outer
+    layer (counted afresh from ``G``) and rebuild the list without that
+    vertex's edges, or drop the edge when neither end qualifies."""
+    surviving = [(w, z) for w, z, load in cut if load >= tau]
+    need = math.sqrt(tau)
+    side2: list[int] = []
+    side3: list[int] = []
+    collected = 0
+    while surviving and collected < k:
+        w, z = surviving[0]
+        if sum(1 for t in G.adjacency[w] if t in layers.n1) >= need:
+            good = w
+            side2.append(w)
+        elif sum(1 for t in G.adjacency[z] if t in layers.n4) >= need:
+            good = z
+            side3.append(z)
+        else:
+            surviving.pop(0)
+            continue
+        collected += 1
+        surviving = [e for e in surviving if good not in e]
+    out = []
+    if side2:
+        out.append(tuple(sorted(set(side2) | layers.n1)))
+    if side3:
+        out.append(tuple(sorted(set(side3) | layers.n4)))
+    return out
 
 
 def brute_quasi_density(

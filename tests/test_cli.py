@@ -9,7 +9,7 @@ from densek.graph import parse_edge_list
 from densek.ratio import MAX_LATTICE_STEPS
 
 
-def run_cli(*args, stdin=None, env_extra=None, check=True):
+def run_cli(*args, stdin=None, env_extra=None, check=True, timeout=None):
     import os
 
     env = dict(os.environ)
@@ -21,6 +21,7 @@ def run_cli(*args, stdin=None, env_extra=None, check=True):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     if check and proc.returncode != 0:
         raise AssertionError(
@@ -155,6 +156,13 @@ class TestExact:
         proc = run_cli("exact", "-k", "3", "/dev/stdin", stdin=big, check=False)
         assert proc.returncode == 3
         assert "cap" in proc.stderr
+
+    def test_key_limit_refusal_whatever_the_cap(self, tmp_path):
+        wide = tmp_path / "wide.txt"
+        wide.write_text("n 100\n0 1\n")
+        proc = run_cli("exact", "-k", "3", "--cap", "200", str(wide), check=False, timeout=60)
+        assert proc.returncode == 3
+        assert "int64" in proc.stderr
 
     def test_parse_error_reports_line(self, tmp_path):
         bad = tmp_path / "bad.txt"

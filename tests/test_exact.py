@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densek.exact import (
+    MAX_KEY_VERTICES,
     EnumerationCapError,
     ProblemKind,
     _mask_lex_less,
@@ -16,6 +17,7 @@ from helpers import (
     brute_quasi_density,
     count_induced_edges,
     exact_best_subsets,
+    gray_exact_solve,
     petersen,
     walk_count_matrix,
 )
@@ -99,6 +101,58 @@ class TestExactSolve:
             exact_solve(complete_graph(3), 0)
         with pytest.raises(ValueError):
             exact_solve(complete_graph(3), 4)
+
+
+class TestBlockEnumerator:
+    """``exact_solve`` against the one-subset-per-step Gray walk."""
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_matches_gray_walk(self, kind):
+        import random
+
+        rng = random.Random(f"block-{kind.value}")
+        # n <= 12 has no high block; n >= 13 walks one.
+        for n in list(range(1, 17)) * 3:
+            p = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
+            G = graph_from_edges(
+                n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+            )
+            k = rng.randint(1, n)
+            assert exact_solve(G, k, kind) == gray_exact_solve(G, k, kind), (n, p, k)
+
+    def test_matches_gray_walk_on_gnm_20_50(self):
+        import random
+
+        rng = random.Random("block-gnm")
+        G = graph_from_edges(20, rng.sample(list(itertools.combinations(range(20), 2)), 50))
+        for kind in ProblemKind:
+            assert exact_solve(G, 6, kind) == gray_exact_solve(G, 6, kind)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_closed_forms(self, n):
+        empty, full = graph_from_edges(n, []), complete_graph(n)
+        for k in sorted({1, (n + 1) // 2, n}):
+            prefix = tuple(range(k))
+            assert exact_solve(empty, k, ProblemKind.AT_MOST_K).vertices == ()
+            assert exact_solve(empty, k, ProblemKind.EXACTLY_K).vertices == prefix
+            assert exact_solve(empty, k, ProblemKind.AT_LEAST_K).vertices == prefix
+            assert exact_solve(full, k, ProblemKind.AT_LEAST_K).vertices == tuple(range(n))
+            assert exact_solve(full, k, ProblemKind.EXACTLY_K).vertices == prefix
+            # At k = 1 every legal set has no edge, so the empty set wins.
+            assert exact_solve(full, k, ProblemKind.AT_MOST_K).vertices == (
+                prefix if k > 1 else ()
+            )
+
+    def test_key_limit_is_int64_tight(self):
+        def key_bound(n):
+            return (n * (n - 1) // 2 + 1) << n
+
+        assert key_bound(MAX_KEY_VERTICES) <= 2**63 < key_bound(MAX_KEY_VERTICES + 1)
+
+    def test_key_limit_ignores_cap(self):
+        G = graph_from_edges(MAX_KEY_VERTICES + 1, [])
+        with pytest.raises(EnumerationCapError, match=str(MAX_KEY_VERTICES)):
+            exact_solve(G, 3, cap=200)
 
 
 class TestMaskLexLess:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from densek import fkp
 from densek.fkp import (
     ALGO_NAMES,
     EPSILON_LADDER,
@@ -20,7 +21,7 @@ from densek.fkp import (
     walk_powers,
 )
 from densek.graph import better_than, gnp_graph, graph_from_edges
-from helpers import count_induced_edges, walk_count_matrix
+from helpers import count_induced_edges, good_vertex_candidates_rebuild, walk_count_matrix
 
 
 def complete_graph(n):
@@ -192,6 +193,23 @@ class TestA5:
     def test_deterministic(self):
         G = gnp_graph(11, 0.35, 8)
         assert a5_walks(G, 5, seed=4) == a5_walks(G, 5, seed=4)
+
+    def test_good_vertex_sweep_matches_rebuild(self, monkeypatch):
+        one_pass = fkp._good_vertex_candidates
+        seen = []
+
+        def checked(layers, cut, tau, k):
+            got = one_pass(layers, cut, tau, k)
+            want = good_vertex_candidates_rebuild(G, layers, [c[:3] for c in cut], tau, k)
+            assert got == want, (G.edges, k, tau)
+            seen.append(bool(got))
+            return got
+
+        monkeypatch.setattr(fkp, "_good_vertex_candidates", checked)
+        for G in random_graphs("a5-good", 40, lo=5, hi=24):
+            for k in sorted({1, 3, G.n // 2, G.n}):
+                a5_walks(G, k, seed=G.m)
+        assert any(seen) and not all(seen)
 
     def test_size_and_recount(self):
         for G in random_graphs("a5", 12, lo=4, hi=9):
