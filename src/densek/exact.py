@@ -141,7 +141,9 @@ def exact_solve(
 
     Ties are broken toward larger edge count, then the lexicographically
     smallest vertex tuple.  The empty set (average degree 0) is a legal
-    candidate whenever the size constraint admits it.
+    candidate whenever the size constraint admits it.  Raises
+    ``EnumerationCapError`` when ``G.n`` exceeds ``cap`` or
+    ``MAX_KEY_VERTICES``.
     """
     kind = ProblemKind(kind)
     if G.n > cap:
