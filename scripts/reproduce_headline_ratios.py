@@ -3,12 +3,11 @@
 
 Sweeps the (g, K, d) lattice at the requested resolution for both algorithm
 suites and prints the max-min exponent of each, the location it is attained,
-and the lattice error bound.  At the default step 0.001 this takes a few
-seconds per suite and lands on ~0.3226 for the five-algorithm suite versus
+and the lattice error bound.  At the default step 0.001 this takes about
+0.1 s per suite and lands on ~0.3226 for the five-algorithm suite versus
 ~0.3158 once the rounding algorithm replaces the walk algorithm.
 
-``--workers`` defaults to ``DENSEK_THREADS`` (else 1).  A bad worker count
-or lattice step ends the run with exit code 2 and one line on stderr.
+A bad lattice step ends the run with exit code 2 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,21 +17,19 @@ import json
 import sys
 import time
 
-from densek.ratio import RATIO_SETS, error_bound, grid_max_min, workers_from_env
+from densek.ratio import RATIO_SETS, error_bound, grid_max_min
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--delta", type=float, default=0.001)
-    ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args(argv)
 
     try:
-        workers = workers_from_env() if args.workers is None else args.workers
         results = {}
         for name in sorted(RATIO_SETS):
             start = time.perf_counter()
-            res = grid_max_min(args.delta, RATIO_SETS[name], workers=workers)
+            res = grid_max_min(args.delta, RATIO_SETS[name])
             elapsed = time.perf_counter() - start
             results[name] = res
             print(json.dumps({

@@ -6,9 +6,6 @@ except for the ``wall_time_ms`` field); human-oriented notes go to stderr.
 Exit codes: 0 success, 1 verification mismatch, 2 usage/input errors, 3
 refusal because an instance exceeds the exact-enumeration cap (or the 52
 vertices past which exact's int64 subset keys would overflow).
-
-The ``DENSEK_THREADS`` environment variable caps the number of worker
-threads the grid analyzer may use (default 1); results do not depend on it.
 """
 
 from __future__ import annotations
@@ -127,9 +124,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(
             f"unknown set {args.set!r}; use fkp5, a6combo or custom:a1,a2,..."
         )
-    workers = ratio.workers_from_env()
     start = time.perf_counter()
-    grid = ratio.grid_max_min(args.delta, algos, workers=workers)
+    grid = ratio.grid_max_min(args.delta, algos)
     wall = (time.perf_counter() - start) * 1000.0
     record = {
         "type": "analysis",
@@ -140,7 +136,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "argmax": {"g": grid.argmax.g, "K": grid.argmax.K, "d": grid.argmax.d},
         "error_bound": ratio.error_bound(grid.delta),
         "evaluations": grid.evaluations,
-        "workers": workers,
         "wall_time_ms": wall,
     }
     _emit(record)

@@ -32,7 +32,7 @@ from densek.graph import (
     induced_stats,
     pad_most_neighbors,
 )
-from densek.ratio import ExponentPoint
+from densek.ratio import ExponentPoint, GridResult
 from densek.simplex import OPTIMAL, LinearProgram, LpSolution, solve_lp
 
 LESS_EQUAL = "<="
@@ -469,6 +469,54 @@ def scalar_grid_oracle(delta: float, algos) -> tuple[float, tuple[float, float, 
                     arg = (g, K, d)
     assert arg is not None
     return best, arg, count
+
+
+def full_grid_max_min(delta: float, algos) -> GridResult:
+    """Full-sweep reference for ``grid_max_min``: every formula over the
+    whole (d, K) block of each g-slice, reduced in slice order with a strict
+    ``>`` (first-attained argmax, d varying first, then K)."""
+    imax = int(round(1.0 / delta))
+    best = -np.inf
+    best_idx = None
+    evaluations = 0
+    for i in range(imax + 1):
+        g = i * delta
+        idx = np.arange(i, imax + 1)
+        d = (idx * delta)[:, None]
+        K = (idx * delta)[None, :]
+        shape = (idx.size, idx.size)
+        r = np.full(shape, np.inf)
+        if "a1" in algos:
+            r = np.minimum(r, np.full(shape, g))
+        if "a2" in algos:
+            r = np.minimum(r, g - K - d + 1.0)
+        if "a3" in algos:
+            r = np.minimum(r, g - 2 * g + np.maximum(K, d))
+        if "a4" in algos:
+            r = np.minimum(r, g - 3 * g + 2 * K + d / 3.0)
+        if "a5" in algos:
+            case_wide = 2 * d <= K
+            wide = g - np.minimum(3 * g - 1.6 * d - 0.6 * K, (5.0 * g - K - 2.0 * d) / 3.0)
+            case_mid = (K < 2 * d) & (K > d)
+            mid = g - np.minimum(3 * g - 2 * d - 0.4 * K, (5.0 * g - 4.0 * d) / 3.0)
+            r = np.minimum(r, np.where(case_wide, wide, np.where(case_mid, mid, np.inf)))
+        if "a6" in algos:
+            r = np.minimum(r, g - (7.0 * g - 4.0 * d - K) / 3.0)
+        evaluations += r.size
+        masked = np.where(r < np.inf, r, -np.inf)
+        j, l = np.unravel_index(int(masked.argmax()), shape)
+        if masked[j, l] > best:
+            best = float(masked[j, l])
+            best_idx = (i, int(idx[j]), int(idx[l]))
+    assert best_idx is not None
+    gi, dj, kl = best_idx
+    return GridResult(
+        delta=delta,
+        algorithms=tuple(sorted(algos)),
+        max_exponent=best,
+        argmax=ExponentPoint(g=gi * delta, K=kl * delta, d=dj * delta),
+        evaluations=evaluations,
+    )
 
 
 def best_edges_by_size(G: Graph) -> list[int]:

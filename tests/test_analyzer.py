@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 
 from densek import ratio
 from densek.ratio import (
-    A6_COMBO,
     ALGOS,
     FKP5,
     MAX_LATTICE_STEPS,
@@ -15,7 +16,7 @@ from densek.ratio import (
     error_bound,
     grid_max_min,
 )
-from helpers import ratio_exponent, scalar_grid_oracle
+from helpers import full_grid_max_min, ratio_exponent, scalar_grid_oracle
 
 
 class TestExponentPoint:
@@ -73,11 +74,22 @@ class TestExponentPoint:
         assert all(math.isfinite(v) for v in values)
 
 
+# The continuous max-min exponents (the paper's n^0.32258 and n^0.3159).
+EXACT_EXPONENTS = {"fkp5": Fraction(10, 31), "a6combo": Fraction(6, 19)}
+
+
 class TestErrorBound:
     def test_linear_in_delta(self):
         assert error_bound(0.003) == pytest.approx(13.0 / 3.0 * 0.003)
         with pytest.raises(ValueError):
             error_bound(0.0)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.005, 0.002, 0.001, 0.0005])
+    @pytest.mark.parametrize("name", sorted(EXACT_EXPONENTS))
+    def test_lattice_within_bound_of_exact(self, delta, name):
+        got = grid_max_min(delta, RATIO_SETS[name]).max_exponent
+        exact = EXACT_EXPONENTS[name]
+        assert got <= exact <= got + error_bound(delta)
 
 
 class TestGrid:
@@ -106,10 +118,31 @@ class TestGrid:
         assert (got.argmax.g, got.argmax.K, got.argmax.d) == pytest.approx(argmax)
         assert got.evaluations == count
 
-    def test_workers_do_not_change_result(self):
-        a = grid_max_min(0.05, A6_COMBO, workers=1)
-        b = grid_max_min(0.05, A6_COMBO, workers=3)
-        assert a == b
+    @pytest.mark.parametrize("delta", [0.25, 0.1, 0.05, 0.02])
+    def test_matches_full_sweep_on_every_subset(self, delta):
+        for size in range(1, len(ALGOS) + 1):
+            for algos in itertools.combinations(ALGOS, size):
+                assert grid_max_min(delta, algos) == full_grid_max_min(delta, algos)
+
+    @pytest.mark.parametrize("name", sorted(RATIO_SETS))
+    def test_matches_full_sweep_on_headline_sets(self, name):
+        algos = RATIO_SETS[name]
+        assert grid_max_min(0.002, algos) == full_grid_max_min(0.002, algos)
+
+    @pytest.mark.parametrize("name", ["fkp5", "a6combo", "custom:a5"])
+    def test_bound_prunes_nearly_every_point(self, monkeypatch, name):
+        # A loosened tile bound would evaluate far more of the lattice.
+        algos = RATIO_SETS.get(name, frozenset({"a5"}))
+        evaluated = []
+        evaluate = ratio._evaluate
+
+        def counting(g, d, K, algoset):
+            evaluated.append(d.size)
+            return evaluate(g, d, K, algoset)
+
+        monkeypatch.setattr(ratio, "_evaluate", counting)
+        r = grid_max_min(0.001, algos)
+        assert sum(evaluated) < 0.01 * r.evaluations
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,8 +155,7 @@ class TestGrid:
             grid_max_min(0.25, frozenset({"zz"}))
 
     def test_rejects_lattice_past_the_limit(self, monkeypatch):
-        # Refused before any slice is allocated (one slice at this step
-        # would take gigabytes).
+        # Refused before any slice is visited.
         monkeypatch.setattr(ratio, "_slice_max", None)
         with pytest.raises(ValueError, match=str(MAX_LATTICE_STEPS)):
             grid_max_min(0.0001, FKP5)

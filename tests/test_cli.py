@@ -261,21 +261,6 @@ class TestAnalyze:
         assert float(got["max_exponent"]) == pytest.approx(rec["max_exponent"])
         assert float(got["g"]) == pytest.approx(rec["argmax"]["g"])
 
-    def test_thread_env_does_not_change_values(self):
-        base = records(run_cli("analyze", "--delta", "0.1", "--set", "a6combo").stdout)[0]
-        threaded = records(
-            run_cli(
-                "analyze",
-                "--delta",
-                "0.1",
-                "--set",
-                "a6combo",
-                env_extra={"DENSEK_THREADS": "3"},
-            ).stdout
-        )[0]
-        for key in ("max_exponent", "argmax", "evaluations"):
-            assert base[key] == threaded[key]
-
     def test_rejects_unknown_set(self):
         assert run_cli("analyze", "--delta", "0.25", "--set", "nope", check=False).returncode == 2
 
@@ -321,12 +306,7 @@ def test_bare_import_exposes_submodules():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize(
-    "flags, env",
-    [([], {"DENSEK_THREADS": "abc"}), ([], {"DENSEK_THREADS": "0"}), (["--workers", "0"], {})],
-    ids=["env-abc", "env-0", "workers-0"],
-)
-def test_headline_script_rejects_bad_worker_count(flags, env):
+def test_headline_script_rejects_bad_step():
     import os
     from pathlib import Path
 
@@ -335,10 +315,10 @@ def test_headline_script_rejects_bad_worker_count(flags, env):
     src = os.path.dirname(os.path.dirname(densek.__file__))
     script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_headline_ratios.py"
     proc = subprocess.run(
-        [sys.executable, str(script), "--delta", "0.05", *flags],
+        [sys.executable, str(script), "--delta", "0.3"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src, **env},
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
