@@ -4,6 +4,10 @@ the optimum at every graph size.
 
 Each quasi-density problem ``max |E(S)| - q*|S|`` is one min-cut on
 Goldberg's density network, whose capacities are integers from the start.
+The problem can be bounded to ``inner <= S <= outer``, and the network then
+has nodes only for the free vertices between the bounds: the 2-approximation
+makes each cut of its nested chain on the vertices between the chain's two
+neighbouring sets.
 """
 
 from __future__ import annotations
@@ -26,22 +30,37 @@ def max_flow(
     undirected edge is one arc with equal capacities both ways.  Returns the
     flow value and the source side of the canonical minimum cut (nodes
     reachable in the final residual graph); that side is the
-    inclusion-minimal one among all minimum cuts.
+    inclusion-minimal one among all minimum cuts, and the same for every
+    maximum flow.
+
+    Every direct ``source -> v -> sink`` path is saturated before the first
+    level graph is built, and after each augmentation the search resumes
+    from the tail of the path's first saturated arc.
     """
     # Paired residual arcs: edge 2i is forward, 2i+1 its reverse.
     heads: list[int] = []
     caps: list[int] = []
     out: list[list[int]] = [[] for _ in range(node_count)]
     for tail, head, cap, reverse in arcs:
-        out[tail].append(len(heads))
-        heads.append(head)
-        caps.append(cap)
-        out[head].append(len(heads))
-        heads.append(tail)
-        caps.append(reverse)
+        eid = len(heads)
+        out[tail].append(eid)
+        out[head].append(eid + 1)
+        heads += (head, tail)
+        caps += (cap, reverse)
 
     s, t = source, sink
     total = 0
+    for first in out[s]:
+        v = heads[first]
+        for second in out[v]:
+            if heads[second] == t and caps[first] and caps[second]:
+                push = min(caps[first], caps[second])
+                caps[first] -= push
+                caps[first ^ 1] += push
+                caps[second] -= push
+                caps[second ^ 1] += push
+                total += push
+
     n = node_count
     while True:
         level = [-1] * n
@@ -49,84 +68,104 @@ def max_flow(
         queue = deque([s])
         while queue:
             v = queue.popleft()
+            nxt = level[v] + 1
             for eid in out[v]:
                 w = heads[eid]
                 if caps[eid] > 0 and level[w] < 0:
-                    level[w] = level[v] + 1
+                    level[w] = nxt
                     queue.append(w)
         if level[t] < 0:
-            break
+            # The last search reached exactly the canonical source side.
+            return total, frozenset(v for v in range(n) if level[v] >= 0)
         ptr = [0] * n
+        path: list[int] = []
+        v = s
         while True:
-            # Advance/retreat search for one augmenting path in the level graph.
-            path: list[int] = []
-            v = s
-            found = False
-            while True:
-                if v == t:
-                    found = True
+            # Advance/retreat in the level graph until the path reaches t.
+            if v == t:
+                push = min([caps[eid] for eid in path])
+                for eid in path:
+                    caps[eid] -= push
+                    caps[eid ^ 1] += push
+                total += push
+                del path[next(i for i, eid in enumerate(path) if not caps[eid]):]
+                v = heads[path[-1]] if path else s
+                continue
+            arcs_v, nxt = out[v], level[v] + 1
+            i, end = ptr[v], len(arcs_v)
+            while i < end:
+                eid = arcs_v[i]
+                if caps[eid] > 0 and level[heads[eid]] == nxt:
                     break
-                advanced = False
-                while ptr[v] < len(out[v]):
-                    eid = out[v][ptr[v]]
-                    w = heads[eid]
-                    if caps[eid] > 0 and level[w] == level[v] + 1:
-                        path.append(eid)
-                        v = w
-                        advanced = True
-                        break
-                    ptr[v] += 1
-                if advanced:
-                    continue
-                if v == s:
-                    break
-                eid = path.pop()
-                v = heads[eid ^ 1]  # back to the arc's tail
-                ptr[v] += 1
-            if not found:
+                i += 1
+            ptr[v] = i
+            if i < end:
+                path.append(eid)
+                v = heads[eid]
+            elif v == s:
                 break
-            push = min(caps[eid] for eid in path)
-            for eid in path:
-                caps[eid] -= push
-                caps[eid ^ 1] += push
-            total += push
-
-    reachable = {s}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for eid in out[v]:
-            w = heads[eid]
-            if caps[eid] > 0 and w not in reachable:
-                reachable.add(w)
-                queue.append(w)
-    return total, frozenset(reachable)
+            else:
+                v = heads[path.pop() ^ 1]  # back to the arc's tail
+                ptr[v] += 1
 
 
-def max_quasi_density(G: Graph, q: Fraction | int) -> tuple[tuple[int, ...], Fraction]:
-    """Maximise ``|E(S)| - q*|S|`` over all vertex sets, exactly, via a single
-    integer min-cut on Goldberg's density network.
+def max_quasi_density(
+    G: Graph,
+    q: Fraction | int,
+    inner: Iterable[int] = (),
+    outer: Iterable[int] | None = None,
+) -> tuple[tuple[int, ...], Fraction]:
+    """Maximise ``|E(S)| - q*|S|`` over the vertex sets with
+    ``inner <= S <= outer`` (by default over all sets), exactly, via a single
+    integer min-cut on Goldberg's density network restricted to the free
+    vertices ``F = outer - inner``.
 
-    With ``q = a/b`` in lowest terms, nodes ``0..n-1`` are the vertices,
-    ``s = n`` and ``t = n+1``: each edge is an arc pair of capacity ``b``
-    both ways, ``s -> v`` has capacity ``b*deg(v)`` and ``v -> t`` capacity
-    ``2a``.  The cut with source side ``S + {s}`` is
-    ``2b*m - 2b*(|E(S)| - q*|S|)``, so the optimum is ``m - mincut/(2b)`` and
-    the canonical cut's source side is the inclusion-minimal optimiser.
-    Requires ``q > 0``.
+    With ``q = a/b`` in lowest terms the network has one node per free
+    vertex plus ``s`` and ``t``: each edge inside ``F`` is an arc pair of
+    capacity ``b`` both ways, ``s -> v`` has capacity
+    ``b*deg_F(v) + 2b*deg_inner(v)`` and ``v -> t`` capacity ``2a``.  The cut
+    with source side ``X + {s}`` is
+    ``2b*(e(F) + e(F, inner)) - 2b*(e(X) + e(X, inner) - q*|X|)``, so the
+    optimum is ``e(inner) - q*|inner| + e(F) + e(F, inner) - mincut/(2b)``
+    and the canonical cut's source side gives the inclusion-minimal
+    optimiser within the bounds.  Requires ``q > 0`` and ``inner <= outer``.
     """
     q = Fraction(q)
     if q <= 0:
         raise ValueError(f"penalty q must be positive, got {q}")
-    n, a, b = G.n, q.numerator, q.denominator
-    arcs = [(u, v, b, b) for u, v in G.edges]
-    arcs += [(n, v, b * G.degree(v), 0) for v in range(n)]
-    arcs += [(v, n + 1, 2 * a, 0) for v in range(n)]
-    cut, side = max_flow(n + 2, arcs, n, n + 1)
-    chosen = tuple(sorted(v for v in side if v < n))
-    value = G.m - Fraction(cut, 2 * b)
+    a, b = q.numerator, q.denominator
+    fixed = set(inner)
+    bound = set(range(G.n)) if outer is None else set(outer)
+    if not fixed <= bound or any(not 0 <= v < G.n for v in bound):
+        raise ValueError(f"need inner <= outer <= range({G.n})")
+    free = sorted(bound - fixed)
+    index = {v: i for i, v in enumerate(free)}
+    s, t = len(free), len(free) + 1
+    arcs = []
+    free_degrees = cross_edges = 0  # 2*e(F) and e(F, inner)
+    for i, v in enumerate(free):
+        deg_free = deg_fixed = 0
+        for u in G.adjacency[v]:
+            j = index.get(u)
+            if j is not None:
+                deg_free += 1
+                if j > i:
+                    arcs.append((i, j, b, b))
+            elif u in fixed:
+                deg_fixed += 1
+        free_degrees += deg_free
+        cross_edges += deg_fixed
+        arcs.append((s, i, b * deg_free + 2 * b * deg_fixed, 0))
+        arcs.append((i, t, 2 * a, 0))
+    fixed_edges = sum(1 for v in fixed for u in G.adjacency[v] if u > v and u in fixed)
+    cut, side = max_flow(len(free) + 2, arcs, s, t)
+    chosen = tuple(sorted([*fixed, *(free[i] for i in side if i < s)]))
+    value = (
+        fixed_edges - q * len(fixed) + free_degrees // 2 + cross_edges
+        - Fraction(cut, 2 * b)
+    )
     inside = set(chosen)
-    induced = sum(1 for u, v in G.edges if u in inside and v in inside)
+    induced = sum(1 for v in chosen for u in G.adjacency[v] if u > v and u in inside)
     if value != induced - q * len(chosen):  # pragma: no cover - construction guard
         raise RuntimeError("min cut does not certify the quasi-density optimiser")
     return chosen, value
@@ -144,19 +183,27 @@ def _quasi_chain(
     at penalties ``p < r``, a cut at the crossing ``q*`` of their lines
     returns B when ``q*`` is the only breakpoint between them, else a set
     strictly between them.
+
+    That cut only decides the vertices of ``A - B``: as ``|E(S)|`` is
+    supermodular, the union of an optimiser at ``p`` and one at ``q >= p``
+    is optimal at ``p`` and their intersection at ``q``, so the minimal
+    optimisers nest, ``B <= S(q*) <= A``.  So the cut at ``hi`` is bounded
+    by ``outer=S(lo)`` and each crossing cut by ``inner=B``, ``outer=A``,
+    and each returns the same set as a cut on the whole graph.
     """
 
-    def solve(q: Fraction) -> tuple[tuple[int, ...], int]:
-        chosen, value = max_quasi_density(G, q)
+    def solve(q: Fraction, **bounds) -> tuple[tuple[int, ...], int]:
+        chosen, value = max_quasi_density(G, q, **bounds)
         return chosen, int(value + q * len(chosen))
 
-    left, last = solve(lo), solve(hi)
+    left = solve(lo)
+    last = solve(hi, outer=left[0])
     chain = [(lo, left[0])]
     pending = [last] if last[0] != left[0] else []  # right of ``left``, nearest last
     while pending:
         right = pending[-1]
         cross = Fraction(left[1] - right[1], len(left[0]) - len(right[0]))
-        found = solve(cross)
+        found = solve(cross, inner=right[0], outer=left[0])
         if found[0] == right[0]:
             chain.append((cross, right[0]))
             left = pending.pop()

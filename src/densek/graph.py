@@ -13,6 +13,7 @@ isolated vertices).  Without a header the vertex count is inferred as
 
 from __future__ import annotations
 
+import heapq
 import io
 import random
 from dataclasses import dataclass
@@ -294,18 +295,23 @@ def pad_most_neighbors(G: Graph, vertices: Iterable[int], k: int) -> tuple[int, 
         raise ValueError(f"set of size {len(vset)} already exceeds k={k}")
     if k > G.n:
         raise ValueError(f"k={k} exceeds n={G.n}")
-    inside = dict.fromkeys(range(G.n), 0)
+    inside = [0] * G.n
     for v in vset:
         for u in G.adjacency[v]:
             inside[u] += 1
+    # A lazy heap: a vertex's count only grows, so its newest entry has the
+    # smallest key and pops first; older entries pop once it is inside.
+    heap = [(-inside[v], v) for v in range(G.n) if v not in vset]
+    heapq.heapify(heap)
     while len(vset) < k:
-        best = min(
-            (v for v in range(G.n) if v not in vset),
-            key=lambda v: (-inside[v], v),
-        )
+        _, best = heapq.heappop(heap)
+        if best in vset:
+            continue
         vset.add(best)
         for u in G.adjacency[best]:
             inside[u] += 1
+            if u not in vset:
+                heapq.heappush(heap, (-inside[u], u))
     return tuple(sorted(vset))
 
 

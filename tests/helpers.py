@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -286,6 +287,134 @@ def brute_min_cut(node_count, arcs, source, sink):
             elif value == best:
                 sides.append(side)
     return best, sides
+
+
+def reference_max_flow(node_count, arcs, source, sink):
+    """Plain Dinic, the route ``flow.max_flow`` replaced: every blocking-flow
+    search restarts from the source after an augmentation, there is no
+    pre-saturation, and the source side comes from one more residual BFS."""
+    heads: list[int] = []
+    caps: list[int] = []
+    out: list[list[int]] = [[] for _ in range(node_count)]
+    for tail, head, cap, reverse in arcs:
+        out[tail].append(len(heads))
+        heads.append(head)
+        caps.append(cap)
+        out[head].append(len(heads))
+        heads.append(tail)
+        caps.append(reverse)
+
+    s, t, n = source, sink, node_count
+    total = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for eid in out[v]:
+                w = heads[eid]
+                if caps[eid] > 0 and level[w] < 0:
+                    level[w] = level[v] + 1
+                    queue.append(w)
+        if level[t] < 0:
+            break
+        ptr = [0] * n
+        while True:
+            path: list[int] = []
+            v = s
+            found = False
+            while True:
+                if v == t:
+                    found = True
+                    break
+                advanced = False
+                while ptr[v] < len(out[v]):
+                    eid = out[v][ptr[v]]
+                    w = heads[eid]
+                    if caps[eid] > 0 and level[w] == level[v] + 1:
+                        path.append(eid)
+                        v = w
+                        advanced = True
+                        break
+                    ptr[v] += 1
+                if advanced:
+                    continue
+                if v == s:
+                    break
+                eid = path.pop()
+                v = heads[eid ^ 1]
+                ptr[v] += 1
+            if not found:
+                break
+            push = min(caps[eid] for eid in path)
+            for eid in path:
+                caps[eid] -= push
+                caps[eid ^ 1] += push
+            total += push
+
+    reachable = {s}
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for eid in out[v]:
+            w = heads[eid]
+            if caps[eid] > 0 and w not in reachable:
+                reachable.add(w)
+                queue.append(w)
+    return total, frozenset(reachable)
+
+
+def goldberg_arcs(G: Graph, q: Fraction) -> list[tuple[int, int, int, int]]:
+    """Goldberg's whole-graph density network for penalty ``q = a/b``: nodes
+    ``0..n-1``, ``s = n``, ``t = n+1``; edges carry ``b`` both ways,
+    ``s -> v`` carries ``b*deg(v)`` and ``v -> t`` carries ``2a``."""
+    n, a, b = G.n, q.numerator, q.denominator
+    arcs = [(u, v, b, b) for u, v in G.edges]
+    arcs += [(n, v, b * G.degree(v), 0) for v in range(n)]
+    arcs += [(v, n + 1, 2 * a, 0) for v in range(n)]
+    return arcs
+
+
+def brute_bounded_quasi_density(G: Graph, q, inner, outer) -> tuple[tuple[int, ...], Fraction]:
+    """Maximise ``|E(S)| - q*|S|`` over ``inner <= S <= outer`` by trying
+    every set of free vertices; the minimal optimiser is the unique smallest
+    one, so ties go to smaller sets."""
+    q = Fraction(q)
+    inner = set(inner)
+    free = sorted(set(outer) - inner)
+    best = None
+    for size in range(len(free) + 1):
+        for extra in itertools.combinations(free, size):
+            chosen = tuple(sorted(inner.union(extra)))
+            value = count_induced_edges(G, chosen) - q * len(chosen)
+            if best is None or value > best[1]:
+                best = (chosen, value)
+    return best
+
+
+def reference_pad_most_neighbors(G: Graph, vertices, k: int) -> tuple[int, ...]:
+    """The quadratic padding ``graph.pad_most_neighbors`` replaced: each step
+    scans every outside vertex for the most neighbors inside (ties to lower
+    ids)."""
+    vset = set(vertices)
+    if len(vset) > k:
+        raise ValueError(f"set of size {len(vset)} already exceeds k={k}")
+    if k > G.n:
+        raise ValueError(f"k={k} exceeds n={G.n}")
+    inside = dict.fromkeys(range(G.n), 0)
+    for v in vset:
+        for u in G.adjacency[v]:
+            inside[u] += 1
+    while len(vset) < k:
+        best = min(
+            (v for v in range(G.n) if v not in vset),
+            key=lambda v: (-inside[v], v),
+        )
+        vset.add(best)
+        for u in G.adjacency[best]:
+            inside[u] += 1
+    return tuple(sorted(vset))
 
 
 @dataclass

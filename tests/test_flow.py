@@ -11,12 +11,15 @@ from densek.graph import gnp_graph, graph_from_edges, induced_stats
 from helpers import (
     average_degree_fraction,
     best_edges_by_size,
+    brute_bounded_quasi_density,
     brute_min_cut,
     brute_quasi_density,
     connected_random_graph,
     count_induced_edges,
     dalks_every_guess,
+    goldberg_arcs,
     random_graph,
+    reference_max_flow,
 )
 
 
@@ -55,6 +58,27 @@ class TestMaxFlow:
             # the returned side is the inclusion-minimal minimizer
             assert not any(other < side for other in sides)
 
+    def test_matches_reference_dinic(self):
+        rng = random.Random("flow-reference")
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            arcs = [
+                (u, v, rng.randint(0, 9), rng.randint(0, 9))
+                for u in range(n)
+                for v in range(n)
+                if u != v and rng.random() < 0.4
+            ]
+            s, t = rng.sample(range(n), 2)
+            assert max_flow(n, arcs, s, t) == reference_max_flow(n, arcs, s, t)
+
+    def test_matches_reference_on_density_networks(self):
+        rng = random.Random("flow-goldberg")
+        for _ in range(40):
+            G = random_graph(rng, 1, 60, 0.02, 0.5)
+            q = Fraction(rng.randint(1, 3 * G.n), rng.randint(1, 2 * G.n))
+            args = (G.n + 2, goldberg_arcs(G, q), G.n, G.n + 1)
+            assert max_flow(*args) == reference_max_flow(*args), (G, q)
+
 
 class TestMaxQuasiDensity:
     def test_k4_examples(self):
@@ -72,9 +96,9 @@ class TestMaxQuasiDensity:
         # every penalty the chain walk cuts at.
         cuts = []
 
-        def recorded(graph, q):
+        def recorded(graph, q, **bounds):
             cuts.append(q)
-            return max_quasi_density(graph, q)
+            return max_quasi_density(graph, q, **bounds)
 
         monkeypatch.setattr(flow, "max_quasi_density", recorded)
         rng = random.Random("quasi-flow")
@@ -95,6 +119,22 @@ class TestMaxQuasiDensity:
         G = graph_from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
             max_quasi_density(G, Fraction(0))
+
+    def test_bounded_matches_enumeration(self):
+        rng = random.Random("quasi-bounded")
+        for _ in range(150):
+            G = random_graph(rng, 1, 11, 0.1, 0.9)
+            outer = [v for v in range(G.n) if rng.random() < 0.8]
+            inner = [v for v in outer if rng.random() < 0.3]
+            q = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+            got = max_quasi_density(G, q, inner=inner, outer=outer)
+            assert got == brute_bounded_quasi_density(G, q, inner, outer), (G, q, inner, outer)
+
+    def test_rejects_bounds_that_do_not_nest(self):
+        G = graph_from_edges(3, [(0, 1), (1, 2)])
+        for inner, outer in [((0, 2), (0, 1)), ((), (0, 3)), ((-1,), None)]:
+            with pytest.raises(ValueError):
+                max_quasi_density(G, Fraction(1), inner=inner, outer=outer)
 
 
 class TestDalksChain:
@@ -127,13 +167,27 @@ class TestDalksChain:
         G = gnp_graph(40, 0.2, seed=4)
         calls = []
 
-        def counted(graph, q):
+        def counted(graph, q, **bounds):
             calls.append(q)
-            return max_quasi_density(graph, q)
+            return max_quasi_density(graph, q, **bounds)
 
         monkeypatch.setattr(flow, "max_quasi_density", counted)
         dalks_2approx(G, 8)
         assert 0 < len(calls) <= 2 * (G.n + 1)
+
+    def test_cuts_contract_to_the_free_vertices(self, monkeypatch):
+        # Each cut after the first two spans only the vertices between its
+        # chain neighbours; on whole-graph networks the 15 cuts span 15n.
+        G = gnp_graph(200, 0.04, 1)
+        free = []
+
+        def counted(node_count, arcs, source, sink):
+            free.append(node_count - 2)
+            return max_flow(node_count, arcs, source, sink)
+
+        monkeypatch.setattr(flow, "max_flow", counted)
+        dalks_2approx(G, 20)
+        assert len(free) == 15 and sum(free) < 5 * G.n
 
 
 class TestDalks2Approx:
@@ -190,3 +244,25 @@ class TestFlowProperties:
         verts, value = max_quasi_density(G, q)
         assert count_induced_edges(G, verts) - q * len(verts) == value
         assert value >= 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_chain_nests_and_bounded_cuts_match_whole_graph(self, salt):
+        rng = random.Random(f"chain-{salt}")
+        G = random_graph(rng, 2, 30, 0.05, 0.6)
+        if not G.m:
+            return
+        cuts = []
+
+        def recorded(graph, q, **bounds):
+            out = max_quasi_density(graph, q, **bounds)
+            cuts.append((q, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "max_quasi_density", recorded)
+            chain = flow._quasi_chain(G, Fraction(1, 2 * G.n), Fraction(G.m, 2))
+        sets = [set(chosen) for _, chosen in chain]
+        assert all(later < earlier for earlier, later in zip(sets, sets[1:]))
+        for q, out in cuts:
+            assert out == max_quasi_density(G, q), (G, q)

@@ -22,7 +22,12 @@ from densek.graph import (
     serialize_edge_list,
     top_degree_vertices,
 )
-from helpers import count_induced_edges, petersen
+from helpers import (
+    count_induced_edges,
+    petersen,
+    random_graph,
+    reference_pad_most_neighbors,
+)
 
 
 @st.composite
@@ -184,6 +189,15 @@ class TestPaddingAndRanking:
     def test_pad_most_neighbors_tie_low_id(self):
         G = graph_from_edges(4, [])
         assert pad_most_neighbors(G, set(), 2) == (0, 1)
+
+    def test_pad_most_neighbors_matches_reference(self):
+        # Sparse graphs and empty starts make most steps a tie on the count.
+        rng = random.Random("pad-most-neighbors")
+        for _ in range(400):
+            G = random_graph(rng, 0, 30, 0.0, 0.5)
+            start = [v for v in range(G.n) if rng.random() < rng.choice([0.0, 0.1, 0.4])]
+            k = rng.randint(len(start), G.n)
+            assert pad_most_neighbors(G, start, k) == reference_pad_most_neighbors(G, start, k)
 
     def test_pad_rejects_oversize(self):
         G = graph_from_edges(3, [])
