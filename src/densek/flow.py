@@ -136,7 +136,7 @@ def max_quasi_density(
     a, b = q.numerator, q.denominator
     fixed = set(inner)
     bound = set(range(G.n)) if outer is None else set(outer)
-    if not fixed <= bound or any(not 0 <= v < G.n for v in bound):
+    if not fixed <= bound or not bound.issubset(range(G.n)):
         raise ValueError(f"need inner <= outer <= range({G.n})")
     free = sorted(bound - fixed)
     index = {v: i for i, v in enumerate(free)}
