@@ -13,7 +13,8 @@ Whenever the graph has an at-most-k subgraph of average degree d with a
 min-degree core containing ``i0``, the LP with ``gamma <= d/2`` has optimum
 at most k, so scanning roots and a doubling gamma ladder finds a usable
 fractional solution.  Candidate vertex sets are then drawn by independent
-``y_i`` rounding over two windows of the BFS distance layers around ``i0``.
+``y_i`` rounding over two windows of the BFS distance layers around ``i0``
+(:func:`distance_layers`, a plain tuple indexed by distance).
 
 Two exact screens decide, before any simplex run, which relaxations cannot
 be rounded (:func:`lp_pairs`):
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -91,32 +91,9 @@ def build_damks_lp(G: Graph, root: int, gamma: float) -> simplex.LinearProgram:
     return simplex.LinearProgram(objective=objective, rows=rows, rhs=rhs, n_eq=1)
 
 
-@dataclass(frozen=True)
-class DistanceLayers:
-    """BFS distance classes around the root: ``layer[i]`` holds the vertices
-    at distance exactly i (0 <= i <= 3)."""
-
-    root: int
-    layers: tuple[frozenset[int], ...]
-
-    @property
-    def n0(self) -> frozenset[int]:
-        return self.layers[0]
-
-    @property
-    def n1(self) -> frozenset[int]:
-        return self.layers[1]
-
-    @property
-    def n2(self) -> frozenset[int]:
-        return self.layers[2]
-
-    @property
-    def n3(self) -> frozenset[int]:
-        return self.layers[3]
-
-
-def distance_layers(G: Graph, root: int) -> DistanceLayers:
+def distance_layers(G: Graph, root: int) -> tuple[frozenset[int], ...]:
+    """BFS distance classes around the root: ``layers[i]`` holds the
+    vertices at distance exactly i (0 <= i <= 3)."""
     if not (0 <= root < G.n):
         raise ValueError(f"root {root} out of range for n={G.n}")
     dist = {root: 0}
@@ -129,15 +106,12 @@ def distance_layers(G: Graph, root: int) -> DistanceLayers:
             if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
-    layers = tuple(
-        frozenset(v for v, d in dist.items() if d == i) for i in range(4)
-    )
-    return DistanceLayers(root=root, layers=layers)
+    return tuple(frozenset(v for v, d in dist.items() if d == i) for i in range(4))
 
 
 def round_batch(
     G: Graph,
-    layers: DistanceLayers,
+    layers: tuple[frozenset[int], ...],
     y: Sequence[float],
     rng: random.Random,
     reps: int,
@@ -154,8 +128,8 @@ def round_batch(
     """
     if len(y) != G.n:
         raise ValueError(f"{len(y)} y-values for {G.n} vertices")
-    window1 = sorted(layers.n0 | layers.n1 | layers.n2)
-    window2 = sorted(layers.n1 | layers.n2 | layers.n3)
+    window1 = sorted(layers[0] | layers[1] | layers[2])
+    window2 = sorted(layers[1] | layers[2] | layers[3])
     columns = np.array(window1 + window2, dtype=np.intp)
     draws = np.fromiter(iter(rng.random, None), float, reps * len(columns))
     kept = draws.reshape(reps, len(columns)) < np.asarray(y, dtype=float)[columns]

@@ -12,7 +12,7 @@ low masks grouped by popcount gives every size's best.  Ties within a size
 go to the lexicographically smallest vertex tuple, which for sets of equal
 size is the one with the largest bit-reversed mask, so a single int64 key
 ``edges << n | reversed mask`` ranks them.  The per-size bests are then
-compared in exact integer arithmetic.
+ranked by :func:`graph.pick_best`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph, SubgraphResult
+from .graph import Graph, SubgraphResult, pick_best
 
 DEFAULT_ENUMERATION_CAP = 24
 # Vertices in the low block, whose 2^LOW_BITS masks each numpy table spans.
@@ -49,32 +49,6 @@ def _adjacency_masks(G: Graph) -> list[int]:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
-
-
-def _mask_lex_less(a: int, b: int) -> bool:
-    """Is the sorted vertex tuple of mask ``a`` lexicographically smaller than
-    that of ``b``?  Decided bitwise without materialising tuples."""
-    if a == b:
-        return False
-    diff = a ^ b
-    low = diff & -diff
-    above = ~((low << 1) - 1)
-    if a & low:
-        # a owns the first differing vertex; a is smaller unless b has already
-        # run out of vertices there (making b a strict prefix of a).
-        return (b & above) != 0
-    return (a & above) == 0
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
 
 
 def _best_key_by_size(G: Graph) -> list[int]:
@@ -167,24 +141,11 @@ def exact_solve(
 
     n = G.n
     keys = _best_key_by_size(G)
-    # Best-so-far stored as (edge_count, size, mask); average degree compared
-    # by cross multiplication, the empty set counting as 0/1.
-    best_ec = best_size = best_mask = None
-    for size in legal:
-        ec = keys[size] >> n
-        # The key's low n bits hold the mask reversed; reverse them back.
-        mask = int(format(keys[size] & ((1 << n) - 1), f"0{n}b")[::-1], 2)
-        if best_ec is None:
-            best_ec, best_size, best_mask = ec, size, mask
-            continue
-        lhs = ec * (best_size if best_size else 1)
-        rhs = best_ec * (size if size else 1)
-        if lhs > rhs or (
-            lhs == rhs
-            and (ec > best_ec or (ec == best_ec and _mask_lex_less(mask, best_mask)))
-        ):
-            best_ec, best_size, best_mask = ec, size, mask
 
-    verts = _mask_to_tuple(best_mask)
-    avg = 0.0 if not verts else 2.0 * best_ec / len(verts)
-    return SubgraphResult(verts, best_ec, avg)
+    def result(key: int) -> SubgraphResult:
+        # The key's low n bits hold the set with vertex v at bit n - 1 - v.
+        verts = tuple(v for v in range(n) if key >> (n - 1 - v) & 1)
+        ec = key >> n
+        return SubgraphResult(verts, ec, 2.0 * ec / len(verts) if verts else 0.0)
+
+    return pick_best(result(keys[size]) for size in legal)

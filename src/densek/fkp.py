@@ -10,11 +10,15 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
   around single vertices and pairs.
 * ``a4_edge_dense`` — run the three algorithms above inside the joint
   neighborhood of every edge.
-* ``a5_walks`` — pick the pair joined by the most length-5 walks (counted
-  by ``walk_powers``), slice the graph into walk layers between them, and
-  harvest candidate sets from the middle layers (including a thresholded
-  "good vertex" sweep over a doubling ladder of density guesses, and random
-  sparsification).
+* ``a5_walks`` — pick the pair joined by the most length-5 walks, slice the
+  graph into walk layers between them, and harvest candidate sets from the
+  middle layers (including a thresholded "good vertex" sweep over a doubling
+  ladder of density guesses, and random sparsification).  Walks are counted
+  in int64 numpy arrays, one ``A @ X`` step (:func:`_walk_step`) at a time:
+  the best pair from ``A^5`` on ``WALK_BLOCK`` source columns at once, then
+  the layers, loads and star scores from the pair's own rows
+  (:func:`walk_rows`).  Memory is O(``WALK_BLOCK`` * (n + m)), and degrees
+  above ``MAX_WALK_DEGREE``, where a count could pass 2^63, are refused.
 * ``a6_damks`` (in :mod:`densek.damks`) — LP rounding.
 
 ``dks_candidates`` runs any subset of the six on the graph itself and on
@@ -31,8 +35,9 @@ the peeled branch, so each algorithm runs once per branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .damks import a6_damks
 from .graph import (
@@ -57,6 +62,11 @@ EPSILON_LADDER = tuple(2.0**i for i in range(-8, 5))
 # draws.
 MAX_CANDIDATES = 512
 SAMPLE_RETRIES = 32
+# Source columns of A^5 that a5 holds at once in its search for the best pair.
+WALK_BLOCK = 64
+# a5 counts walks in int64; a length-5 count is at most d_max^4, and this is
+# the largest degree whose fourth power stays below 2^63.
+MAX_WALK_DEGREE = math.isqrt(math.isqrt(2**63 - 1))
 
 
 def _check_k(G: Graph, k: int, minimum: int = 1) -> None:
@@ -103,24 +113,24 @@ def a2_top_degrees(G: Graph, k: int) -> SubgraphResult:
     return induced_stats(G, heavy | set(rest[: k // 2]))
 
 
-def a3_neighborhoods(G: Graph, k: int) -> SubgraphResult:
-    """Best of: each vertex with its highest-degree neighbors, and each pair
-    with its lowest-id common neighbors; all candidates padded to k."""
-    _check_k(G, k)
-    candidates: list[tuple[int, ...]] = []
+def _neighborhood_candidates(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
     for v in range(G.n):
         ranked = sorted(G.adjacency[v], key=lambda u: (-G.degree(u), u))
-        candidates.append(pad_lowest_id(G, [v, *ranked[: k - 1]], k))
+        yield pad_lowest_id(G, [v, *ranked[: k - 1]], k)
     if k >= 2:
         neigh = [set(G.adjacency[v]) for v in range(G.n)]
         for u in range(G.n):
             for v in range(u + 1, G.n):
                 common = sorted(neigh[u] & neigh[v])
-                if not common:
-                    continue
-                cand = [u, v, *common[: k - 2]]
-                candidates.append(pad_lowest_id(G, cand[:k], k))
-    return pick_best(induced_stats(G, c) for c in candidates)
+                if common:
+                    yield pad_lowest_id(G, [u, v, *common[: k - 2]], k)
+
+
+def a3_neighborhoods(G: Graph, k: int) -> SubgraphResult:
+    """Best of: each vertex with its highest-degree neighbors, and each pair
+    with its lowest-id common neighbors; all candidates padded to k."""
+    _check_k(G, k)
+    return pick_best(induced_stats(G, c) for c in _neighborhood_candidates(G, k))
 
 
 def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
@@ -141,62 +151,71 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
     return pick_best(candidates)
 
 
-@dataclass(frozen=True)
-class WalkLayers:
-    """Vertices reachable at each intermediate position of a length-5 walk
-    from ``u`` to ``v``: ``layer(i)`` holds every w with a length-i walk from
-    u and a length-(5-i) walk to v."""
-
-    u: int
-    v: int
-    n1: frozenset[int]
-    n2: frozenset[int]
-    n3: frozenset[int]
-    n4: frozenset[int]
-
-    def layer(self, i: int) -> frozenset[int]:
-        return (self.n1, self.n2, self.n3, self.n4)[i - 1]
+def _arcs(G: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of both directions of every edge."""
+    ends = np.array(G.edges, dtype=np.intp).reshape(G.m, 2)
+    both = np.concatenate([ends, ends[:, ::-1]])
+    return both[:, 0], both[:, 1]
 
 
-def walk_powers(G: Graph, top: int) -> list[list[list[int]]]:
-    """``powers[l]`` (``1 <= l <= top``) counts walks of exactly ``l`` edges;
-    entry 0 is unused.  Python integers throughout, so counts never
-    overflow."""
-    n = G.n
-    first = [[0] * n for _ in range(n)]
-    for u, v in G.edges:
-        first[u][v] = 1
-        first[v][u] = 1
-    powers: list[list[list[int]]] = [[], first]
-    for _ in range(top - 1):
-        prev = powers[-1]
-        nxt = [[0] * n for _ in range(n)]
-        for u in range(n):
-            row = prev[u]
-            acc = nxt[u]
-            for w in range(n):
-                c = row[w]
-                if c:
-                    for z in G.adjacency[w]:
-                        acc[z] += c
-        powers.append(nxt)
-    return powers
+def _walk_step(arcs: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
+    """``A @ X`` for the adjacency matrix ``A`` whose arcs are ``arcs``."""
+    tails, heads = arcs
+    out = np.zeros_like(X)
+    np.add.at(out, heads, X[tails])
+    return out
+
+
+def walk_rows(G: Graph, w: int, top: int) -> list[np.ndarray]:
+    """``rows[i] = A^i e_w`` for ``0 <= i <= top``: entry z counts the walks
+    of exactly i edges from w to z, as int64."""
+    if not (0 <= w < G.n):
+        raise ValueError(f"vertex {w} out of range for n={G.n}")
+    arcs = _arcs(G)
+    rows = [np.zeros(G.n, dtype=np.int64)]
+    rows[0][w] = 1
+    for _ in range(top):
+        rows.append(_walk_step(arcs, rows[-1]))
+    return rows
+
+
+def _best_pair(G: Graph) -> tuple[int, int] | None:
+    """The first pair ``(a, b)``, ``a != b``, in row-major order with the
+    most length-5 walks between them, or None when no such walk exists.
+    ``A^5`` is computed on ``WALK_BLOCK`` source columns at a time."""
+    arcs = _arcs(G)
+    best, best_count = None, 0
+    for start in range(0, G.n, WALK_BLOCK):
+        sources = np.arange(start, min(start + WALK_BLOCK, G.n))
+        own = (sources, np.arange(len(sources)))
+        X = np.zeros((G.n, len(sources)), dtype=np.int64)
+        X[own] = 1
+        for _ in range(5):
+            X = _walk_step(arcs, X)
+        X[own] = 0
+        # Row j of X.T is source start + j; argmax keeps the first maximum in
+        # row-major order, and a later block must be strictly larger.
+        j, b = divmod(int(np.argmax(X.T)), G.n)
+        if X[b, j] > best_count:
+            best, best_count = (start + j, b), X[b, j]
+    return best
 
 
 def _walk_layers(
-    G: Graph, powers: list[list[list[int]]], u: int, v: int
-) -> WalkLayers:
-    """The layers of ``(u, v)`` from walk powers up to at least 4."""
-    sets = []
-    for i in range(1, 5):
-        fwd = powers[i][u]
-        back = powers[5 - i][v]
-        sets.append(frozenset(w for w in range(G.n) if fwd[w] and back[w]))
-    return WalkLayers(u=u, v=v, n1=sets[0], n2=sets[1], n3=sets[2], n4=sets[3])
+    fwd: list[np.ndarray], back: list[np.ndarray]
+) -> tuple[frozenset[int], ...]:
+    """``layers[i]`` (``0 <= i <= 5``) holds every w at position i of a
+    length-5 walk from u to v: a length-i walk from u and a length-(5-i)
+    walk to v, given ``fwd = walk_rows(G, u, 5)`` and
+    ``back = walk_rows(G, v, 5)``."""
+    return tuple(
+        frozenset(np.flatnonzero((fwd[i] > 0) & (back[5 - i] > 0)).tolist())
+        for i in range(6)
+    )
 
 
 def _good_vertex_candidates(
-    layers: WalkLayers,
+    layers: tuple[frozenset[int], ...],
     cut: list[tuple[int, int, int, int, int]],
     tau: float,
     k: int,
@@ -223,9 +242,9 @@ def _good_vertex_candidates(
             side3.append(z)
     out = []
     if side2:
-        out.append(tuple(sorted(set(side2) | layers.n1)))
+        out.append(tuple(sorted(set(side2) | layers[1])))
     if side3:
-        out.append(tuple(sorted(set(side3) | layers.n4)))
+        out.append(tuple(sorted(set(side3) | layers[4])))
     return out
 
 
@@ -237,30 +256,28 @@ def a5_walks(
 
     The density guesses of the good-vertex thresholds are ``1, 2, 4, ...``
     up to the smallest power of two that is at least ``max(2, ladder_n)``;
-    ``ladder_n`` defaults to ``G.n``.
+    ``ladder_n`` defaults to ``G.n``.  Raises ``ValueError`` when the
+    maximum degree exceeds ``MAX_WALK_DEGREE``.
     """
     _check_k(G, k)
+    d_max = max(G.degree(x) for x in range(G.n))
+    if d_max > MAX_WALK_DEGREE:
+        raise ValueError(
+            f"a5 counts walks in int64 and needs maximum degree at most "
+            f"{MAX_WALK_DEGREE}, got {d_max}"
+        )
     if ladder_n is None:
         ladder_n = G.n
-    powers = walk_powers(G, 5)
-    w5 = powers[5]
-    best_pair = None
-    best_count = 0
-    for a in range(G.n):
-        row = w5[a]
-        for b in range(G.n):
-            if a != b and row[b] > best_count:
-                best_count = row[b]
-                best_pair = (a, b)
+    best_pair = _best_pair(G)
     if best_pair is None:
         return a1_matching(G, k)
     u, v = best_pair
-    layers = _walk_layers(G, powers, u, v)
-    d_max = max(G.degree(x) for x in range(G.n))
+    fwd, back = walk_rows(G, u, 5), walk_rows(G, v, 5)
+    layers = _walk_layers(fwd, back)
 
     # Candidates as sorted tuples, trimmed to k once each at the end.
     raw: list[tuple[int, ...]] = []
-    middle = sorted(layers.n2 | layers.n3)
+    middle = sorted(layers[2] | layers[3])
     raw.append(tuple(middle))
 
     rng = derive_rng(seed, "a5-sample", u, v)
@@ -270,23 +287,23 @@ def a5_walks(
         if sampled:
             raw.append(tuple(sampled))
 
-    w3v = powers[3][v]
-    w3u = powers[3][u]
-    if layers.n2:
-        star = min(layers.n2, key=lambda w: (-w3v[w], w))
-        raw.append(tuple(sorted((set(G.adjacency[star]) & layers.n3) | layers.n4)))
-    if layers.n3:
-        star = min(layers.n3, key=lambda w: (-w3u[w], w))
-        raw.append(tuple(sorted((set(G.adjacency[star]) & layers.n2) | layers.n1)))
+    # Walk counts as Python ints, so the loads below never overflow.
+    w2u, w3u = fwd[2].tolist(), fwd[3].tolist()
+    w2v, w3v = back[2].tolist(), back[3].tolist()
+    if layers[2]:
+        star = min(layers[2], key=lambda w: (-w3v[w], w))
+        raw.append(tuple(sorted((set(G.adjacency[star]) & layers[3]) | layers[4])))
+    if layers[3]:
+        star = min(layers[3], key=lambda w: (-w3u[w], w))
+        raw.append(tuple(sorted((set(G.adjacency[star]) & layers[2]) | layers[1])))
 
     # Each layer-2/layer-3 edge once, oriented from layer 2 (the smaller
     # orientation when both ends lie in both layers), with its walk load and
     # its ends' neighbour counts in layer 1 (of w) and layer 4 (of z).
-    w2u, w2v = powers[2][u], powers[2][v]
     cut = []
     for a, b in G.edges:
         oriented = [
-            (w, z) for w, z in ((a, b), (b, a)) if w in layers.n2 and z in layers.n3
+            (w, z) for w, z in ((a, b), (b, a)) if w in layers[2] and z in layers[3]
         ]
         if oriented:
             w, z = min(oriented)
@@ -294,8 +311,8 @@ def a5_walks(
                 w,
                 z,
                 w2u[w] * w2v[z],
-                len(layers.n1.intersection(G.adjacency[w])),
-                len(layers.n4.intersection(G.adjacency[z])),
+                len(layers[1].intersection(G.adjacency[w])),
+                len(layers[4].intersection(G.adjacency[z])),
             ))
     cut.sort()
 

@@ -291,6 +291,9 @@ def pad_most_neighbors(G: Graph, vertices: Iterable[int], k: int) -> tuple[int, 
     """Grow the set to exactly ``k`` vertices, each time adding the outside
     vertex with the most neighbors already inside (ties to lower ids)."""
     vset = set(vertices)
+    for v in vset:
+        if not (0 <= v < G.n):
+            raise ValueError(f"vertex {v} out of range for n={G.n}")
     if len(vset) > k:
         raise ValueError(f"set of size {len(vset)} already exceeds k={k}")
     if k > G.n:

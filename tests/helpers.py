@@ -14,16 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from densek.damks import DistanceLayers, core_numbers
+from densek.damks import core_numbers
 from densek.exact import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     ProblemKind,
     _adjacency_masks,
-    _mask_lex_less,
-    _mask_to_tuple,
 )
-from densek.fkp import WalkLayers, walk_powers
+from densek.fkp import walk_rows
 from densek.flow import max_quasi_density
 from densek.graph import (
     Graph,
@@ -100,10 +98,63 @@ def average_degree_fraction(r: SubgraphResult) -> Fraction:
 
 
 def walk_count_matrix(G: Graph, length: int) -> list[list[int]]:
-    """``W[u][v]`` = number of walks of exactly ``length`` edges from u to v."""
+    """``W[u][v]`` = number of walks of exactly ``length`` edges from u to v,
+    row u taken from ``fkp.walk_rows``, the counts a5 uses."""
     if length < 1:
         raise ValueError(f"walk length must be >= 1, got {length}")
-    return walk_powers(G, length)[length]
+    return [walk_rows(G, u, length)[length].tolist() for u in range(G.n)]
+
+
+def walk_powers(G: Graph, top: int) -> list[list[list[int]]]:
+    """Reference for ``fkp.walk_rows``: ``powers[l]`` (``1 <= l <= top``)
+    counts walks of exactly ``l`` edges as n x n Python lists, one triple
+    loop per length; entry 0 is unused.  Python integers throughout, so
+    counts never overflow."""
+    n = G.n
+    first = [[0] * n for _ in range(n)]
+    for u, v in G.edges:
+        first[u][v] = 1
+        first[v][u] = 1
+    powers: list[list[list[int]]] = [[], first]
+    for _ in range(top - 1):
+        prev = powers[-1]
+        nxt = [[0] * n for _ in range(n)]
+        for u in range(n):
+            row = prev[u]
+            acc = nxt[u]
+            for w in range(n):
+                c = row[w]
+                if c:
+                    for z in G.adjacency[w]:
+                        acc[z] += c
+        powers.append(nxt)
+    return powers
+
+
+def mask_lex_less(a: int, b: int) -> bool:
+    """Is the sorted vertex tuple of mask ``a`` lexicographically smaller than
+    that of ``b``?  Decided bitwise without materialising tuples."""
+    if a == b:
+        return False
+    diff = a ^ b
+    low = diff & -diff
+    above = ~((low << 1) - 1)
+    if a & low:
+        # a owns the first differing vertex; a is smaller unless b has already
+        # run out of vertices there (making b a strict prefix of a).
+        return (b & above) != 0
+    return (a & above) == 0
+
+
+def mask_to_tuple(mask: int) -> tuple[int, ...]:
+    out = []
+    v = 0
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
 
 
 def gray_exact_solve(
@@ -159,17 +210,17 @@ def gray_exact_solve(
         elif lhs == rhs:
             if ec > best_ec:
                 best_ec, best_size, best_mask = ec, size, cur
-            elif ec == best_ec and _mask_lex_less(cur, best_mask):
+            elif ec == best_ec and mask_lex_less(cur, best_mask):
                 best_ec, best_size, best_mask = ec, size, cur
 
-    verts = _mask_to_tuple(best_mask)
+    verts = mask_to_tuple(best_mask)
     avg = 0.0 if not verts else 2.0 * best_ec / len(verts)
     return SubgraphResult(verts, best_ec, avg)
 
 
 def good_vertex_candidates_rebuild(
     G: Graph,
-    layers: WalkLayers,
+    layers: tuple[frozenset[int], ...],
     cut: list[tuple[int, int, int]],
     tau: float,
     k: int,
@@ -186,10 +237,10 @@ def good_vertex_candidates_rebuild(
     collected = 0
     while surviving and collected < k:
         w, z = surviving[0]
-        if sum(1 for t in G.adjacency[w] if t in layers.n1) >= need:
+        if sum(1 for t in G.adjacency[w] if t in layers[1]) >= need:
             good = w
             side2.append(w)
-        elif sum(1 for t in G.adjacency[z] if t in layers.n4) >= need:
+        elif sum(1 for t in G.adjacency[z] if t in layers[4]) >= need:
             good = z
             side3.append(z)
         else:
@@ -199,9 +250,9 @@ def good_vertex_candidates_rebuild(
         surviving = [e for e in surviving if good not in e]
     out = []
     if side2:
-        out.append(tuple(sorted(set(side2) | layers.n1)))
+        out.append(tuple(sorted(set(side2) | layers[1])))
     if side3:
-        out.append(tuple(sorted(set(side3) | layers.n4)))
+        out.append(tuple(sorted(set(side3) | layers[4])))
     return out
 
 
@@ -247,9 +298,9 @@ def brute_quasi_density(
         elif scaled == best_scaled:
             if size < best_size:
                 best_scaled, best_size, best_mask = scaled, size, cur
-            elif size == best_size and _mask_lex_less(cur, best_mask):
+            elif size == best_size and mask_lex_less(cur, best_mask):
                 best_scaled, best_size, best_mask = scaled, size, cur
-    return _mask_to_tuple(best_mask), Fraction(best_scaled, den)
+    return mask_to_tuple(best_mask), Fraction(best_scaled, den)
 
 
 def exact_best_subsets(G: Graph, sizes) -> tuple[Fraction, list[tuple[int, ...]]]:
@@ -714,7 +765,7 @@ class RoundingOutcome:
 
 def round_once(
     G: Graph,
-    layers: DistanceLayers,
+    layers: tuple[frozenset[int], ...],
     y: Sequence[float],
     rng: random.Random,
 ) -> RoundingOutcome:
@@ -723,8 +774,8 @@ def round_once(
     samples use separate draws from ``rng``."""
     if len(y) != G.n:
         raise ValueError(f"{len(y)} y-values for {G.n} vertices")
-    window1 = sorted(layers.n0 | layers.n1 | layers.n2)
-    window2 = sorted(layers.n1 | layers.n2 | layers.n3)
+    window1 = sorted(layers[0] | layers[1] | layers[2])
+    window2 = sorted(layers[1] | layers[2] | layers[3])
     s1 = tuple(v for v in window1 if rng.random() < y[v])
     s2 = tuple(v for v in window2 if rng.random() < y[v])
     d1 = induced_stats(G, s1).average_degree

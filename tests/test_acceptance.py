@@ -298,17 +298,17 @@ def test_criterion_11_a6_sanity():
             out = round_once(G, layers, y, rng_r)
             s1 = set(out.s1)
             for idx in range(3):
-                layer_totals[idx] += len(s1 & layers.layers[idx])
-            layer_totals[3] += len(set(out.s2) & layers.n3)
+                layer_totals[idx] += len(s1 & layers[idx])
+            layer_totals[3] += len(set(out.s2) & layers[3])
             edge_total += count_induced_edges(G, out.s1)
 
         for idx in range(4):
-            mass = sum(y[v] for v in layers.layers[idx])
-            var = sum(y[v] * (1.0 - y[v]) for v in layers.layers[idx])
+            mass = sum(y[v] for v in layers[idx])
+            var = sum(y[v] * (1.0 - y[v]) for v in layers[idx])
             slack = 3.0 * (trials * var) ** 0.5 + 1e-9
             assert abs(layer_totals[idx] - trials * mass) <= slack, (name, idx)
 
-        window = sorted(layers.n0 | layers.n1 | layers.n2)
+        window = sorted(layers[0] | layers[1] | layers[2])
         inside = set(window)
         w_edges = [e for e in G.edges if e[0] in inside and e[1] in inside]
         mean_e = sum(y[u] * y[v] for u, v in w_edges)

@@ -135,6 +135,17 @@ class TestSolve:
     def test_k_larger_than_graph(self, graph_file):
         assert run_cli("solve", "-k", "99", str(graph_file), check=False).returncode == 2
 
+    def test_a5_refuses_degree_beyond_walk_count_limit(self, tmp_path):
+        star = tmp_path / "star.txt"
+        star.write_text("".join(f"0 {leaf}\n" for leaf in range(1, 55110)))
+        proc = run_cli("solve", "-k", "2", "--algo", "a5", str(star), check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: a5 counts walks in int64 and needs maximum degree at most "
+            "55108, got 55109"
+        ]
+
     @pytest.mark.parametrize("flags", [["-k", "0"], ["-k", "3", "--reps", "0"]])
     def test_bad_arguments_print_nothing(self, graph_file, flags):
         proc = run_cli("solve", *flags, str(graph_file), check=False)
@@ -306,20 +317,30 @@ def test_bare_import_exposes_submodules():
     assert proc.returncode == 0, proc.stderr
 
 
-def run_headline_script(*flags, env_extra=None):
+def run_script(name, *flags, env_extra=None):
     import os
     from pathlib import Path
 
     import densek
 
     src = os.path.dirname(os.path.dirname(densek.__file__))
-    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_headline_ratios.py"
+    script = Path(__file__).resolve().parent.parent / "scripts" / name
     return subprocess.run(
         [sys.executable, str(script), *flags],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src, **(env_extra or {})},
     )
+
+
+def run_headline_script(*flags, env_extra=None):
+    return run_script("reproduce_headline_ratios.py", *flags, env_extra=env_extra)
+
+
+def test_oracle_script_smoke():
+    proc = run_script("oracle_benchmark.py", "--instances", "2", "--n", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert records(proc.stdout)[-1]["type"] == "envelope"
 
 
 def test_headline_script_rejects_bad_step():

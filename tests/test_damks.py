@@ -129,21 +129,21 @@ class TestDistanceLayers:
     def test_path(self):
         P5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         L = distance_layers(P5, 0)
-        assert [sorted(s) for s in L.layers] == [[0], [1], [2], [3]]
-        assert L.n0 == frozenset({0}) and L.n3 == frozenset({3})
+        assert [sorted(s) for s in L] == [[0], [1], [2], [3]]
+        assert L[0] == frozenset({0}) and L[3] == frozenset({3})
         # vertex 4 sits at distance 4 and is outside every tracked layer
-        assert all(4 not in s for s in L.layers)
+        assert all(4 not in s for s in L)
 
     def test_disconnected(self):
         G = graph_from_edges(4, [(0, 1)])
         L = distance_layers(G, 0)
-        assert L.n0 == {0} and L.n1 == {1}
-        assert L.n2 == frozenset() and L.n3 == frozenset()
+        assert L[0] == {0} and L[1] == {1}
+        assert L[2] == frozenset() and L[3] == frozenset()
 
     def test_clique(self):
         L = distance_layers(complete_graph(5), 2)
-        assert L.n0 == {2}
-        assert L.n1 == {0, 1, 3, 4}
+        assert L[0] == {2}
+        assert L[1] == {0, 1, 3, 4}
 
     def test_root_validation(self):
         with pytest.raises(ValueError):
@@ -155,8 +155,8 @@ class TestRounding:
         G = petersen()
         L = distance_layers(G, 0)
         out = round_once(G, L, [1.0] * G.n, derive_rng(0, "t"))
-        assert set(out.s1) == set(L.n0 | L.n1 | L.n2)
-        assert set(out.s2) == set(L.n1 | L.n2 | L.n3)
+        assert set(out.s1) == set(L[0] | L[1] | L[2])
+        assert set(out.s2) == set(L[1] | L[2] | L[3])
 
     def test_all_zeros(self):
         G = petersen()
@@ -191,7 +191,7 @@ class TestRounding:
     def test_batch_matches_one_at_a_time(self, name, G, root, y):
         layers = distance_layers(G, root)
         if name == "empty-layer-3":
-            assert layers.n3 == frozenset()
+            assert layers[3] == frozenset()
         reps = 37
         loop_rng, batch_rng = derive_rng(5, name), derive_rng(5, name)
         outcomes = [round_once(G, layers, y, loop_rng) for _ in range(reps)]

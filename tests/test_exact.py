@@ -9,7 +9,6 @@ from densek.exact import (
     MAX_KEY_VERTICES,
     EnumerationCapError,
     ProblemKind,
-    _mask_lex_less,
     exact_solve,
 )
 from densek.graph import graph_from_edges
@@ -18,6 +17,7 @@ from helpers import (
     count_induced_edges,
     exact_best_subsets,
     gray_exact_solve,
+    mask_lex_less,
     petersen,
     walk_count_matrix,
 )
@@ -162,7 +162,7 @@ class TestMaskLexLess:
         def to_tuple(mask):
             return tuple(i for i in range(12) if mask >> i & 1)
 
-        assert _mask_lex_less(a, b) == (to_tuple(a) < to_tuple(b))
+        assert mask_lex_less(a, b) == (to_tuple(a) < to_tuple(b))
 
 
 class TestBruteQuasiDensity:

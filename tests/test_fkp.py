@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from densek import fkp
@@ -7,7 +8,9 @@ from densek.fkp import (
     ALGO_NAMES,
     EPSILON_LADDER,
     MAX_CANDIDATES,
+    MAX_WALK_DEGREE,
     SAMPLE_RETRIES,
+    _best_pair,
     _greedy_matching,
     _walk_layers,
     a1_matching,
@@ -18,10 +21,16 @@ from densek.fkp import (
     attachment_counts,
     combined_dks,
     dks_candidates,
-    walk_powers,
+    walk_rows,
 )
 from densek.graph import better_than, gnp_graph, graph_from_edges
-from helpers import count_induced_edges, good_vertex_candidates_rebuild, walk_count_matrix
+from helpers import (
+    count_induced_edges,
+    good_vertex_candidates_rebuild,
+    petersen,
+    walk_count_matrix,
+    walk_powers,
+)
 
 
 def complete_graph(n):
@@ -128,21 +137,62 @@ class TestA4:
         assert res.average_degree == 3.0
 
 
+class TestWalkRows:
+    def test_matches_reference_powers(self):
+        for G in random_graphs("walk-rows", 20, lo=1, hi=12):
+            powers = walk_powers(G, 5)
+            for w in range(G.n):
+                rows = walk_rows(G, w, 5)
+                assert all(row.dtype == np.int64 for row in rows)
+                assert rows[0].tolist() == [int(z == w) for z in range(G.n)]
+                for i in range(1, 6):
+                    assert rows[i].tolist() == powers[i][w]
+
+    @pytest.mark.parametrize("w", [-1, 4])
+    def test_rejects_unknown_vertex(self, w):
+        with pytest.raises(ValueError, match="out of range"):
+            walk_rows(complete_graph(4), w, 2)
+
+
+def first_most_walked_pair(G):
+    W5 = walk_count_matrix(G, 5)
+    best, best_count = None, 0
+    for a in range(G.n):
+        for b in range(G.n):
+            if a != b and W5[a][b] > best_count:
+                best, best_count = (a, b), W5[a][b]
+    return best
+
+
+class TestBestPair:
+    # Cycles, cliques and the Petersen graph tie many pairs across blocks of
+    # one or three sources; the first pair in row-major order must win.
+    @pytest.mark.parametrize("block", [1, 3, fkp.WALK_BLOCK])
+    def test_matches_first_argmax(self, monkeypatch, block):
+        monkeypatch.setattr(fkp, "WALK_BLOCK", block)
+        cycle = graph_from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+        graphs = [cycle, complete_graph(5), petersen(), graph_from_edges(4, [])]
+        graphs += list(random_graphs("best-pair", 30, lo=1, hi=14))
+        for G in graphs:
+            assert _best_pair(G) == first_most_walked_pair(G), G.edges
+
+
 class TestWalkLayers:
     def test_matches_walk_matrix_definition(self):
         for G in random_graphs("layers", 10, lo=4, hi=8):
             if G.m == 0:
                 continue
-            powers = [None] + [walk_count_matrix(G, i) for i in range(1, 5)]
+            powers = walk_powers(G, 4)
             u, v = G.edges[0]
-            L = _walk_layers(G, walk_powers(G, 4), u, v)
+            L = _walk_layers(walk_rows(G, u, 5), walk_rows(G, v, 5))
+            assert len(L) == 6 and L[0] == {u} and L[5] == {v}
             for i in range(1, 5):
                 expect = {
                     w
                     for w in range(G.n)
                     if powers[i][u][w] > 0 and powers[5 - i][w][v] > 0
                 }
-                assert L.layer(i) == expect
+                assert L[i] == expect
 
     def test_clique_with_tail(self):
         G = graph_from_edges(
@@ -150,10 +200,10 @@ class TestWalkLayers:
             [(u, v) for u in range(4) for v in range(u + 1, 4)]
             + [(4, 5), (5, 6)],
         )
-        L = _walk_layers(G, walk_powers(G, 4), 0, 1)
-        assert L.n1 == {1, 2, 3}
-        assert L.n2 == {0, 1, 2, 3}
-        assert L.n4 == {0, 2, 3}
+        L = _walk_layers(walk_rows(G, 0, 5), walk_rows(G, 1, 5))
+        assert L[1] == {1, 2, 3}
+        assert L[2] == {0, 1, 2, 3}
+        assert L[4] == {0, 2, 3}
 
 
 # a5_walks(gnp_graph(n, p, graph_seed), k, seed=seed) as computed before a5
@@ -193,6 +243,13 @@ class TestA5:
     def test_deterministic(self):
         G = gnp_graph(11, 0.35, 8)
         assert a5_walks(G, 5, seed=4) == a5_walks(G, 5, seed=4)
+
+    def test_refuses_degrees_whose_walk_counts_overflow(self):
+        assert MAX_WALK_DEGREE == 55108
+        assert MAX_WALK_DEGREE**4 < 2**63 <= (MAX_WALK_DEGREE + 1) ** 4
+        star = graph_from_edges(55110, [(0, leaf) for leaf in range(1, 55110)])
+        with pytest.raises(ValueError, match="maximum degree at most 55108, got 55109"):
+            a5_walks(star, 2)
 
     def test_good_vertex_sweep_matches_rebuild(self, monkeypatch):
         one_pass = fkp._good_vertex_candidates

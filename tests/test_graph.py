@@ -199,6 +199,12 @@ class TestPaddingAndRanking:
             k = rng.randint(len(start), G.n)
             assert pad_most_neighbors(G, start, k) == reference_pad_most_neighbors(G, start, k)
 
+    @pytest.mark.parametrize("start", [{-1}, {7}])
+    def test_pad_most_neighbors_rejects_unknown_vertex(self, start):
+        G = graph_from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="out of range"):
+            pad_most_neighbors(G, start, 2)
+
     def test_pad_rejects_oversize(self):
         G = graph_from_edges(3, [])
         with pytest.raises(ValueError, match="exceeds"):
