@@ -3,9 +3,11 @@
 Machine-readable results go to stdout as one JSON object per line
 (``json.dumps(..., sort_keys=True)``, so identical runs are byte-identical
 except for the ``wall_time_ms`` field); human-oriented notes go to stderr.
-Exit codes: 0 success, 1 verification mismatch, 2 usage/input errors, 3
-refusal because an instance exceeds the exact-enumeration cap (or the 52
-vertices past which exact's int64 subset keys would overflow).
+Exit codes: 0 success, 1 verification mismatch, 2 usage/input errors
+(including ``reduce`` on a graph whose padded copy would pass
+``reduction.MAX_GADGET_EDGES`` edges), 3 refusal because an instance exceeds
+the exact-enumeration cap (or the 52 vertices past which exact's int64 subset
+keys would overflow).
 """
 
 from __future__ import annotations
@@ -113,6 +115,14 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     return 0
 
 
+# The one-row ``analyze --csv`` summary: the JSON record's fields with
+# ``argmax`` flattened to g, K, d and ``algorithms`` space-joined.
+_CSV_COLUMNS = (
+    "set", "delta", "algorithms", "max_exponent",
+    "g", "K", "d", "error_bound", "evaluations",
+)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.set in ratio.RATIO_SETS:
         algos = ratio.RATIO_SETS[args.set]
@@ -141,21 +151,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _emit(record)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                [
-                    "set", "delta", "algorithms", "max_exponent",
-                    "g", "K", "d", "error_bound", "evaluations",
-                ]
-            )
-            writer.writerow(
-                [
-                    args.set, grid.delta, " ".join(grid.algorithms),
-                    grid.max_exponent, grid.argmax.g, grid.argmax.K,
-                    grid.argmax.d, ratio.error_bound(grid.delta),
-                    grid.evaluations,
-                ]
-            )
+            writer = csv.DictWriter(handle, _CSV_COLUMNS, extrasaction="ignore")
+            writer.writeheader()
+            algorithms = " ".join(grid.algorithms)
+            writer.writerow({**record, **record["argmax"], "algorithms": algorithms})
         _note(f"wrote {args.csv}")
     return 0
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import io
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -87,11 +88,17 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         seen.add((u, v))
         norm.append((u, v))
     norm.sort()
-    adj: list[list[int]] = [[] for _ in range(n)]
+    # Walking the sorted edges appends each neighbour list in increasing
+    # order.  Isolated vertices share the empty tuple, so a large ``n``
+    # header with few edges allocates no list per vertex.
+    nbrs: defaultdict[int, list[int]] = defaultdict(list)
     for u, v in norm:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(n, tuple(norm), tuple(tuple(sorted(a)) for a in adj))
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adj: list[tuple[int, ...]] = [()] * n
+    for v, a in nbrs.items():
+        adj[v] = tuple(a)
+    return Graph(n, tuple(norm), tuple(adj))
 
 
 def parse_edge_list(source: str | bytes | io.TextIOBase) -> Graph:

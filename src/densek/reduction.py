@@ -15,46 +15,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Mapping
 
-from . import exact
 from .graph import (
     Graph,
     SubgraphResult,
-    better_than,
     doubling_ladder,
     graph_from_edges,
     induced_stats,
     pad_most_neighbors,
+    pick_best,
 )
+
+
+# The padded graph stores each clique edge as Python tuples, about 320 bytes
+# with its adjacency entries, so a two-line input with a large ``n`` header
+# could ask for gigabytes.  At this many edges ``densek reduce`` measured
+# about 0.6 s and 107 MB peak RSS (CPython 3.11, 2 vCPUs).
+MAX_GADGET_EDGES = 1 << 18
 
 
 class SolverContractError(RuntimeError):
     """An at-most-k solver returned more than k vertices."""
-
-
-@dataclass(frozen=True)
-class DamksSolverHandle:
-    """An abstract at-most-k densest-subgraph solver.
-
-    ``solve(G, k)`` must return a set of at most k vertices.
-    """
-
-    solve: Callable[[Graph, int], SubgraphResult]
-    name: str = "damks"
-
-
-def oracle_damks_handle() -> DamksSolverHandle:
-    """Exact at-most-k solver by enumeration (up to
-    ``exact.DEFAULT_ENUMERATION_CAP`` vertices), usable as a driver plug-in."""
-
-    def solve(G: Graph, k: int) -> SubgraphResult:
-        return exact.exact_solve(G, k, exact.ProblemKind.AT_MOST_K)
-
-    return DamksSolverHandle(solve=solve, name="exact-oracle")
 
 
 def _edge_weight(weights: Mapping[tuple[int, int], Fraction | int] | None,
@@ -129,113 +114,77 @@ def fixing_trim(
 
 
 @dataclass(frozen=True)
-class DriverIteration:
-    """One round of the driver: what the at-most-k solver picked on the
-    working graph and the accumulator state after merging it in."""
-
-    picked: tuple[int, ...]
-    new_vertices: tuple[int, ...]
-    new_edge_count: int
-    total_vertices: int
-    total_edges: int
-
-
-@dataclass
 class DriverRun:
-    dhat: Fraction
-    iterations: list[DriverIteration] = field(default_factory=list)
-    aborted: bool = False
-    vertices: tuple[int, ...] = ()
-    result: SubgraphResult | None = None
+    """One driver branch: the at-most-k solver's answer in each round,
+    whether the branch stopped early, and its exactly-k result."""
+
+    picks: tuple[tuple[int, ...], ...]
+    aborted: bool
+    result: SubgraphResult
 
 
 def run_damks_driver(
-    G: Graph, k: int, solver: DamksSolverHandle, dhat: Fraction | int
+    G: Graph, k: int, solve: Callable[[Graph, int], SubgraphResult],
+    dhat: Fraction | int,
 ) -> DriverRun:
     """One guessed-density branch of the exactly-k driver.
 
-    Loop: solve at-most-k on the working graph, add the returned vertices to
-    the accumulator, move their induced working edges into the accumulator,
-    and repeat until ``4 * collected_edges >= k * dhat`` or the accumulator
-    reaches k vertices.  A zero-progress iteration aborts the branch (the
-    partial accumulator is still finalised).  Finally pad or trim to exactly
-    k vertices on the original graph.
+    ``solve(G, k)`` is an at-most-k solver; a set of more than k vertices
+    raises :class:`SolverContractError`.  Loop: solve on the working graph, add the returned vertices
+    to the accumulator, move their induced working edges into the
+    accumulator, and repeat until ``4 * collected_edges >= k * dhat`` or the
+    accumulator reaches k vertices.  A zero-progress round aborts the branch
+    (the partial accumulator is still finalised).  Finally pad or trim to
+    exactly k vertices on the original graph.
     """
     if not (1 <= k <= G.n):
         raise ValueError(f"k={k} out of range for n={G.n}")
     dhat = Fraction(dhat)
     if dhat < 0:
         raise ValueError(f"guessed density must be non-negative, got {dhat}")
-    run = DriverRun(dhat=dhat)
     work: set[tuple[int, int]] = set(G.edges)
     acc_vertices: set[int] = set()
-    acc_edges: set[tuple[int, int]] = set()
-
-    rounds = 0
-    while 4 * len(acc_edges) < k * dhat and len(acc_vertices) < k:
-        if rounds > G.m:  # safety net; progress makes this unreachable
-            run.aborted = True
+    collected = 0
+    picks: list[tuple[int, ...]] = []
+    aborted = False
+    while 4 * collected < k * dhat and len(acc_vertices) < k:
+        if len(picks) > G.m:  # safety net; progress makes this unreachable
+            aborted = True
             break
-        rounds += 1
-        working_graph = graph_from_edges(G.n, sorted(work))
-        picked = solver.solve(working_graph, k)
+        picked = solve(graph_from_edges(G.n, sorted(work)), k)
         if len(picked.vertices) > k:
             raise SolverContractError(
-                f"{solver.name} returned {len(picked.vertices)} > k={k} vertices"
+                f"solver returned {len(picked.vertices)} > k={k} vertices"
             )
+        picks.append(picked.vertices)
         inside = set(picked.vertices)
-        new_edges = {
-            (u, v) for u, v in work if u in inside and v in inside
-        }
-        new_vertices = inside - acc_vertices
+        new_edges = {(u, v) for u, v in work if u in inside and v in inside}
+        grew = not inside <= acc_vertices
         acc_vertices |= inside
-        acc_edges |= new_edges
+        collected += len(new_edges)
         work -= new_edges
-        run.iterations.append(
-            DriverIteration(
-                picked=picked.vertices,
-                new_vertices=tuple(sorted(new_vertices)),
-                new_edge_count=len(new_edges),
-                total_vertices=len(acc_vertices),
-                total_edges=len(acc_edges),
-            )
-        )
-        if not new_edges and not new_vertices:
-            run.aborted = True
+        if not new_edges and not grew:
+            aborted = True
             break
-
-    run.vertices = pad_most_neighbors(G, fixing_trim(G, acc_vertices, k), k)
-    run.result = induced_stats(G, run.vertices)
-    return run
+    vertices = pad_most_neighbors(G, fixing_trim(G, acc_vertices, k), k)
+    return DriverRun(tuple(picks), aborted, induced_stats(G, vertices))
 
 
 def dks_via_damks(
-    G: Graph,
-    k: int,
-    solver: DamksSolverHandle,
-    dstar_hint: Fraction | int | None = None,
+    G: Graph, k: int, solve: Callable[[Graph, int], SubgraphResult]
 ) -> SubgraphResult:
-    """Exactly-k densest subgraph via an at-most-k solver.
+    """Exactly-k densest subgraph via the at-most-k solver ``solve``.
 
-    Runs one driver branch per guessed density -- the powers-of-two ladder up
-    to n, or just ``dstar_hint`` when the caller already knows the optimal
-    density -- and returns the densest finalised accumulator.  With an exact
-    at-most-k solver and the right guess the result is a 4-approximation.
+    Runs one driver branch per guessed density on the powers-of-two ladder
+    up to n and returns the densest result.  With an exact at-most-k solver
+    the branch with the right guess is a 4-approximation.
     """
     if not (1 <= k <= G.n):
         raise ValueError(f"k={k} out of range for n={G.n}")
-    if dstar_hint is not None:
-        guesses = [Fraction(dstar_hint)]
-    else:
-        guesses = [Fraction(v) for v in doubling_ladder(G.n)]
-    best: SubgraphResult | None = None
-    for dhat in guesses:
-        run = run_damks_driver(G, k, solver, dhat)
-        assert run.result is not None
-        if best is None or better_than(run.result, best):
-            best = run.result
-    assert best is not None
-    return best
+    return pick_best(
+        run_damks_driver(G, k, solve, dhat).result
+        for dhat in doubling_ladder(G.n)
+    )
 
 
 def dalks_gadget(G: Graph, k: int) -> tuple[Graph, int]:
@@ -243,13 +192,19 @@ def dalks_gadget(G: Graph, k: int) -> tuple[Graph, int]:
 
     Any exact at-least-k' solution of the padded instance consists of the
     whole clique plus an exactly-k densest subgraph of ``G``, which is the
-    hardness reduction from the exactly-k problem.
+    hardness reduction from the exactly-k problem.  Raises ``ValueError``
+    before building anything when the padded graph would have more than
+    :data:`MAX_GADGET_EDGES` edges.
     """
-    if G.n < 1:
-        raise ValueError("gadget needs a non-empty base graph")
     if not (1 <= k <= G.n):
         raise ValueError(f"k={k} out of range for n={G.n}")
     n = G.n
+    size = 3 * n * (3 * n - 1) // 2 + G.m
+    if size > MAX_GADGET_EDGES:
+        raise ValueError(
+            f"padded graph would have {size} edges, over the limit of "
+            f"{MAX_GADGET_EDGES} (reduction.MAX_GADGET_EDGES)"
+        )
     clique = range(n, n + 3 * n)
     edges = list(G.edges)
     for i in clique:

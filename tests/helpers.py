@@ -20,6 +20,7 @@ from densek.exact import (
     EnumerationCapError,
     ProblemKind,
     _adjacency_masks,
+    exact_solve,
 )
 from densek.fkp import walk_rows
 from densek.flow import max_quasi_density
@@ -318,6 +319,12 @@ def exact_best_subsets(G: Graph, sizes) -> tuple[Fraction, list[tuple[int, ...]]
             elif avg == best:
                 out.append(combo)
     return best, out
+
+
+def oracle_damks(G: Graph, k: int) -> SubgraphResult:
+    """Exact at-most-k solver by enumeration, the plug-in the exactly-k
+    driver of ``densek.reduction`` is checked with."""
+    return exact_solve(G, k, ProblemKind.AT_MOST_K)
 
 
 def brute_min_cut(node_count, arcs, source, sink):

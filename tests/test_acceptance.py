@@ -34,7 +34,7 @@ from densek.graph import (
     induced_stats,
 )
 from densek.ratio import error_bound
-from densek.reduction import dalks_gadget, dks_via_damks, fixing_trim, oracle_damks_handle
+from densek.reduction import dalks_gadget, dks_via_damks, fixing_trim
 from densek.rng import derive_rng
 from densek.simplex import OPTIMAL, solve_lp
 from helpers import (
@@ -45,6 +45,7 @@ from helpers import (
     count_induced_edges,
     dalks_every_guess,
     min_degree_core,
+    oracle_damks,
     random_box_lp,
     round_once,
     solve_general,
@@ -113,7 +114,6 @@ def test_criterion_04_dalks_factor_two():
 
 def test_criterion_05_driver_quarter():
     rng = random.Random("criterion-05")
-    handle = oracle_damks_handle()
     instances = 0
     violations = []
     while instances < 200:
@@ -121,7 +121,7 @@ def test_criterion_05_driver_quarter():
         profile = best_edges_by_size(G)
         for k in range(1, G.n + 1):
             instances += 1
-            res = dks_via_damks(G, k, handle)
+            res = dks_via_damks(G, k, oracle_damks)
             assert len(res.vertices) == k
             if 4 * res.edge_count < profile[k]:
                 violations.append((G.edges, k))

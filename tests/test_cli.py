@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from densek.fkp import combined_dks
-from densek.graph import parse_edge_list
+from densek.graph import MAX_VERTICES, parse_edge_list
 from densek.ratio import MAX_LATTICE_STEPS
+from densek.reduction import MAX_GADGET_EDGES
 
 
 def run_cli(*args, stdin=None, env_extra=None, check=True, timeout=None):
@@ -294,6 +295,15 @@ class TestReduce:
         assert any("k' = 11" in l for l in target_lines)
         Gp = parse_edge_list(body)
         assert (Gp.n, Gp.m) == (12, 39)
+
+    def test_refuses_padding_past_the_limit(self, tmp_path):
+        # Refused from the sizes alone, before the clique is built.
+        path = tmp_path / "header.txt"
+        path.write_text(f"n {MAX_VERTICES}\n")
+        proc = run_cli("reduce", "-k", "1", str(path), check=False, timeout=30)
+        assert proc.returncode == 2
+        assert str(MAX_GADGET_EDGES) in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_bare_import_exposes_submodules():

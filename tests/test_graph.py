@@ -48,6 +48,20 @@ class TestConstruction:
         assert G.has_edge(0, 2) and G.has_edge(2, 0)
         assert not G.has_edge(0, 1)
 
+    def test_adjacency_sorted_whatever_the_edge_order(self):
+        rng = random.Random("adjacency-order")
+        for _ in range(30):
+            n = rng.randint(0, 30)
+            edges = [
+                (v, u) if rng.random() < 0.5 else (u, v)
+                for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3
+            ]
+            rng.shuffle(edges)
+            G = graph_from_edges(n, edges)
+            for x in range(n):
+                expected = sorted(u for e in edges if x in e for u in e if u != x)
+                assert G.adjacency[x] == tuple(expected)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self loop"):
             graph_from_edges(3, [(1, 1)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,17 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densek.exact import ProblemKind, exact_solve
-from densek.graph import gnp_graph, graph_from_edges, induced_stats
+from densek.graph import (
+    doubling_ladder,
+    gnp_graph,
+    graph_from_edges,
+    induced_stats,
+    pick_best,
+)
 from densek.reduction import (
-    DamksSolverHandle,
+    MAX_GADGET_EDGES,
     SolverContractError,
     dalks_gadget,
     dks_via_damks,
     fixing_trim,
-    oracle_damks_handle,
     run_damks_driver,
 )
-from helpers import count_induced_edges, exact_best_subsets
+from helpers import count_induced_edges, exact_best_subsets, oracle_damks
 
 
 def complete_graph(n):
@@ -72,29 +78,29 @@ class TestFixingTrim:
 class TestDriver:
     def test_single_round_on_triangle(self):
         G = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
-        run = run_damks_driver(G, 3, oracle_damks_handle(), Fraction(2))
+        run = run_damks_driver(G, 3, oracle_damks, Fraction(2))
         assert not run.aborted
-        assert len(run.iterations) == 1
+        assert len(run.picks) == 1
         assert run.result.vertices == (0, 1, 2) and run.result.edge_count == 3
 
     def test_zero_guess_is_pure_padding(self):
-        run = run_damks_driver(complete_graph(4), 2, oracle_damks_handle(), 0)
-        assert run.iterations == []
+        run = run_damks_driver(complete_graph(4), 2, oracle_damks, 0)
+        assert run.picks == ()
         assert run.result.vertices == (0, 1) and run.result.edge_count == 1
 
     def test_solver_contract(self):
-        greedy_all = DamksSolverHandle(
-            solve=lambda g, k: induced_stats(g, tuple(range(g.n))), name="bad"
-        )
+        def greedy_all(g, k):
+            return induced_stats(g, tuple(range(g.n)))
+
         with pytest.raises(SolverContractError, match="4 > k=2"):
             run_damks_driver(complete_graph(4), 2, greedy_all, Fraction(1))
 
     def test_stalled_solver_aborts_but_finalises(self):
-        stuck = DamksSolverHandle(
-            solve=lambda g, k: induced_stats(g, ()), name="stuck"
-        )
+        def stuck(g, k):
+            return induced_stats(g, ())
+
         run = run_damks_driver(complete_graph(4), 3, stuck, Fraction(3))
-        assert run.aborted and len(run.iterations) == 1
+        assert run.aborted and len(run.picks) == 1
         assert run.result.vertices == (0, 1, 2) and run.result.edge_count == 3
 
     def test_iteration_totals_are_consistent(self):
@@ -103,14 +109,9 @@ class TestDriver:
             G = gnp_graph(rng.randint(4, 9), rng.uniform(0.3, 0.8), rng.randint(0, 99))
             k = rng.randint(1, G.n)
             dhat = Fraction(rng.randint(0, 2 * max(G.m, 1)), rng.randint(1, 3))
-            run = run_damks_driver(G, k, oracle_damks_handle(), dhat)
-            seen_vertices, seen_edges = set(), 0
-            for it in run.iterations:
-                assert len(it.picked) <= k
-                seen_vertices |= set(it.new_vertices)
-                seen_edges += it.new_edge_count
-                assert it.total_vertices == len(seen_vertices)
-                assert it.total_edges == seen_edges
+            run = run_damks_driver(G, k, oracle_damks, dhat)
+            for picked in run.picks:
+                assert len(picked) <= k
             assert len(run.result.vertices) == k
             assert count_induced_edges(G, run.result.vertices) == run.result.edge_count
 
@@ -122,12 +123,23 @@ class TestDriver:
             G = gnp_graph(rng.randint(4, 9), rng.uniform(0.4, 0.9), rng.randint(0, 99))
             k = rng.randint(2, G.n)
             best, _ = exact_best_subsets(G, [k])
-            res = dks_via_damks(G, k, oracle_damks_handle(), dstar_hint=best)
+            res = run_damks_driver(G, k, oracle_damks, best).result
             assert Fraction(2 * res.edge_count, k) * 4 >= best
 
     def test_edgeless(self):
-        res = dks_via_damks(graph_from_edges(5, []), 3, oracle_damks_handle())
+        res = dks_via_damks(graph_from_edges(5, []), 3, oracle_damks)
         assert res.vertices == (0, 1, 2) and res.edge_count == 0
+
+    def test_best_branch_over_the_ladder(self):
+        rng = random.Random("driver-ladder")
+        for _ in range(10):
+            G = gnp_graph(rng.randint(2, 9), rng.uniform(0.2, 0.9), rng.randint(0, 99))
+            k = rng.randint(1, G.n)
+            branches = [
+                run_damks_driver(G, k, oracle_damks, dhat).result
+                for dhat in doubling_ladder(G.n)
+            ]
+            assert dks_via_damks(G, k, oracle_damks) == pick_best(branches)
 
 
 class TestGadget:
@@ -163,15 +175,24 @@ class TestGadget:
         assert best.vertices == (2, 3, 4, 5, 6, 7)
         assert best.average_degree == 5.0
 
+    def test_refuses_before_building_past_the_limit(self):
+        # n = 241 pads with a 723-clique of 261,003 edges; the input's own
+        # edges count too, so 1,142 of them put the total one past 2^18.
+        pairs = itertools.combinations(range(241), 2)
+        G = graph_from_edges(241, itertools.islice(pairs, 1142))
+        with pytest.raises(ValueError, match=str(MAX_GADGET_EDGES)):
+            dalks_gadget(G, 1)
+        with pytest.raises(ValueError, match=str(MAX_GADGET_EDGES)):
+            dalks_gadget(graph_from_edges(242, []), 1)
 
-class TestOracleHandle:
+
+class TestOracle:
     def test_returns_exact_at_most_k(self):
-        handle = oracle_damks_handle()
         rng = random.Random("oracle-handle")
         for _ in range(10):
             G = gnp_graph(rng.randint(2, 7), 0.5, rng.randint(0, 99))
             k = rng.randint(1, G.n)
-            got = handle.solve(G, k)
+            got = oracle_damks(G, k)
             best, _ = exact_best_subsets(G, range(0, k + 1))
             value = (
                 Fraction(2 * got.edge_count, len(got.vertices))
@@ -186,4 +207,4 @@ class TestOracleHandle:
         rng = random.Random(f"oracle-{salt}")
         G = gnp_graph(rng.randint(1, 7), rng.uniform(0.1, 0.9), salt)
         k = rng.randint(1, G.n)
-        assert len(oracle_damks_handle().solve(G, k).vertices) <= k
+        assert len(oracle_damks(G, k).vertices) <= k
