@@ -5,7 +5,8 @@ Machine-readable results go to stdout as one JSON object per line
 except for the ``wall_time_ms`` field); human-oriented notes go to stderr.
 Exit codes: 0 success, 1 verification mismatch, 2 usage/input errors
 (including ``reduce`` on a graph whose padded copy would pass
-``reduction.MAX_GADGET_EDGES`` edges), 3 refusal because an instance exceeds
+``reduction.MAX_GADGET_EDGES`` edges, and ``gen`` past
+``graph.MAX_GNP_PAIRS`` vertex pairs), 3 refusal because an instance exceeds
 the exact-enumeration cap (or the 52 vertices past which exact's int64 subset
 keys would overflow).
 """

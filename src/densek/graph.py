@@ -24,6 +24,13 @@ from typing import Iterable, Sequence
 # as ``0 1000000000`` must not be able to demand a billion of them.
 MAX_VERTICES = 1 << 20
 
+# gnp_graph draws one random number per vertex pair in Python, so it refuses
+# more pairs than this: n above 2048, and so any n past MAX_VERTICES.  At
+# n = 2000 a draw with p = 0.003 took 0.11 s (CPython 3.11, 2 vCPUs).  Each
+# edge costs about 300 bytes (measured at n = 1000, p = 1), so p = 1 at the
+# limit would need an estimated 0.7 GB.
+MAX_GNP_PAIRS = 2048 * 2047 // 2
+
 
 class GraphParseError(ValueError):
     """Malformed edge-list text.  ``line`` is the 1-based offending line."""
@@ -331,6 +338,12 @@ def gnp_graph(n: int, p: float, seed: int | str | random.Random = 0) -> Graph:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability {p} outside [0, 1]")
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_GNP_PAIRS:
+        raise ValueError(
+            f"n={n} has {pairs} vertex pairs, over the limit of {MAX_GNP_PAIRS} "
+            "(graph.MAX_GNP_PAIRS)"
+        )
     rng = seed if isinstance(seed, random.Random) else random.Random(f"gnp:{seed}")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)

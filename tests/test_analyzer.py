@@ -118,7 +118,10 @@ class TestGrid:
         assert (got.argmax.g, got.argmax.K, got.argmax.d) == pytest.approx(argmax)
         assert got.evaluations == count
 
-    @pytest.mark.parametrize("delta", [0.25, 0.1, 0.05, 0.02])
+    # 1/7, 1/33 and 1/100 are neither multiples of the tile side nor powers
+    # of two, so boxes are cut at the lattice edge and on the d, K >= g
+    # diagonal.
+    @pytest.mark.parametrize("delta", [0.25, 0.1, 0.05, 0.02, 1 / 7, 1 / 33, 1 / 100])
     def test_matches_full_sweep_on_every_subset(self, delta):
         for size in range(1, len(ALGOS) + 1):
             for algos in itertools.combinations(ALGOS, size):
@@ -131,7 +134,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("name", ["fkp5", "a6combo", "custom:a5"])
     def test_bound_prunes_nearly_every_point(self, monkeypatch, name):
-        # A loosened tile bound would evaluate far more of the lattice.
+        # A loosened box bound would evaluate far more of the lattice.
         algos = RATIO_SETS.get(name, frozenset({"a5"}))
         evaluated = []
         evaluate = ratio._evaluate
@@ -141,8 +144,10 @@ class TestGrid:
             return evaluate(g, d, K, algoset)
 
         monkeypatch.setattr(ratio, "_evaluate", counting)
-        r = grid_max_min(0.001, algos)
-        assert sum(evaluated) < 0.01 * r.evaluations
+        for delta in (0.001, 1 / MAX_LATTICE_STEPS):
+            evaluated.clear()
+            r = grid_max_min(delta, algos)
+            assert sum(evaluated) < 0.01 * r.evaluations, delta
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -155,8 +160,8 @@ class TestGrid:
             grid_max_min(0.25, frozenset({"zz"}))
 
     def test_rejects_lattice_past_the_limit(self, monkeypatch):
-        # Refused before any slice is visited.
-        monkeypatch.setattr(ratio, "_slice_max", None)
+        # Refused before any box is bounded.
+        monkeypatch.setattr(ratio, "_bound", None)
         with pytest.raises(ValueError, match=str(MAX_LATTICE_STEPS)):
             grid_max_min(0.0001, FKP5)
 

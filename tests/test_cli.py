@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from densek.fkp import combined_dks
-from densek.graph import MAX_VERTICES, parse_edge_list
+from densek.graph import MAX_GNP_PAIRS, MAX_VERTICES, parse_edge_list
 from densek.ratio import MAX_LATTICE_STEPS
 from densek.reduction import MAX_GADGET_EDGES
 
@@ -74,6 +74,12 @@ class TestGen:
 
     def test_rejects_bad_probability(self):
         assert run_cli("gen", "-n", "5", "-p", "1.5", check=False).returncode == 2
+
+    def test_refuses_too_many_pairs(self):
+        proc = run_cli("gen", "-n", str(10**12), "-p", "0.5", check=False, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert str(MAX_GNP_PAIRS) in proc.stderr and "MAX_GNP_PAIRS" in proc.stderr
 
 
 class TestSolve:

@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densek.graph import (
+    MAX_GNP_PAIRS,
     MAX_VERTICES,
     Graph,
     GraphParseError,
@@ -253,3 +255,14 @@ class TestGnp:
             gnp_graph(-1, 0.5)
         with pytest.raises(ValueError):
             gnp_graph(3, 1.5)
+
+    def test_refuses_too_many_pairs_before_drawing(self):
+        # n = 2048 is the largest accepted; a huge n, past MAX_VERTICES too,
+        # is refused at once instead of drawing its pairs one by one.
+        assert 2048 * 2047 // 2 == MAX_GNP_PAIRS
+        assert gnp_graph(2048, 0.0).n == 2048
+        for n in (2049, MAX_VERTICES + 1, 10**12):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=str(MAX_GNP_PAIRS)):
+                gnp_graph(n, 0.5)
+            assert time.perf_counter() - start < 1.0

@@ -157,6 +157,15 @@ class TestGadget:
         Gp, kp = dalks_gadget(tri, 2)
         assert (Gp.n, Gp.m, kp) == (12, 39, 11)
 
+    @pytest.mark.parametrize("n,p,seed", [(1, 0.0, 0), (5, 0.5, 1), (9, 0.3, 2), (12, 1.0, 3)])
+    def test_equals_the_validated_build(self, n, p, seed):
+        # The padded graph is assembled directly; graph_from_edges, which
+        # checks and sorts every edge, must build the identical graph.
+        G = gnp_graph(n, p, seed)
+        Gp, _ = dalks_gadget(G, 1)
+        clique = itertools.combinations(range(n, 4 * n), 2)
+        assert Gp == graph_from_edges(4 * n, [*G.edges, *clique])
+
     def test_gadget_optimum_is_at_least_clique(self):
         # the appended clique alone averages 3n-1, so the at-most-k' optimum
         # can never fall below that
