@@ -8,7 +8,9 @@ record the density ratio combined/exact.  The headline number is the envelope:
 the worst ratio across every (instance, k) with a nonzero optimum.
 
 JSON-lines records go to stdout, progress to stderr.  The envelope for the
-default arguments is the regression value pinned in the test suite.
+default arguments is the regression value pinned in the test suite.  A bad
+argument (an unknown algorithm, an n past the enumeration cap) ends the run
+with exit code 2 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    try:
+        return sweep(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+
+
+def sweep(args) -> int:
     include = tuple(args.include.split(","))
     envelope: Fraction | None = None
     envelope_at = None

@@ -23,6 +23,7 @@ from . import exact, fkp, ratio, reduction
 from .graph import (
     Graph,
     GraphParseError,
+    check_k,
     gnp_graph,
     induced_stats,
     parse_edge_list,
@@ -67,8 +68,7 @@ def _result_record(
 def _cmd_solve(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
     k = args.k
-    if not (1 <= k <= G.n):
-        raise ValueError(f"k={k} out of range [1, {G.n}]")
+    check_k(G, k)
     if args.reps is not None and args.reps < 1:
         raise ValueError(f"reps must be positive, got {args.reps}")
     shared = {"seed": args.seed, "reps": args.reps}

@@ -30,10 +30,12 @@ be rounded (:func:`lp_pairs`):
   ladder stops once ``1 + gamma`` exceeds k.
 
 Each relaxation is built directly as one standard-form
-:class:`simplex.LinearProgram` matrix, with ``y_i <= 1`` written as rows.
-The roundings of one relaxation are drawn in numpy batches of at most
-``ROUND_CHUNK`` reps (:func:`round_batch`), and only their distinct
-candidate sets are trimmed and scored.
+:class:`simplex.LinearProgram` matrix from the edge view ``G.ends``, with
+``y_i <= 1`` written as rows.  The roundings of one relaxation are drawn in
+numpy batches of at most ``ROUND_CHUNK`` reps (:func:`round_batch`); each
+rep's two window samples are scored over the edge list
+(:func:`_average_degrees`, no n x n matrix), and only the distinct candidate
+sets are trimmed and scored.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from typing import Sequence
 import numpy as np
 
 from . import simplex
-from .graph import Graph, SubgraphResult, better_than, doubling_ladder, induced_stats
+from .graph import (
+    Graph, SubgraphResult, better_than, check_k, checked_vertices, doubling_ladder, induced_stats,
+)
 from .reduction import fixing_trim, peel
 from .rng import derive_rng
 
@@ -66,12 +70,10 @@ def build_damks_lp(G: Graph, root: int, gamma: float) -> simplex.LinearProgram:
     unsatisfiable together with ``y_i0 = 1`` (for ``gamma > 0``), which the
     solver reports as infeasible rather than an error.
     """
-    if not (0 <= root < G.n):
-        raise ValueError(f"root {root} out of range for n={G.n}")
+    checked_vertices(G, (root,))
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    n, m = G.n, G.m
-    ends = np.array(G.edges, dtype=np.int64).reshape(m, 2)
+    n, m, ends = G.n, G.m, G.ends
     vertex = np.arange(n)
     x_col = n + np.arange(m)
     edge_row = 1 + n + 2 * np.arange(m)
@@ -94,8 +96,7 @@ def build_damks_lp(G: Graph, root: int, gamma: float) -> simplex.LinearProgram:
 def distance_layers(G: Graph, root: int) -> tuple[frozenset[int], ...]:
     """BFS distance classes around the root: ``layers[i]`` holds the
     vertices at distance exactly i (0 <= i <= 3)."""
-    if not (0 <= root < G.n):
-        raise ValueError(f"root {root} out of range for n={G.n}")
+    checked_vertices(G, (root,))
     dist = {root: 0}
     queue = deque([root])
     while queue:
@@ -141,13 +142,14 @@ def round_batch(
     return masks[0], masks[1]
 
 
-def _average_degrees(adjacency: np.ndarray, masks: np.ndarray) -> np.ndarray:
+def _average_degrees(G: Graph, masks: np.ndarray) -> np.ndarray:
     """Average degree ``2e / s`` of the set each mask row induces (0.0 for
-    the empty set), with the same float operations as ``induced_stats``."""
-    rows = masks.astype(float)
-    twice_edges = np.einsum("ij,ij->i", rows @ adjacency, rows)
-    sizes = rows.sum(axis=1)
-    out = np.zeros(len(rows))
+    the empty set), with the same float operations as ``induced_stats``:
+    ``e`` counts the edges with both ends in the row."""
+    inside = masks[:, G.ends[:, 0]] & masks[:, G.ends[:, 1]]
+    twice_edges = 2.0 * np.count_nonzero(inside, axis=1)
+    sizes = np.count_nonzero(masks, axis=1)
+    out = np.zeros(len(masks))
     np.divide(twice_edges, sizes, out=out, where=sizes > 0)
     return out
 
@@ -196,15 +198,11 @@ def a6_damks(
     than k vertices.  A pair whose LP the simplex cannot certify
     (:class:`simplex.LpNumericalError`) is skipped like an infeasible one.
     """
-    if not (1 <= k <= G.n):
-        raise ValueError(f"k={k} out of range for n={G.n}")
+    check_k(G, k)
     if reps is None:
         reps = 16 * G.n
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
-    adjacency = np.zeros((G.n, G.n))
-    for u, v in G.edges:
-        adjacency[u, v] = adjacency[v, u] = 1.0
     best: SubgraphResult | None = None
     for root, gamma in lp_pairs(G, k):
         try:
@@ -224,7 +222,7 @@ def a6_damks(
         seen: set[bytes] = set()
         for start in range(0, reps, ROUND_CHUNK):
             s1, s2 = round_batch(G, layers, y, rng, min(ROUND_CHUNK, reps - start))
-            denser = _average_degrees(adjacency, s1) >= _average_degrees(adjacency, s2)
+            denser = _average_degrees(G, s1) >= _average_degrees(G, s2)
             chosen = np.where(denser[:, None], s1, s2)
             sizes = chosen.sum(axis=1)
             chosen = chosen[(sizes > 0) & (sizes <= 2 * k)]

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph, SubgraphResult, pick_best
+from .graph import Graph, SubgraphResult, check_k, pick_best
 
 DEFAULT_ENUMERATION_CAP = 24
 # Vertices in the low block, whose 2^LOW_BITS masks each numpy table spans.
@@ -129,8 +129,7 @@ def exact_solve(
             f"n={G.n} exceeds {MAX_KEY_VERTICES}, the most vertices whose "
             "subset keys fit in int64"
         )
-    if not (1 <= k <= G.n):
-        raise ValueError(f"k={k} out of range for n={G.n}")
+    check_k(G, k)
 
     if kind is ProblemKind.EXACTLY_K:
         legal = range(k, k + 1)

@@ -14,11 +14,12 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
   graph into walk layers between them, and harvest candidate sets from the
   middle layers (including a thresholded "good vertex" sweep over a doubling
   ladder of density guesses, and random sparsification).  Walks are counted
-  in int64 numpy arrays, one ``A @ X`` step (:func:`_walk_step`) at a time:
-  the best pair from ``A^5`` on ``WALK_BLOCK`` source columns at once, then
-  the layers, loads and star scores from the pair's own rows
-  (:func:`walk_rows`).  Memory is O(``WALK_BLOCK`` * (n + m)), and degrees
-  above ``MAX_WALK_DEGREE``, where a count could pass 2^63, are refused.
+  in int64 numpy arrays, one ``A @ X`` step (:func:`_walk_step`, a scatter
+  over both directions of the edge view ``G.ends``) at a time: the best pair
+  from ``A^5`` on ``WALK_BLOCK`` source columns at once, then the layers,
+  loads and star scores from the pair's own rows (:func:`walk_rows`).
+  Memory is O(``WALK_BLOCK`` * (n + m)), and degrees above
+  ``MAX_WALK_DEGREE``, where a count could pass 2^63, are refused.
 * ``a6_damks`` (in :mod:`densek.damks`) — LP rounding.
 
 ``dks_candidates`` runs any subset of the six on the graph itself and on
@@ -43,6 +44,8 @@ from .damks import a6_damks
 from .graph import (
     Graph,
     SubgraphResult,
+    check_k,
+    checked_vertices,
     doubling_ladder,
     induced_stats,
     induced_subgraph,
@@ -69,11 +72,6 @@ WALK_BLOCK = 64
 MAX_WALK_DEGREE = math.isqrt(math.isqrt(2**63 - 1))
 
 
-def _check_k(G: Graph, k: int, minimum: int = 1) -> None:
-    if not (minimum <= k <= G.n):
-        raise ValueError(f"k={k} out of range [{minimum}, {G.n}]")
-
-
 def _greedy_matching(G: Graph, k: int) -> set[int]:
     """Endpoints of the greedy matching over ``G.edges`` in order, stopped at
     ``floor(k/2)`` edges."""
@@ -91,7 +89,7 @@ def a1_matching(G: Graph, k: int) -> SubgraphResult:
     """Greedy matching truncated at ``floor(k/2)`` edges, padded to k vertices
     with the lowest free ids.  If the greedy matching reaches ``floor(k/2)``
     edges the result keeps at least that many."""
-    _check_k(G, k)
+    check_k(G, k)
     return induced_stats(G, pad_lowest_id(G, _greedy_matching(G, k), k))
 
 
@@ -106,7 +104,7 @@ def attachment_counts(G: Graph, heavy: set[int]) -> dict[int, int]:
 def a2_top_degrees(G: Graph, k: int) -> SubgraphResult:
     """Top ``ceil(k/2)`` degrees plus the ``floor(k/2)`` outside vertices with
     the most neighbors among them.  Requires ``k >= 2``."""
-    _check_k(G, k, minimum=2)
+    check_k(G, k, minimum=2)
     heavy = set(top_degree_vertices(G, (k + 1) // 2))
     counts = attachment_counts(G, heavy)
     rest = sorted(counts, key=lambda v: (-counts[v], v))
@@ -129,14 +127,14 @@ def _neighborhood_candidates(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
 def a3_neighborhoods(G: Graph, k: int) -> SubgraphResult:
     """Best of: each vertex with its highest-degree neighbors, and each pair
     with its lowest-id common neighbors; all candidates padded to k."""
-    _check_k(G, k)
+    check_k(G, k)
     return pick_best(induced_stats(G, c) for c in _neighborhood_candidates(G, k))
 
 
 def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
     """Run a1/a2/a3 inside ``N(u) union N(v)`` for every edge ``(u, v)`` and
     keep the best candidate (the plain a1 answer is always in the pool)."""
-    _check_k(G, k)
+    check_k(G, k)
     candidates: list[SubgraphResult] = [a1_matching(G, k)]
     for u, v in G.edges:
         verts = set(G.adjacency[u]) | set(G.adjacency[v])
@@ -151,31 +149,23 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
     return pick_best(candidates)
 
 
-def _arcs(G: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and heads of both directions of every edge."""
-    ends = np.array(G.edges, dtype=np.intp).reshape(G.m, 2)
-    both = np.concatenate([ends, ends[:, ::-1]])
-    return both[:, 0], both[:, 1]
-
-
-def _walk_step(arcs: tuple[np.ndarray, np.ndarray], X: np.ndarray) -> np.ndarray:
-    """``A @ X`` for the adjacency matrix ``A`` whose arcs are ``arcs``."""
-    tails, heads = arcs
+def _walk_step(G: Graph, X: np.ndarray) -> np.ndarray:
+    """``A @ X`` for the adjacency matrix ``A`` of ``G``."""
+    u, v = G.ends[:, 0], G.ends[:, 1]
     out = np.zeros_like(X)
-    np.add.at(out, heads, X[tails])
+    np.add.at(out, v, X[u])
+    np.add.at(out, u, X[v])
     return out
 
 
 def walk_rows(G: Graph, w: int, top: int) -> list[np.ndarray]:
     """``rows[i] = A^i e_w`` for ``0 <= i <= top``: entry z counts the walks
     of exactly i edges from w to z, as int64."""
-    if not (0 <= w < G.n):
-        raise ValueError(f"vertex {w} out of range for n={G.n}")
-    arcs = _arcs(G)
+    checked_vertices(G, (w,))
     rows = [np.zeros(G.n, dtype=np.int64)]
     rows[0][w] = 1
     for _ in range(top):
-        rows.append(_walk_step(arcs, rows[-1]))
+        rows.append(_walk_step(G, rows[-1]))
     return rows
 
 
@@ -183,7 +173,6 @@ def _best_pair(G: Graph) -> tuple[int, int] | None:
     """The first pair ``(a, b)``, ``a != b``, in row-major order with the
     most length-5 walks between them, or None when no such walk exists.
     ``A^5`` is computed on ``WALK_BLOCK`` source columns at a time."""
-    arcs = _arcs(G)
     best, best_count = None, 0
     for start in range(0, G.n, WALK_BLOCK):
         sources = np.arange(start, min(start + WALK_BLOCK, G.n))
@@ -191,7 +180,7 @@ def _best_pair(G: Graph) -> tuple[int, int] | None:
         X = np.zeros((G.n, len(sources)), dtype=np.int64)
         X[own] = 1
         for _ in range(5):
-            X = _walk_step(arcs, X)
+            X = _walk_step(G, X)
         X[own] = 0
         # Row j of X.T is source start + j; argmax keeps the first maximum in
         # row-major order, and a later block must be strictly larger.
@@ -259,7 +248,7 @@ def a5_walks(
     ``ladder_n`` defaults to ``G.n``.  Raises ``ValueError`` when the
     maximum degree exceeds ``MAX_WALK_DEGREE``.
     """
-    _check_k(G, k)
+    check_k(G, k)
     d_max = max(G.degree(x) for x in range(G.n))
     if d_max > MAX_WALK_DEGREE:
         raise ValueError(
@@ -359,7 +348,7 @@ def dks_candidates(
     guesses from ``G.n`` on both branches.  a2 is skipped where the branch
     has ``k < 2``.
     """
-    _check_k(G, k)
+    check_k(G, k)
     chosen = set(include)
     unknown = chosen.difference(ALGO_NAMES)
     if unknown:

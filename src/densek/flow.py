@@ -16,7 +16,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable
 
-from .graph import Graph, SubgraphResult, induced_stats, pad_most_neighbors, pick_best
+from .graph import Graph, SubgraphResult, check_k, induced_stats, pad_most_neighbors, pick_best
 
 
 def max_flow(
@@ -232,8 +232,7 @@ def dalks_2approx(G: Graph, k: int) -> SubgraphResult:
     a nested chain of at most ``n + 1`` sets, found with ``O(n)`` min-cuts; a
     chain set counts only if a guess's penalty falls in its interval.
     """
-    if not (1 <= k <= G.n):
-        raise ValueError(f"k={k} out of range for n={G.n}")
+    check_k(G, k)
     candidates = [induced_stats(G, pad_most_neighbors(G, (), k))]
     if G.m:
         chain = _quasi_chain(G, Fraction(1, 2 * G.n), Fraction(G.m, 2 * k))

@@ -2,7 +2,9 @@
 
 Graphs live on dense integer vertex ids ``0..n-1``.  Edges are stored as a
 sorted tuple of ``(u, v)`` pairs with ``u < v``; parallel edges and self loops
-are rejected at construction time.
+are rejected at construction time.  :attr:`Graph.ends` is the one numpy view
+of the edges, and :func:`check_k` and :func:`checked_vertices` the one test
+of a valid size ``k`` and vertex id.
 
 The text format accepted by :func:`parse_edge_list` is one edge per line
 (``"u v"``), ``#`` starting a comment line, blank lines ignored, and an
@@ -13,12 +15,15 @@ isolated vertices).  Without a header the vertex count is inferred as
 
 from __future__ import annotations
 
+import functools
 import heapq
 import io
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 # Parsed graphs hold one adjacency list per vertex id, so a single line such
 # as ``0 1000000000`` must not be able to demand a billion of them.
@@ -54,6 +59,15 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        """``G.edges`` as a read-only ``(m, 2)`` ``np.intp`` array, built on
+        first use and kept in the instance ``__dict__`` (so it takes no part
+        in ``==`` or ``hash``)."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(self.m, 2)
+        ends.flags.writeable = False
+        return ends
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -70,6 +84,21 @@ class SubgraphResult:
     vertices: tuple[int, ...]
     edge_count: int
     average_degree: float
+
+
+def check_k(G: Graph, k: int, minimum: int = 1) -> None:
+    """Raise ``ValueError`` unless ``minimum <= k <= G.n``."""
+    if not (minimum <= k <= G.n):
+        raise ValueError(f"k={k} out of range [{minimum}, {G.n}]")
+
+
+def checked_vertices(G: Graph, vertices: Iterable[int]) -> set[int]:
+    """``vertices`` as a set, after checking every id lies in ``0..n-1``."""
+    vset = set(vertices)
+    for v in vset:
+        if not (0 <= v < G.n):
+            raise ValueError(f"vertex {v} out of range for n={G.n}")
+    return vset
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -197,10 +226,7 @@ def serialize_edge_list(G: Graph) -> str:
 
 def induced_stats(G: Graph, vertices: Iterable[int]) -> SubgraphResult:
     """Edge count and average degree of the subgraph induced by ``vertices``."""
-    vset = set(vertices)
-    for v in vset:
-        if not (0 <= v < G.n):
-            raise ValueError(f"vertex {v} out of range for n={G.n}")
+    vset = checked_vertices(G, vertices)
     count = 0
     for v in vset:
         for u in G.adjacency[v]:
@@ -258,10 +284,7 @@ def induced_subgraph(G: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
     Returns ``(subgraph, original_ids)`` where ``original_ids[new] = old``.
     """
-    old_ids = tuple(sorted(set(vertices)))
-    for v in old_ids:
-        if not (0 <= v < G.n):
-            raise ValueError(f"vertex {v} out of range for n={G.n}")
+    old_ids = tuple(sorted(checked_vertices(G, vertices)))
     index = {old: new for new, old in enumerate(old_ids)}
     edges = [
         (index[u], index[v])
@@ -277,8 +300,7 @@ def remove_top_degrees(G: Graph, k: int) -> tuple[Graph, tuple[int, ...]]:
     Returns the remaining induced subgraph and its original-id map.  Requires
     that at least one vertex survives.
     """
-    if not (1 <= k <= G.n):
-        raise ValueError(f"k={k} out of range for n={G.n}")
+    check_k(G, k)
     half = (k + 1) // 2
     if half >= G.n:
         raise ValueError(f"removing {half} of {G.n} vertices leaves nothing")
@@ -304,10 +326,7 @@ def pad_lowest_id(G: Graph, vertices: Iterable[int], k: int) -> tuple[int, ...]:
 def pad_most_neighbors(G: Graph, vertices: Iterable[int], k: int) -> tuple[int, ...]:
     """Grow the set to exactly ``k`` vertices, each time adding the outside
     vertex with the most neighbors already inside (ties to lower ids)."""
-    vset = set(vertices)
-    for v in vset:
-        if not (0 <= v < G.n):
-            raise ValueError(f"vertex {v} out of range for n={G.n}")
+    vset = checked_vertices(G, vertices)
     if len(vset) > k:
         raise ValueError(f"set of size {len(vset)} already exceeds k={k}")
     if k > G.n:

@@ -23,6 +23,8 @@ from typing import Callable, Iterator, Mapping
 from .graph import (
     Graph,
     SubgraphResult,
+    check_k,
+    checked_vertices,
     doubling_ladder,
     graph_from_edges,
     induced_stats,
@@ -68,10 +70,7 @@ def peel(
     Ids and weights are checked when ``peel`` is called; the deletions run
     lazily as the result is iterated.  All arithmetic is exact.
     """
-    alive = set(vertices)
-    for v in alive:
-        if not (0 <= v < G.n):
-            raise ValueError(f"vertex {v} out of range for n={G.n}")
+    alive = checked_vertices(G, vertices)
     # Unweighted degrees stay ints; Fractions only carry real weights.
     wdeg: dict[int, Fraction | int] = {v: 0 for v in alive}
     for v in alive:
@@ -137,8 +136,7 @@ def run_damks_driver(
     (the partial accumulator is still finalised).  Finally pad or trim to
     exactly k vertices on the original graph.
     """
-    if not (1 <= k <= G.n):
-        raise ValueError(f"k={k} out of range for n={G.n}")
+    check_k(G, k)
     dhat = Fraction(dhat)
     if dhat < 0:
         raise ValueError(f"guessed density must be non-negative, got {dhat}")
@@ -179,8 +177,7 @@ def dks_via_damks(
     up to n and returns the densest result.  With an exact at-most-k solver
     the branch with the right guess is a 4-approximation.
     """
-    if not (1 <= k <= G.n):
-        raise ValueError(f"k={k} out of range for n={G.n}")
+    check_k(G, k)
     return pick_best(
         run_damks_driver(G, k, solve, dhat).result
         for dhat in doubling_ladder(G.n)
@@ -196,8 +193,7 @@ def dalks_gadget(G: Graph, k: int) -> tuple[Graph, int]:
     before building anything when the padded graph would have more than
     :data:`MAX_GADGET_EDGES` edges.
     """
-    if not (1 <= k <= G.n):
-        raise ValueError(f"k={k} out of range for n={G.n}")
+    check_k(G, k)
     n = G.n
     size = 3 * n * (3 * n - 1) // 2 + G.m
     if size > MAX_GADGET_EDGES:

@@ -807,3 +807,18 @@ def min_degree_core(G: Graph, vertices, threshold: Fraction | float) -> tuple[in
     ``threshold`` (possibly empty): the vertices of core number at least
     ``threshold``."""
     return tuple(sorted(v for v, c in core_numbers(G, vertices).items() if c >= threshold))
+
+
+def dense_average_degrees(G: Graph, masks: np.ndarray) -> np.ndarray:
+    """Reference for ``damks._average_degrees``: the average degree of each
+    mask row's induced set through a dense n x n adjacency matrix, as
+    ``rows @ A`` dotted with ``rows`` over ``rows.sum``."""
+    adjacency = np.zeros((G.n, G.n))
+    for u, v in G.edges:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    rows = masks.astype(float)
+    twice_edges = np.einsum("ij,ij->i", rows @ adjacency, rows)
+    sizes = rows.sum(axis=1)
+    out = np.zeros(len(rows))
+    np.divide(twice_edges, sizes, out=out, where=sizes > 0)
+    return out

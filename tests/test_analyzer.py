@@ -134,7 +134,10 @@ class TestGrid:
 
     @pytest.mark.parametrize("name", ["fkp5", "a6combo", "custom:a5"])
     def test_bound_prunes_nearly_every_point(self, monkeypatch, name):
-        # A loosened box bound would evaluate far more of the lattice.
+        # A loosened box bound, or cubes evaluated past the point where their
+        # bound falls below the best value, would evaluate more of the
+        # lattice: at delta = 0.001 the sweep evaluates 0.021% of it for
+        # a6combo, and 0.052% without that stop.
         algos = RATIO_SETS.get(name, frozenset({"a5"}))
         evaluated = []
         evaluate = ratio._evaluate
@@ -147,7 +150,7 @@ class TestGrid:
         for delta in (0.001, 1 / MAX_LATTICE_STEPS):
             evaluated.clear()
             r = grid_max_min(delta, algos)
-            assert sum(evaluated) < 0.01 * r.evaluations, delta
+            assert sum(evaluated) < 0.0003 * r.evaluations, delta
 
     def test_validation(self):
         with pytest.raises(ValueError):

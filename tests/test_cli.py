@@ -368,6 +368,20 @@ def test_headline_script_rejects_bad_step():
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [(["--include", "zz"], "unknown algorithms"), (["--n", "30"], "enumeration cap")],
+    ids=["unknown-algorithm", "past-the-cap"],
+)
+def test_oracle_script_rejects_bad_arguments(flags, message):
+    proc = run_script("oracle_benchmark.py", "--instances", "2", *flags)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
     "flags, env",
     [([], {"DENSEK_THREADS": "abc"}), ([], {"DENSEK_THREADS": "0"}), (["--workers", "0"], {})],
     ids=["env-abc", "env-0", "workers-0"],

@@ -21,6 +21,7 @@ from densek.graph import doubling_ladder, gnp_graph, graph_from_edges
 from helpers import (
     check_cauchy_mass,
     count_induced_edges,
+    dense_average_degrees,
     min_degree_core,
     petersen,
     round_once,
@@ -201,6 +202,25 @@ class TestRounding:
             assert tuple(np.flatnonzero(s1[rep]).tolist()) == out.s1
             assert tuple(np.flatnonzero(s2[rep]).tolist()) == out.s2
         assert batch_rng.getstate() == loop_rng.getstate()
+
+    @pytest.mark.parametrize("name,G", [
+        ("gnp-sparse", gnp_graph(14, 0.2, 1)),
+        ("gnp-dense", gnp_graph(17, 0.7, 2)),
+        ("edgeless", graph_from_edges(6, [])),
+        # vertices 5 and 6 have no edges
+        ("isolated", graph_from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4)])),
+        ("petersen", petersen()),
+    ])
+    def test_edge_list_scorer_matches_dense_reference(self, name, G):
+        rng = np.random.default_rng(len(name))
+        masks = np.vstack([
+            np.zeros(G.n, dtype=bool),
+            np.ones(G.n, dtype=bool),
+            rng.random((40, G.n)) < rng.random((40, 1)),
+        ])
+        got = damks._average_degrees(G, masks)
+        assert got.dtype == np.float64
+        assert got.tobytes() == dense_average_degrees(G, masks).tobytes()
 
 
 class TestA6:

@@ -1,10 +1,14 @@
+import ast
 import random
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densek
 from densek.graph import (
     MAX_GNP_PAIRS,
     MAX_VERTICES,
@@ -12,6 +16,8 @@ from densek.graph import (
     GraphParseError,
     SubgraphResult,
     better_than,
+    check_k,
+    checked_vertices,
     gnp_graph,
     graph_from_edges,
     induced_stats,
@@ -24,6 +30,7 @@ from densek.graph import (
     serialize_edge_list,
     top_degree_vertices,
 )
+from densek.reduction import dalks_gadget
 from helpers import (
     count_induced_edges,
     petersen,
@@ -75,6 +82,97 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             graph_from_edges(2, [(0, 2)])
+
+
+class TestEdgeView:
+    @pytest.mark.parametrize("G", [
+        graph_from_edges(0, []),
+        graph_from_edges(5, []),
+        graph_from_edges(4, [(2, 0), (1, 2), (3, 2)]),
+        gnp_graph(20, 0.3, 4),
+    ], ids=["empty", "edgeless", "star", "gnp"])
+    def test_equals_the_edge_tuple(self, G):
+        assert G.ends.dtype == np.intp
+        assert G.ends.shape == (G.m, 2)
+        assert G.ends.tolist() == [list(e) for e in G.edges]
+
+    def test_is_read_only(self):
+        G = petersen()
+        with pytest.raises(ValueError, match="read-only"):
+            G.ends[0, 0] = 5
+        assert G.ends is G.ends
+
+    def test_is_built_on_first_use_only(self):
+        G = parse_edge_list("0 1\n1 2\n")
+        assert "ends" not in G.__dict__
+        G.ends
+        assert "ends" in G.__dict__
+
+    def test_leaves_equality_and_hash_alone(self):
+        G, H = gnp_graph(12, 0.4, 1), gnp_graph(12, 0.4, 1)
+        G.ends
+        assert "ends" not in H.__dict__
+        assert G == H and hash(G) == hash(H)
+        assert G != gnp_graph(12, 0.4, 2)
+
+    def test_on_a_directly_built_graph(self):
+        G = gnp_graph(6, 0.5, 3)
+        Gp, _ = dalks_gadget(G, 2)
+        assert Gp.ends.tolist() == [list(e) for e in Gp.edges]
+        assert Gp.ends[: G.m].tolist() == G.ends.tolist()
+
+
+class TestChecks:
+    def test_check_k(self):
+        G = petersen()
+        check_k(G, 1)
+        check_k(G, 10)
+        check_k(G, 2, minimum=2)
+        for k, minimum in ((0, 1), (11, 1), (1, 2)):
+            with pytest.raises(ValueError, match=rf"k={k} out of range \[{minimum}, 10\]"):
+                check_k(G, k, minimum=minimum)
+
+    def test_checked_vertices(self):
+        G = petersen()
+        assert checked_vertices(G, [3, 0, 3, 9]) == {0, 3, 9}
+        assert checked_vertices(G, ()) == set()
+        for bad in (-1, 10):
+            with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=10"):
+                checked_vertices(G, [0, bad])
+
+
+def _edge_arrays_built(path: Path) -> list[int]:
+    """Lines of ``path`` that pass an ``.edges`` attribute to ``np.array``,
+    ``np.asarray`` or ``np.fromiter``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("array", "asarray", "fromiter")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "edges"
+                for arg in (*node.args, *(kw.value for kw in node.keywords))
+                for sub in ast.walk(arg)
+            )
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_graph_builds_the_edge_view():
+    # Every other module reads Graph.ends, so the edges become a numpy
+    # array in one place.
+    src = Path(densek.__file__).parent
+    found = {
+        path.name: _edge_arrays_built(path)
+        for path in sorted(src.glob("*.py"))
+        if path.name != "graph.py"
+    }
+    assert _edge_arrays_built(src / "graph.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 class TestParsing:
