@@ -9,8 +9,9 @@ the worst ratio across every (instance, k) with a nonzero optimum.
 
 JSON-lines records go to stdout, progress to stderr.  The envelope for the
 default arguments is the regression value pinned in the test suite.  A bad
-argument (an unknown algorithm, an n past the enumeration cap) ends the run
-with exit code 2 and one line on stderr.
+argument (an unknown algorithm, an n past the enumeration cap, a p bound
+outside [0, 1]) ends the run with exit code 2 and one line on stderr, before
+any record is written.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def main(argv=None) -> int:
 
 
 def sweep(args) -> int:
+    for flag, p in (("--p-lo", args.p_lo), ("--p-hi", args.p_hi)):
+        if not (0.0 <= p <= 1.0):
+            raise ValueError(f"{flag} {p} outside [0, 1]")
     include = tuple(args.include.split(","))
     envelope: Fraction | None = None
     envelope_at = None

@@ -4,7 +4,7 @@
 Sweeps the (g, K, d) lattice at the requested resolution for both algorithm
 suites and prints the max-min exponent of each, the location it is attained,
 and the lattice error bound.  At the default step 0.001 this takes about
-0.01 s per suite and lands on 0.322 for the five-algorithm suite versus 0.315
+5 ms per suite and lands on 0.322 for the five-algorithm suite versus 0.315
 once the rounding algorithm replaces the walk algorithm, within the error
 bound of the continuous 10/31 (about 0.3226) and 6/19 (about 0.3158).
 

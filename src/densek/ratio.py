@@ -11,28 +11,28 @@ The lattice maximum underestimates the continuous one by at most
 
 ``grid_max_min`` finds the lattice maximum exactly by a coarse-to-fine
 branch and bound over boxes of lattice indices in (g, d, K).  It starts
-from one box whose side is the smallest power of two, at least ``TILE``,
-that covers the lattice.  Every formula is jointly convex in (g, d, K)
-wherever it applies: a1, a2, a4 and a6 are linear, a3 is a max of linear
-terms, and each of a5's two cases is g minus a min of linear terms.  So a
-formula's maximum over a box is its largest value at the box's eight
-corners, and the least of those maxima over the selected formulas bounds the
-per-point minimum on the box.  a5 applies only where K > d (or 2d <= K), so
-it is bounded by max(wide, mid) at the corners and tightens the bound only
-where it applies on the whole box; on a box it leaves partly uncovered, the
-other formulas alone bound the points it misses (which are not lattice
-points at all when a5 is the whole set).  At each level one lattice point
-of every box is evaluated, the boxes whose bound lies below the best value
-found so far less ``MARGIN`` are dropped, and the rest are split into the
-eight children that meet the lattice.  ``MARGIN`` exceeds the float
-rounding of the bounds and of the evaluated expressions many times over, so
-every dropped box lies strictly below the lattice maximum.  The surviving
-``TILE``-sided cubes are evaluated one at a time in decreasing order of
-bound until the bound falls below the best value less ``MARGIN``.  Evaluated
-points use the float expressions of the scalar route in the test helpers,
-and among the points equal to the maximum the argmax is the first in (g, d,
-K) scan order, so the maximum and its argmax are those of a full sweep bit
-for bit.  At ``delta`` = 0.001 a sweep evaluates under 0.03% of the lattice.
+from one box whose side is the smallest power of two that covers the
+lattice.  Every formula is jointly convex in (g, d, K) wherever it applies:
+a1, a2, a4 and a6 are linear, a3 is a max of linear terms, and each of a5's
+two cases is g minus a min of linear terms.  So a formula's maximum over a
+box is its largest value at the box's eight corners, and the least of those
+maxima over the selected formulas bounds the per-point minimum on the box.
+a5 applies only where K > d (or 2d <= K), so it is bounded by max(wide,
+mid) at the corners and tightens the bound only where it applies on the
+whole box; on a box it leaves partly uncovered, the other formulas alone
+bound the points it misses (which are not lattice points at all when a5 is
+the whole set).  At each level one lattice point of every box is evaluated,
+the boxes whose bound lies below the best value found so far less
+``MARGIN`` are dropped, and the rest are split into the eight children that
+meet the lattice, down to boxes of side 1, which are single lattice points.
+``MARGIN`` exceeds the float rounding of the bounds and of the evaluated
+expressions many times over, so every dropped box lies strictly below the
+lattice maximum and every point equal to it is evaluated at the last level.
+Evaluated points use the float expressions of the scalar route in the test
+helpers, and among the points equal to the maximum the argmax is the first
+in (g, d, K) scan order, so the maximum and its argmax are those of a full
+sweep bit for bit.  At ``delta`` = 0.001 a sweep evaluates under 0.001% of
+the lattice.
 """
 
 from __future__ import annotations
@@ -49,12 +49,9 @@ A6_COMBO = frozenset({"a1", "a2", "a3", "a4", "a6"})
 RATIO_SETS = {"fkp5": FKP5, "a6combo": A6_COMBO}
 
 # Largest 1/delta accepted.  The lattice has about (1/delta)^3 / 3 points;
-# at 2000 steps a sweep takes about 7 ms and peaks at 0.6 MB under
-# tracemalloc (fkp5; CPython 3.11, numpy 2.4, 2 vCPUs).
+# at 2000 steps a sweep takes about 7 ms and peaks at 0.14 MB under
+# tracemalloc (fkp5 or a6combo; CPython 3.11, numpy 2.4, 2 vCPUs).
 MAX_LATTICE_STEPS = 2000
-
-# Side of the smallest (g, d, K) boxes, the cubes evaluated as one.
-TILE = 16
 
 # How far below the best value found so far a box's bound may sit and still
 # be kept: far above float rounding, far below the lattice's value gaps.
@@ -178,56 +175,40 @@ def grid_max_min(delta: float, algos: Iterable[str]) -> GridResult:
         )
 
     n = imax + 1
-    side = TILE
+    side = 1
     while side < n:
         side *= 2
     # The surviving boxes' low corners (i0, j0, l0), one box at first.
     i0 = j0 = l0 = np.zeros(1, dtype=np.int64)
     best = -np.inf
     while True:
-        bound = _bound(i0, j0, l0, side, imax, delta, algoset)
         # One lattice point of each box, (i0, max(j0, i0), max(l0, i0)),
-        # raises the best value known so far.
+        # raises the best value known so far; at side 1 it is the whole box.
         j, l = np.maximum(j0, i0), np.maximum(l0, i0)
-        best = max(best, _evaluate(i0 * delta, j * delta, l * delta, algoset).max())
-        keep = bound >= best - MARGIN
-        i0, j0, l0, bound = i0[keep], j0[keep], l0[keep], bound[keep]
-        if side == TILE:
+        r = _evaluate(i0 * delta, j * delta, l * delta, algoset)
+        best = max(best, r.max())
+        if side == 1:
             break
+        keep = _bound(i0, j0, l0, side, imax, delta, algoset) >= best - MARGIN
         side //= 2
-        # Split each box into its 8 children and keep those that meet the
-        # lattice 0 <= i <= j, l <= imax (the boxes are aligned to their
+        # Split each kept box into its 8 children and keep those that meet
+        # the lattice 0 <= i <= j, l <= imax (the boxes are aligned to their
         # side, so these two tests imply i0 <= imax).
         offsets = side * np.indices((2, 2, 2)).reshape(3, 8)
-        i0, j0, l0 = ((lo[:, None] + off).ravel() for lo, off in zip((i0, j0, l0), offsets))
+        i0, j0, l0 = ((lo[keep, None] + off).ravel() for lo, off in zip((i0, j0, l0), offsets))
         meets = (np.maximum(j0, l0) <= imax) & (np.minimum(j0, l0) + side > i0)
         i0, j0, l0 = i0[meets], j0[meets], l0[meets]
 
-    # Evaluate the surviving cubes one at a time in decreasing order of
-    # bound; ties go to the smallest key (i * n + j) * n + l, which is the
-    # full sweep's scan order.
-    steps = np.indices((TILE, TILE, TILE)).reshape(3, -1)
-    value, key = -np.inf, 0
-    for c in np.argsort(-bound, kind="stable"):
-        if bound[c] < max(best, value) - MARGIN:
-            break
-        i, j, l = steps[0] + i0[c], steps[1] + j0[c], steps[2] + l0[c]
-        inside = (i <= j) & (i <= l) & (np.maximum(j, l) <= imax)
-        i, j, l = i[inside], j[inside], l[inside]
-        r = _evaluate(i * delta, j * delta, l * delta, algoset)
-        top = r.max()
-        if top == -np.inf or top < value:
-            continue
-        first = int(((i * n + j) * n + l)[r == top].min())
-        if top > value or first < key:
-            value, key = float(top), first
-    if value == -np.inf:
+    if best == -np.inf:
         raise ValueError("no lattice point is covered by the selected algorithms")
+    # Every point equal to the maximum survives to side 1; ties go to the
+    # smallest key (i * n + j) * n + l, which is the full sweep's scan order.
+    key = int(((i0 * n + j0) * n + l0)[r == best].min())
     point = ExponentPoint(g=key // (n * n) * delta, K=key % n * delta, d=key // n % n * delta)
     return GridResult(
         delta=delta,
         algorithms=tuple(sorted(algoset)),
-        max_exponent=value,
+        max_exponent=float(best),
         argmax=point,
         evaluations=n * (n + 1) * (2 * n + 1) // 6,
     )

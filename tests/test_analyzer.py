@@ -118,10 +118,13 @@ class TestGrid:
         assert (got.argmax.g, got.argmax.K, got.argmax.d) == pytest.approx(argmax)
         assert got.evaluations == count
 
-    # 1/7, 1/33 and 1/100 are neither multiples of the tile side nor powers
-    # of two, so boxes are cut at the lattice edge and on the d, K >= g
-    # diagonal.
-    @pytest.mark.parametrize("delta", [0.25, 0.1, 0.05, 0.02, 1 / 7, 1 / 33, 1 / 100])
+    # 1/7, 1/33, 1/100, 1/127 and 1/128 give lattices 8, 34, 101, 128 and
+    # 129 points wide: the first box's power-of-two side fits 8 and 128
+    # exactly and 129 only by doubling to 256, and boxes are cut at the
+    # lattice edge and on the d, K >= g diagonal.
+    @pytest.mark.parametrize(
+        "delta", [0.25, 0.1, 0.05, 0.02, 1 / 7, 1 / 33, 1 / 100, 1 / 127, 1 / 128]
+    )
     def test_matches_full_sweep_on_every_subset(self, delta):
         for size in range(1, len(ALGOS) + 1):
             for algos in itertools.combinations(ALGOS, size):
@@ -134,10 +137,10 @@ class TestGrid:
 
     @pytest.mark.parametrize("name", ["fkp5", "a6combo", "custom:a5"])
     def test_bound_prunes_nearly_every_point(self, monkeypatch, name):
-        # A loosened box bound, or cubes evaluated past the point where their
-        # bound falls below the best value, would evaluate more of the
-        # lattice: at delta = 0.001 the sweep evaluates 0.021% of it for
-        # a6combo, and 0.052% without that stop.
+        # Each level evaluates one point per surviving box, down to side-1
+        # boxes.  A loosened box bound keeps more boxes at every level: at
+        # delta = 0.001 the sweep evaluates 0.0003% of the lattice for fkp5,
+        # and 0.0036% when a5 is left out of the bound.
         algos = RATIO_SETS.get(name, frozenset({"a5"}))
         evaluated = []
         evaluate = ratio._evaluate
@@ -147,10 +150,12 @@ class TestGrid:
             return evaluate(g, d, K, algoset)
 
         monkeypatch.setattr(ratio, "_evaluate", counting)
-        for delta in (0.001, 1 / MAX_LATTICE_STEPS):
+        # The first box has side 1024 at 1/delta = 1000 and 2048 at 2000.
+        for delta, levels in ((0.001, 11), (1 / MAX_LATTICE_STEPS, 12)):
             evaluated.clear()
             r = grid_max_min(delta, algos)
-            assert sum(evaluated) < 0.0003 * r.evaluations, delta
+            assert len(evaluated) == levels, delta
+            assert sum(evaluated) < 0.00001 * r.evaluations, delta
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -369,8 +369,13 @@ def test_headline_script_rejects_bad_step():
 
 @pytest.mark.parametrize(
     "flags, message",
-    [(["--include", "zz"], "unknown algorithms"), (["--n", "30"], "enumeration cap")],
-    ids=["unknown-algorithm", "past-the-cap"],
+    [
+        (["--include", "zz"], "unknown algorithms"),
+        (["--n", "30"], "enumeration cap"),
+        (["--p-hi", "1.5"], "--p-hi 1.5 outside [0, 1]"),
+        (["--p-lo", "-0.5"], "--p-lo -0.5 outside [0, 1]"),
+    ],
+    ids=["unknown-algorithm", "past-the-cap", "p-hi-above-1", "p-lo-below-0"],
 )
 def test_oracle_script_rejects_bad_arguments(flags, message):
     proc = run_script("oracle_benchmark.py", "--instances", "2", *flags)
