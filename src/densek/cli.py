@@ -73,10 +73,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"reps must be positive, got {args.reps}")
     shared = {"seed": args.seed, "reps": args.reps}
     include = fkp.ALGO_NAMES if args.algo == "all" else (args.algo,)
-    if "a2" in include and k < 2:
-        if args.algo == "a2":
-            raise ValueError(f"a2 needs k >= 2, got k={k}")
-        _note(f"skipping a2: needs k >= 2, got k={k}")
+    for name in include:
+        _, least_k = fkp.ALGORITHMS[name]
+        if k < least_k:
+            if args.algo == name:
+                raise ValueError(f"{name} needs k >= {least_k}, got k={k}")
+            _note(f"skipping {name}: needs k >= {least_k}, got k={k}")
     runs = fkp.dks_candidates(G, k, args.seed, include, a6_reps=args.reps)
     candidates = []
     total = 0.0

@@ -22,9 +22,14 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
   ``MAX_WALK_DEGREE``, where a count could pass 2^63, are refused.
 * ``a6_damks`` (in :mod:`densek.damks`) — LP rounding.
 
+``ALGORITHMS`` is the one table of the six: name -> runner and smallest k
+accepted; ``ALGO_NAMES``, :mod:`densek.ratio` and ``densek solve`` read it.
+Every exactly-k answer goes through one completion step, ``_completed``:
+map ids back, pad with the lowest free ids, score.
+
 ``dks_candidates`` runs any subset of the six on the graph itself and on
 the graph with its top-degree half removed, and yields each run's answer
-padded to exactly k; ``combined_dks`` keeps the densest of them.  Both take
+completed to exactly k; ``combined_dks`` keeps the densest of them.  Both take
 a ``seed``, from which each branch and algorithm derives its own random
 stream; with a fixed seed, enlarging the subset can never make the answer
 worse.
@@ -36,7 +41,7 @@ the peeled branch, so each algorithm runs once per branch.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -56,8 +61,6 @@ from .graph import (
 )
 from .reduction import fixing_trim
 from .rng import derive_rng, derive_seed
-
-ALGO_NAMES = ("a1", "a2", "a3", "a4", "a5", "a6")
 
 # Slack factors of a5's good-vertex thresholds.
 EPSILON_LADDER = tuple(2.0**i for i in range(-8, 5))
@@ -85,12 +88,22 @@ def _greedy_matching(G: Graph, k: int) -> set[int]:
     return matched
 
 
+def _completed(
+    G: Graph, vertices: Iterable[int], k: int, ids: tuple[int, ...] | None = None
+) -> SubgraphResult:
+    """``vertices`` mapped through ``ids`` (a subgraph's id -> ``G``'s) when
+    given, padded with the lowest free ids to exactly k, scored on ``G``."""
+    if ids is not None:
+        vertices = [ids[x] for x in vertices]
+    return induced_stats(G, pad_lowest_id(G, vertices, k))
+
+
 def a1_matching(G: Graph, k: int) -> SubgraphResult:
     """Greedy matching truncated at ``floor(k/2)`` edges, padded to k vertices
     with the lowest free ids.  If the greedy matching reaches ``floor(k/2)``
     edges the result keeps at least that many."""
     check_k(G, k)
-    return induced_stats(G, pad_lowest_id(G, _greedy_matching(G, k), k))
+    return _completed(G, _greedy_matching(G, k), k)
 
 
 def attachment_counts(G: Graph, heavy: set[int]) -> dict[int, int]:
@@ -111,24 +124,24 @@ def a2_top_degrees(G: Graph, k: int) -> SubgraphResult:
     return induced_stats(G, heavy | set(rest[: k // 2]))
 
 
-def _neighborhood_candidates(G: Graph, k: int) -> Iterator[tuple[int, ...]]:
+def _neighborhood_candidates(G: Graph, k: int) -> Iterator[list[int]]:
     for v in range(G.n):
         ranked = sorted(G.adjacency[v], key=lambda u: (-G.degree(u), u))
-        yield pad_lowest_id(G, [v, *ranked[: k - 1]], k)
+        yield [v, *ranked[: k - 1]]
     if k >= 2:
         neigh = [set(G.adjacency[v]) for v in range(G.n)]
         for u in range(G.n):
             for v in range(u + 1, G.n):
                 common = sorted(neigh[u] & neigh[v])
                 if common:
-                    yield pad_lowest_id(G, [u, v, *common[: k - 2]], k)
+                    yield [u, v, *common[: k - 2]]
 
 
 def a3_neighborhoods(G: Graph, k: int) -> SubgraphResult:
     """Best of: each vertex with its highest-degree neighbors, and each pair
     with its lowest-id common neighbors; all candidates padded to k."""
     check_k(G, k)
-    return pick_best(induced_stats(G, c) for c in _neighborhood_candidates(G, k))
+    return pick_best(_completed(G, c, k) for c in _neighborhood_candidates(G, k))
 
 
 def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
@@ -143,9 +156,7 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
         local = [a1_matching(sub, kk), a3_neighborhoods(sub, kk)]
         if kk >= 2:
             local.append(a2_top_degrees(sub, kk))
-        for res in local:
-            mapped = [ids[x] for x in res.vertices]
-            candidates.append(induced_stats(G, pad_lowest_id(G, mapped, k)))
+        candidates.extend(_completed(G, res.vertices, k, ids) for res in local)
     return pick_best(candidates)
 
 
@@ -325,9 +336,22 @@ def a5_walks(
         raw.extend(_good_vertex_candidates(layers, cut, tau, k))
 
     unique = sorted({fixing_trim(G, cand, k) for cand in set(raw)})
-    return pick_best(
-        induced_stats(G, pad_lowest_id(G, cand, k)) for cand in unique if cand
-    )
+    return pick_best(_completed(G, cand, k) for cand in unique if cand)
+
+
+# a1-a6 in dispatch order: name -> (runner, smallest k accepted), where a
+# runner takes (G, k, seed, a6_reps, ladder_n).  Runners look their algorithm
+# up by module-level name at call time, so wrappers installed on those names
+# at run time see every call.
+ALGORITHMS: dict[str, tuple[Callable[..., SubgraphResult], int]] = {
+    "a1": (lambda G, k, seed, reps, ladder_n: a1_matching(G, k), 1),
+    "a2": (lambda G, k, seed, reps, ladder_n: a2_top_degrees(G, k), 2),
+    "a3": (lambda G, k, seed, reps, ladder_n: a3_neighborhoods(G, k), 1),
+    "a4": (lambda G, k, seed, reps, ladder_n: a4_edge_dense(G, k), 1),
+    "a5": (lambda G, k, seed, reps, ladder_n: a5_walks(G, k, seed, ladder_n), 1),
+    "a6": (lambda G, k, seed, reps, ladder_n: a6_damks(G, k, reps, seed), 1),
+}
+ALGO_NAMES = tuple(ALGORITHMS)
 
 
 def dks_candidates(
@@ -342,15 +366,16 @@ def dks_candidates(
     removed (branch ``"peeled"``), yielding ``(branch, algorithm, result)``.
 
     Every result is mapped back to ``G``'s ids and padded (lowest ids first)
-    to exactly k.  Random streams are keyed by ``(seed, branch, algorithm)``
-    independently of ``include``, so with a fixed seed the candidates of one
-    algorithm do not depend on which others run.  a5 takes its density
-    guesses from ``G.n`` on both branches.  a2 is skipped where the branch
-    has ``k < 2``.
+    to exactly k.  Each algorithm's random stream is keyed by ``seed`` on the
+    main branch and by ``derive_seed(seed, branch, algorithm)`` on the peeled
+    one, independently of ``include``, so with a fixed seed the candidates of
+    one algorithm do not depend on which others run.  a5 takes its density
+    guesses from ``G.n`` on both branches.  An algorithm is skipped where the
+    branch's k is below its ``least_k``.
     """
     check_k(G, k)
     chosen = set(include)
-    unknown = chosen.difference(ALGO_NAMES)
+    unknown = chosen.difference(ALGORITHMS)
     if unknown:
         raise ValueError(f"unknown algorithms {sorted(unknown)}")
     if not chosen:
@@ -363,32 +388,12 @@ def dks_candidates(
 
     for branch, bg, ids in branches:
         kk = min(k, bg.n)
-        a5_seed, a6_seed = (
-            (seed, seed)
-            if branch == "main"
-            else (derive_seed(seed, branch, "a5"), derive_seed(seed, branch, "a6"))
-        )
-        for algo in ALGO_NAMES:
-            if algo not in chosen:
+        for algo, (run, least_k) in ALGORITHMS.items():
+            if algo not in chosen or kk < least_k:
                 continue
-            # Called through the module-level names, so wrappers installed
-            # on them at run time see every call.
-            if algo == "a1":
-                res = a1_matching(bg, kk)
-            elif algo == "a2":
-                if kk < 2:
-                    continue
-                res = a2_top_degrees(bg, kk)
-            elif algo == "a3":
-                res = a3_neighborhoods(bg, kk)
-            elif algo == "a4":
-                res = a4_edge_dense(bg, kk)
-            elif algo == "a5":
-                res = a5_walks(bg, kk, a5_seed, ladder_n=G.n)
-            else:
-                res = a6_damks(bg, kk, reps=a6_reps, seed=a6_seed)
-            verts = res.vertices if ids is None else tuple(ids[x] for x in res.vertices)
-            yield branch, algo, induced_stats(G, pad_lowest_id(G, verts, k))
+            algo_seed = seed if ids is None else derive_seed(seed, branch, algo)
+            res = run(bg, kk, algo_seed, a6_reps, G.n)
+            yield branch, algo, _completed(G, res.vertices, k, ids)
 
 
 def combined_dks(

@@ -43,7 +43,7 @@ from typing import Iterable
 
 import numpy as np
 
-ALGOS = ("a1", "a2", "a3", "a4", "a5", "a6")
+from .fkp import ALGO_NAMES as ALGOS
 FKP5 = frozenset({"a1", "a2", "a3", "a4", "a5"})
 A6_COMBO = frozenset({"a1", "a2", "a3", "a4", "a6"})
 RATIO_SETS = {"fkp5": FKP5, "a6combo": A6_COMBO}
