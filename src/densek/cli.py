@@ -98,17 +98,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-_PROBLEM_KINDS = {
-    "dks": exact.ProblemKind.EXACTLY_K,
-    "dalks": exact.ProblemKind.AT_LEAST_K,
-    "damks": exact.ProblemKind.AT_MOST_K,
-}
-
-
 def _cmd_exact(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
     start = time.perf_counter()
-    res = exact.exact_solve(G, args.k, _PROBLEM_KINDS[args.problem], cap=args.cap)
+    res = exact.exact_solve(G, args.k, args.problem, cap=args.cap)
     wall = (time.perf_counter() - start) * 1000.0
     _emit(
         _result_record(
@@ -253,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file")
     p.add_argument("-k", type=int, required=True)
     p.add_argument(
-        "--problem", default="dks", choices=sorted(_PROBLEM_KINDS),
+        "--problem", default="dks",
+        choices=sorted(kind.value for kind in exact.ProblemKind),
         help="size constraint: exactly / at-least / at-most k",
     )
     p.add_argument(

@@ -32,11 +32,12 @@ MAX_KEY_VERTICES = 52
 
 
 class ProblemKind(str, Enum):
-    """Which cardinality constraint the subgraph objective carries."""
+    """Which cardinality constraint the subgraph objective carries; the
+    values are the problem names of the command line and its records."""
 
-    EXACTLY_K = "exactly-k"
-    AT_LEAST_K = "at-least-k"
-    AT_MOST_K = "at-most-k"
+    EXACTLY_K = "dks"
+    AT_LEAST_K = "dalks"
+    AT_MOST_K = "damks"
 
 
 class EnumerationCapError(ValueError):
