@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import io
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -70,11 +69,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return v in self.adjacency[u]
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,7 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, tuple(norm), tuple(adj))
 
 
-def parse_edge_list(source: str | bytes | io.TextIOBase) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a :class:`Graph`.
 
     Errors name the offending 1-based line: non-integer tokens, wrong token
@@ -145,15 +139,6 @@ def parse_edge_list(source: str | bytes | io.TextIOBase) -> Graph:
     ids beyond :data:`MAX_VERTICES`, duplicate edges, self loops, and
     duplicate headers are all rejected.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-
     declared_n: int | None = None
     edges: list[tuple[int, int, int]] = []  # (u, v, line number)
     seen: set[tuple[int, int]] = set()

@@ -85,6 +85,13 @@ def subsets(items, size):
     return itertools.combinations(items, size)
 
 
+def has_edge(G: Graph, u: int, v: int) -> bool:
+    """Whether ``{u, v}`` is an edge of ``G``, in either order."""
+    if u > v:
+        u, v = v, u
+    return v in G.adjacency[u]
+
+
 def count_induced_edges(G: Graph, vertices) -> int:
     """Edge-list recount, independent of Graph.adjacency."""
     inside = set(vertices)
