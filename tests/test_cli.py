@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from densek.cli import main
 from densek.fkp import combined_dks
 from densek.graph import MAX_GNP_PAIRS, MAX_VERTICES, parse_edge_list
 from densek.ratio import MAX_LATTICE_STEPS
@@ -138,6 +139,19 @@ class TestSolve:
         assert best["vertices"] == list(lib.vertices)
         assert best["edge_count"] == lib.edge_count
         assert best["average_degree"] == lib.average_degree
+
+    def test_all_skips_a2_below_its_least_k(self, graph_file, capsys):
+        assert main(["solve", "-k", "1", "--reps", "8", str(graph_file)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "skipping a2: needs k >= 2, got k=1\n"
+        runs = [r["algorithm"] for r in records(out) if r["type"] == "run"]
+        assert runs == ["a1", "a3", "a4", "a5", "a6"]
+
+    def test_a2_alone_refused_below_its_least_k(self, graph_file, capsys):
+        assert main(["solve", "-k", "1", "--algo", "a2", str(graph_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a2 needs k >= 2, got k=1\n"
 
     def test_k_larger_than_graph(self, graph_file):
         assert run_cli("solve", "-k", "99", str(graph_file), check=False).returncode == 2

@@ -3,9 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from densek import fkp
+from densek import fkp, ratio
 from densek.fkp import (
     ALGO_NAMES,
+    ALGORITHMS,
     EPSILON_LADDER,
     MAX_CANDIDATES,
     MAX_WALK_DEGREE,
@@ -311,6 +312,17 @@ class TestCombined:
         }
         assert runs["peeled"].vertices == (1, 2, 5, 6, 8, 10, 11, 12, 18, 20, 22, 26, 32)
         assert runs["peeled"].edge_count == 59
+
+    def test_least_k_is_each_algorithms_own(self):
+        # A runner accepts k = least_k, and refuses anything smaller.
+        G = petersen()
+        for name, (run, least_k) in ALGORITHMS.items():
+            assert len(run(G, least_k, 0, 4, G.n).vertices) <= least_k, name
+            with pytest.raises(ValueError):
+                run(G, least_k - 1, 0, 4, G.n)
+
+    def test_names_are_the_tables(self):
+        assert ALGO_NAMES == tuple(ALGORITHMS) == ratio.ALGOS
 
     def test_k_one(self):
         res = combined_dks(complete_graph(3), 1)
