@@ -744,19 +744,27 @@ def best_density_at_most(profile: list[int], k: int) -> Fraction:
     return best
 
 
-def dalks_every_guess(G: Graph, k: int) -> SubgraphResult:
+def dalks_every_guess(
+    G: Graph, k: int, cuts: dict[Fraction, tuple[int, ...]] | None = None
+) -> SubgraphResult:
     """Reference for ``flow.dalks_2approx``: one min-cut per density guess
     ``2a/b`` (``0 <= a <= m``, ``k <= b <= n``) with penalty a quarter of the
-    guess, each optimiser padded up to ``k``, keeping the best candidate."""
+    guess, each optimiser padded up to ``k``, keeping the best candidate.
+    ``cuts``, a dict the caller keeps for ``G``, holds each guess's optimiser
+    across calls, so the calls for every k of one graph share their cuts."""
     if not (1 <= k <= G.n):
         raise ValueError(f"k={k} out of range for n={G.n}")
+    if cuts is None:
+        cuts = {}
     guesses = sorted({Fraction(2 * a, b) for a in range(G.m + 1) for b in range(k, G.n + 1)})
     best: SubgraphResult | None = None
     for dhat in guesses:
         if dhat == 0:
             chosen: tuple[int, ...] = ()
         else:
-            chosen, _ = max_quasi_density(G, dhat / 4)
+            if dhat not in cuts:
+                cuts[dhat] = max_quasi_density(G, dhat / 4)[0]
+            chosen = cuts[dhat]
         if len(chosen) < k:
             chosen = pad_most_neighbors(G, chosen, k)
         cand = induced_stats(G, chosen)

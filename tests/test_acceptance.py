@@ -102,9 +102,10 @@ def test_criterion_04_dalks_factor_two():
     for g in range(200):
         G = skewed_graph(rng, 4, 14)
         profile = best_edges_by_size(G)
+        cuts: dict = {}
         for k in range(1, G.n + 1):
-            assert dalks_2approx(G, k) == dalks_every_guess(G, k)
             res = dalks_2approx(G, k)
+            assert res == dalks_every_guess(G, k, cuts)
             assert len(res.vertices) >= k
             opt = best_density_at_least(profile, k)
             if Fraction(4 * res.edge_count, len(res.vertices)) < opt:
