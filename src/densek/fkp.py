@@ -371,7 +371,7 @@ def dks_candidates(
     one, independently of ``include``, so with a fixed seed the candidates of
     one algorithm do not depend on which others run.  a5 takes its density
     guesses from ``G.n`` on both branches.  An algorithm is skipped where the
-    branch's k is below its ``least_k``.
+    branch's k is below the least k of its :data:`ALGORITHMS` row.
     """
     check_k(G, k)
     chosen = set(include)
