@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("gen", help="sample a random graph")
-    p.add_argument("--model", default="gnp", choices=["gnp"])
     p.add_argument("-n", type=int, required=True, help="vertex count")
     p.add_argument("-p", type=float, required=True, help="edge probability")
     p.add_argument("--seed", type=int, default=0)

@@ -116,8 +116,9 @@ def attachment_counts(G: Graph, heavy: set[int]) -> dict[int, int]:
 
 def a2_top_degrees(G: Graph, k: int) -> SubgraphResult:
     """Top ``ceil(k/2)`` degrees plus the ``floor(k/2)`` outside vertices with
-    the most neighbors among them.  Requires ``k >= 2``."""
-    check_k(G, k, minimum=2)
+    the most neighbors among them.  Requires k at least a2's least k in
+    :data:`ALGORITHMS` (2)."""
+    check_k(G, k, minimum=ALGORITHMS["a2"][1])
     heavy = set(top_degree_vertices(G, (k + 1) // 2))
     counts = attachment_counts(G, heavy)
     rest = sorted(counts, key=lambda v: (-counts[v], v))
@@ -154,7 +155,7 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
         sub, ids = induced_subgraph(G, verts)
         kk = min(k, sub.n)
         local = [a1_matching(sub, kk), a3_neighborhoods(sub, kk)]
-        if kk >= 2:
+        if kk >= ALGORITHMS["a2"][1]:
             local.append(a2_top_degrees(sub, kk))
         candidates.extend(_completed(G, res.vertices, k, ids) for res in local)
     return pick_best(candidates)

@@ -345,80 +345,3 @@ def test_bare_import_exposes_submodules():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def run_script(name, *flags, env_extra=None):
-    import os
-    from pathlib import Path
-
-    import densek
-
-    src = os.path.dirname(os.path.dirname(densek.__file__))
-    script = Path(__file__).resolve().parent.parent / "scripts" / name
-    return subprocess.run(
-        [sys.executable, str(script), *flags],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src, **(env_extra or {})},
-    )
-
-
-def run_headline_script(*flags, env_extra=None):
-    return run_script("reproduce_headline_ratios.py", *flags, env_extra=env_extra)
-
-
-def test_oracle_script_smoke():
-    proc = run_script("oracle_benchmark.py", "--instances", "2", "--n", "6")
-    assert proc.returncode == 0, proc.stderr
-    assert records(proc.stdout)[-1]["type"] == "envelope"
-
-
-def test_headline_script_rejects_bad_step():
-    proc = run_headline_script("--delta", "0.3")
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stdout == ""
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--include", "zz"], "unknown algorithms"),
-        (["--n", "30"], "enumeration cap"),
-        (["--p-hi", "1.5"], "--p-hi 1.5 outside [0, 1]"),
-        (["--p-lo", "-0.5"], "--p-lo -0.5 outside [0, 1]"),
-    ],
-    ids=["unknown-algorithm", "past-the-cap", "p-hi-above-1", "p-lo-below-0"],
-)
-def test_oracle_script_rejects_bad_arguments(flags, message):
-    proc = run_script("oracle_benchmark.py", "--instances", "2", *flags)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
-    assert message in proc.stderr
-    assert proc.stdout == ""
-
-
-@pytest.mark.parametrize(
-    "flags, env",
-    [([], {"DENSEK_THREADS": "abc"}), ([], {"DENSEK_THREADS": "0"}), (["--workers", "0"], {})],
-    ids=["env-abc", "env-0", "workers-0"],
-)
-def test_headline_script_rejects_bad_worker_count(flags, env):
-    # The sweep is sequential, so a worker count is no longer an input: the
-    # flag is refused as an unknown option, and DENSEK_THREADS, even at a
-    # value that is not a count, is not read and leaves the records as they are.
-    proc = run_headline_script("--delta", "0.05", *flags, env_extra=env)
-    assert "Traceback" not in proc.stderr
-    if flags:
-        assert proc.returncode == 2
-        assert "unrecognized arguments: --workers 0" in proc.stderr
-        assert proc.stdout == ""
-        return
-    base = run_headline_script("--delta", "0.05")
-    assert proc.returncode == base.returncode == 0, proc.stderr
-    got, want = records(proc.stdout), records(base.stdout)
-    for rec in got + want:
-        rec.pop("seconds", None)
-    assert got == want

@@ -336,25 +336,3 @@ class TestCombined:
             combined_dks(G, 2, include=())
         with pytest.raises(ValueError):
             combined_dks(G, 0)
-
-    def test_oracle_envelope_regression(self):
-        # scripts/oracle_benchmark.py over 50 seeded G(12, p) instances
-        # bottoms out at ratio 4/5 (instance 1, k=7); these first five
-        # instances include that argmin, so the subset minimum is sharp.
-        from fractions import Fraction
-
-        from densek.graph import gnp_graph
-        from helpers import best_edges_by_size
-
-        worst = Fraction(2)
-        for i in range(5):
-            G = gnp_graph(12, 0.15 + 0.7 * i / 49, i)
-            profile = best_edges_by_size(G)
-            for k in range(1, G.n + 1):
-                if profile[k] == 0:
-                    continue
-                got = combined_dks(G, k)
-                ratio = Fraction(got.edge_count, profile[k])
-                assert ratio >= Fraction(1, 12)
-                worst = min(worst, ratio)
-        assert worst == Fraction(4, 5)

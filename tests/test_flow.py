@@ -147,8 +147,9 @@ class TestDalksChain:
 
     def test_matches_every_guess(self):
         for G in self.corpus():
+            cuts: dict = {}
             for k in range(1, G.n + 1):
-                assert dalks_2approx(G, k) == dalks_every_guess(G, k), (G, k)
+                assert dalks_2approx(G, k) == dalks_every_guess(G, k, cuts), (G, k)
 
     def test_chain_set_without_a_guess_is_skipped(self):
         # One chain set's penalty interval holds no guess a/(2b), so trying
