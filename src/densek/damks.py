@@ -31,11 +31,15 @@ be rounded (:func:`lp_pairs`):
 
 Each relaxation is built directly as one standard-form
 :class:`simplex.LinearProgram` matrix from the edge view ``G.ends``, with
-``y_i <= 1`` written as rows.  The roundings of one relaxation are drawn in
-numpy batches of at most ``ROUND_CHUNK`` reps (:func:`round_batch`); each
-rep's two window samples are scored over the edge list
-(:func:`_average_degrees`, no n x n matrix), and only the distinct candidate
-sets are trimmed and scored.
+``y_i0 >= 1`` as its only row of negative rhs and without the rows
+``y_i <= 1``, which capping at 1 makes redundant (:func:`build_damks_lp`).
+Every row is then ``<=`` and every cost >= 0, so the simplex solves it by
+its dual route from the all-slack basis.  The optimum is capped into
+[0, 1].  The roundings of one relaxation are drawn in numpy batches of at
+most ``ROUND_CHUNK`` reps (:func:`round_batch`), with a random draw only
+for a fractional ``y_i``; each rep's two window samples are scored over the
+edge list (:func:`_average_degrees`, no n x n matrix), and only the
+distinct candidate sets are trimmed and scored.
 """
 
 from __future__ import annotations
@@ -62,12 +66,19 @@ def build_damks_lp(G: Graph, root: int, gamma: float) -> simplex.LinearProgram:
     """Assemble the relaxation for one root and density guess.
 
     Variable ``i < n`` is ``y_i`` and variable ``n + e`` is ``x`` of edge
-    ``G.edges[e]``.  Row 0 is ``y_root = 1``; then come the n degree rows,
-    the two rows ``x_e <= y_u``, ``x_e <= y_v`` of each edge in edge order,
-    and the n rows ``y_i <= 1``.
+    ``G.edges[e]``.  Row 0 is ``-y_root <= -1``; then come the n degree
+    rows and the two rows ``x_e <= y_u``, ``x_e <= y_v`` of each edge in
+    edge order.  Every row is ``<=`` and every cost is >= 0, so
+    :func:`simplex.solve_lp` takes its dual route.
+
+    The rows ``y_i <= 1`` and ``y_root <= 1`` of the relaxation are left
+    out: capping every variable of a feasible point at 1 keeps it feasible
+    (a vertex with ``y_i > 1`` keeps ``sum_j min(x_ij, 1) >=
+    sum_j x_ij / y_i >= gamma``) and does not raise the objective, so the
+    capped optimum of this program is an optimum of the full relaxation.
 
     A root with no incident edges makes the degree constraint at the root
-    unsatisfiable together with ``y_i0 = 1`` (for ``gamma > 0``), which the
+    unsatisfiable together with ``y_i0 >= 1`` (for ``gamma > 0``), which the
     solver reports as infeasible rather than an error.
     """
     checked_vertices(G, (root,))
@@ -77,20 +88,18 @@ def build_damks_lp(G: Graph, root: int, gamma: float) -> simplex.LinearProgram:
     vertex = np.arange(n)
     x_col = n + np.arange(m)
     edge_row = 1 + n + 2 * np.arange(m)
-    rows = np.zeros((1 + 2 * n + 2 * m, n + m))
-    rows[0, root] = 1.0
+    rows = np.zeros((1 + n + 2 * m, n + m))
+    rows[0, root] = -1.0
     rows[1 + vertex, vertex] = float(gamma)
     rows[1 + ends[:, 0], x_col] = -1.0
     rows[1 + ends[:, 1], x_col] = -1.0
     for side in (0, 1):
         rows[edge_row + side, x_col] = 1.0
         rows[edge_row + side, ends[:, side]] = -1.0
-    rows[1 + n + 2 * m + vertex, vertex] = 1.0
     rhs = np.zeros(rows.shape[0])
-    rhs[0] = 1.0
-    rhs[1 + n + 2 * m:] = 1.0
+    rhs[0] = -1.0
     objective = np.concatenate([np.ones(n), np.zeros(m)])
-    return simplex.LinearProgram(objective=objective, rows=rows, rhs=rhs, n_eq=1)
+    return simplex.LinearProgram(objective=objective, rows=rows, rhs=rhs)
 
 
 def distance_layers(G: Graph, root: int) -> tuple[frozenset[int], ...]:
@@ -119,21 +128,27 @@ def round_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``reps`` independent roundings at once: per rep, keep vertex ``v`` of
     window 1 (layers 0-2) and then, with fresh draws, of window 2 (layers
-    1-3) when ``rng.random() < y[v]``.  Returns the ``s1`` and ``s2``
-    samples as two ``reps x n`` bool masks.
+    1-3) with probability ``y[v]``.  Returns the ``s1`` and ``s2`` samples
+    as two ``reps x n`` bool masks.
 
-    The draws come from ``rng`` in the order of ``reps`` one-at-a-time
-    roundings (rep by rep, window 1 before window 2, each window in vertex
-    order), so the samples and the generator's final state match that loop,
-    and consecutive batches from one generator match one larger batch.
+    Only a fractional column, ``0 < y[v] < 1``, takes a draw and keeps
+    ``v`` when ``rng.random() < y[v]``; a column with ``y[v] >= 1`` is always
+    kept and one with ``y[v] <= 0`` never.  The draws come from ``rng`` in
+    the order of ``reps`` one-at-a-time roundings (rep by rep, window 1
+    before window 2, each window in vertex order), so the samples and the
+    generator's final state match that loop, and consecutive batches from
+    one generator match one larger batch.
     """
     if len(y) != G.n:
         raise ValueError(f"{len(y)} y-values for {G.n} vertices")
     window1 = sorted(layers[0] | layers[1] | layers[2])
     window2 = sorted(layers[1] | layers[2] | layers[3])
     columns = np.array(window1 + window2, dtype=np.intp)
-    draws = np.fromiter(iter(rng.random, None), float, reps * len(columns))
-    kept = draws.reshape(reps, len(columns)) < np.asarray(y, dtype=float)[columns]
+    values = np.asarray(y, dtype=float)[columns]
+    fractional = np.flatnonzero((values > 0) & (values < 1))
+    draws = np.fromiter(iter(rng.random, None), float, reps * len(fractional))
+    kept = np.repeat((values >= 1)[None, :], reps, axis=0)
+    kept[:, fractional] = draws.reshape(reps, len(fractional)) < values[fractional]
     masks = []
     for part in (slice(None, len(window1)), slice(len(window1), None)):
         mask = np.zeros((reps, G.n), dtype=bool)
@@ -226,12 +241,14 @@ def a6_damks(
             chosen = np.where(denser[:, None], s1, s2)
             sizes = chosen.sum(axis=1)
             chosen = chosen[(sizes > 0) & (sizes <= 2 * k)]
-            for row, packed in zip(chosen, np.packbits(chosen, axis=1)):
-                key = packed.tobytes()
+            packed = np.packbits(chosen, axis=1)
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            for i in np.unique(keys, return_index=True)[1]:
+                key = keys[i].tobytes()
                 if key in seen:
                     continue
                 seen.add(key)
-                cand = induced_stats(G, fixing_trim(G, np.flatnonzero(row).tolist(), k))
+                cand = induced_stats(G, fixing_trim(G, np.flatnonzero(chosen[i]).tolist(), k))
                 if best is None or better_than(cand, best):
                     best = cand
     if best is None:

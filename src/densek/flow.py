@@ -114,6 +114,7 @@ def max_quasi_density(
     q: Fraction | int,
     inner: Iterable[int] = (),
     outer: Iterable[int] | None = None,
+    inner_edges: int | None = None,
 ) -> tuple[tuple[int, ...], Fraction]:
     """Maximise ``|E(S)| - q*|S|`` over the vertex sets with
     ``inner <= S <= outer`` (by default over all sets), exactly, via a single
@@ -129,6 +130,8 @@ def max_quasi_density(
     optimum is ``e(inner) - q*|inner| + e(F) + e(F, inner) - mincut/(2b)``
     and the canonical cut's source side gives the inclusion-minimal
     optimiser within the bounds.  Requires ``q > 0`` and ``inner <= outer``.
+    A caller that already knows ``e(inner)`` passes it as ``inner_edges``,
+    and it is not recounted.
     """
     q = Fraction(q)
     if q <= 0:
@@ -157,11 +160,12 @@ def max_quasi_density(
         cross_edges += deg_fixed
         arcs.append((s, i, b * deg_free + 2 * b * deg_fixed, 0))
         arcs.append((i, t, 2 * a, 0))
-    fixed_edges = sum(1 for v in fixed for u in G.adjacency[v] if u > v and u in fixed)
+    if inner_edges is None:
+        inner_edges = sum(1 for v in fixed for u in G.adjacency[v] if u > v and u in fixed)
     cut, side = max_flow(len(free) + 2, arcs, s, t)
     chosen = tuple(sorted([*fixed, *(free[i] for i in side if i < s)]))
     value = (
-        fixed_edges - q * len(fixed) + free_degrees // 2 + cross_edges
+        inner_edges - q * len(fixed) + free_degrees // 2 + cross_edges
         - Fraction(cut, 2 * b)
     )
     inside = set(chosen)
@@ -203,7 +207,7 @@ def _quasi_chain(
     while pending:
         right = pending[-1]
         cross = Fraction(left[1] - right[1], len(left[0]) - len(right[0]))
-        found = solve(cross, inner=right[0], outer=left[0])
+        found = solve(cross, inner=right[0], outer=left[0], inner_edges=right[1])
         if found[0] == right[0]:
             chain.append((cross, right[0]))
             left = pending.pop()

@@ -1,13 +1,24 @@
-"""A small dense two-phase simplex solver for programs in standard form.
+"""A small dense simplex solver for programs in standard form.
 
 A program is ``minimise objective . x`` over ``x >= 0`` subject to
 ``rows @ x = rhs`` on its first ``n_eq`` rows and ``rows @ x <= rhs`` on the
-rest.  Rows with a negative rhs are negated, slack and artificial columns are
-appended, and both phases run on a dense numpy tableau.  Pivoting starts with
-Dantzig's rule and falls back to Bland's rule after ``DANTZIG_LIMIT`` pivots,
-which guarantees termination.  A final residual check re-verifies the
-reported optimum against the original rows, so a numerically wrong "optimal"
-is never returned silently.
+rest.  :func:`solve_lp` takes one of two routes:
+
+* **Dual route**, for programs with no equality rows and costs >= 0 (the
+  form :func:`densek.damks.build_damks_lp` writes).  The all-slack basis is
+  then dual feasible, so a dual simplex needs no phase 1 and no artificial
+  columns.  It runs on a condensed (Tucker) tableau that keeps only the
+  nonbasic columns: ``(m + 1) x (nv + 1)`` cells.  The leaving row is the
+  most negative rhs and the entering column wins the min-ratio test.
+* **Primal route**, for every other program: rows with a negative rhs are
+  negated, slack and artificial columns are appended, and both phases run
+  on a dense numpy tableau.
+
+Both routes start with Dantzig-style choices and fall back to Bland's
+lowest-index rule after ``DANTZIG_LIMIT`` pivots, which guarantees
+termination.  A final residual check re-verifies the reported optimum
+against the original rows, so a numerically wrong "optimal" is never
+returned silently.
 """
 
 from __future__ import annotations
@@ -24,7 +35,8 @@ UNBOUNDED = "unbounded"
 TOL = 1e-9
 # Entries at or below this magnitude never serve as pivots.
 PIVOT_TOL = 1e-10
-# Dantzig's rule for this many pivots of a phase, Bland's rule after.
+# Dantzig's rule for this many pivots of a phase (or of the dual route),
+# Bland's rule after.
 DANTZIG_LIMIT = 2000
 MAX_PIVOTS = 200_000
 
@@ -108,14 +120,89 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, *, phase: int) ->
             raise LpNumericalError(f"no convergence after {MAX_PIVOTS} pivots")
 
 
+def _tucker_pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Exchange the basic variable of ``row`` with the nonbasic one of
+    ``col`` in a condensed tableau ``basic = rhs - T[:, :-1] @ nonbasic``."""
+    p = T[row, col]
+    column = T[:, col].copy()
+    pivot_row = T[row] / p
+    # Rows with a zero in the pivot column do not change.
+    touched = column.nonzero()[0]
+    T[touched] -= column[touched, None] * pivot_row
+    T[:, col] = -column / p
+    T[row] = pivot_row
+    T[row, col] = 1.0 / p
+
+
+def _solve_dual(lp: LinearProgram) -> LpSolution:
+    """Dual simplex for ``n_eq == 0`` and ``objective >= 0``.
+
+    Row i of the tableau reads ``basic[i] = T[i, -1] - T[i, :-1] @ x_N``
+    over the nonbasic variables ``x_N``; the last row holds the objective,
+    ``z = T[-1, -1] - T[-1, :-1] @ x_N``, so ``-T[-1, :-1]`` are the reduced
+    costs, kept >= 0 by every pivot.  Variable labels are ``j < nv`` for x
+    and ``nv + i`` for the slack of row i; Bland's rule compares labels.
+    """
+    m, nv = lp.rows.shape
+    T = np.empty((m + 1, nv + 1))
+    T[:m, :nv] = lp.rows
+    T[:m, -1] = lp.rhs
+    T[-1, :nv] = -lp.objective
+    T[-1, -1] = 0.0
+    basic = np.arange(nv, nv + m)
+    nonbasic = np.arange(nv)
+    rhs, costs = T[:-1, -1], T[-1, :-1]
+    pivots = 0
+    while m:
+        if pivots < DANTZIG_LIMIT:
+            row = int(rhs.argmin())
+            if rhs[row] >= -PIVOT_TOL:
+                break
+        else:
+            infeasible = (rhs < -PIVOT_TOL).nonzero()[0]
+            if infeasible.size == 0:
+                break
+            row = int(infeasible[basic[infeasible].argmin()])
+        line = T[row, :-1]
+        cols = (line < -PIVOT_TOL).nonzero()[0]
+        if cols.size == 0:
+            # basic[row] = rhs - (a row >= 0) @ x_N < 0 for every x_N >= 0.
+            return LpSolution(status=INFEASIBLE)
+        ratios = np.maximum(-costs[cols], 0.0) / -line[cols]
+        best_ratio = ratios.min()
+        # As in the primal ratio test: among tied columns take a strong
+        # pivot element, then the lowest label.
+        tied = cols[ratios <= best_ratio + PIVOT_TOL * (1.0 + best_ratio)]
+        if tied.size > 1:
+            tied = tied[-line[tied] >= 1e-3 * -line[tied].min()]
+        col = int(tied[nonbasic[tied].argmin()])
+        _tucker_pivot(T, row, col)
+        basic[row], nonbasic[col] = nonbasic[col], basic[row]
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            raise LpNumericalError(f"no convergence after {MAX_PIVOTS} pivots")
+
+    u = np.zeros(nv + m)
+    u[basic] = np.maximum(T[:-1, -1], 0.0)
+    x = u[:nv]
+    _verify_feasible(lp, x)
+    return LpSolution(
+        status=OPTIMAL, x=x.tolist(), objective=float(np.dot(lp.objective, x))
+    )
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve the program; status is one of optimal / infeasible / unbounded.
 
-    An optimal answer is re-checked against every row with mixed
-    absolute/relative tolerance ``TOL``; on failure an
-    :class:`LpNumericalError` is raised instead of returning a wrong result.
+    Programs with only ``<=`` rows and costs >= 0 take the dual route (they
+    cannot be unbounded), all others the primal two-phase route.  An optimal
+    answer is re-checked against every row with mixed absolute/relative
+    tolerance ``TOL``; on failure an :class:`LpNumericalError` is raised
+    instead of returning a wrong result.
     """
     lp.validate()
+    if lp.n_eq == 0 and (lp.objective >= 0).all():
+        return _solve_dual(lp)
     m, nv = lp.rows.shape
     ineq = np.arange(m) >= lp.n_eq
     # Negate rows with a negative rhs: a negated <= row takes a surplus and

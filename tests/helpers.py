@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from densek.damks import core_numbers
+from densek.damks import build_damks_lp, core_numbers
 from densek.exact import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -793,13 +793,19 @@ def round_once(
 ) -> RoundingOutcome:
     """Per-rep reference for ``damks.round_batch``: independently keep vertex
     ``i`` with probability ``y_i`` over the two layer windows; the two
-    samples use separate draws from ``rng``."""
+    samples use separate draws from ``rng``, one per vertex with
+    ``0 < y_i < 1`` (``y_i >= 1`` is kept and ``y_i <= 0`` left out without
+    a draw)."""
     if len(y) != G.n:
         raise ValueError(f"{len(y)} y-values for {G.n} vertices")
     window1 = sorted(layers[0] | layers[1] | layers[2])
     window2 = sorted(layers[1] | layers[2] | layers[3])
-    s1 = tuple(v for v in window1 if rng.random() < y[v])
-    s2 = tuple(v for v in window2 if rng.random() < y[v])
+
+    def kept(v: int) -> bool:
+        return y[v] >= 1 or (y[v] > 0 and rng.random() < y[v])
+
+    s1 = tuple(v for v in window1 if kept(v))
+    s2 = tuple(v for v in window2 if kept(v))
     d1 = induced_stats(G, s1).average_degree
     d2 = induced_stats(G, s2).average_degree
     return RoundingOutcome(s1=s1, s2=s2, d1=d1, d2=d2)
@@ -837,3 +843,14 @@ def dense_average_degrees(G: Graph, masks: np.ndarray) -> np.ndarray:
     out = np.zeros(len(rows))
     np.divide(twice_edges, sizes, out=out, where=sizes > 0)
     return out
+
+
+def full_damks_lp(G: Graph, root: int, gamma: float) -> LinearProgram:
+    """The relaxation with every row ``damks.build_damks_lp`` leaves out:
+    ``y_root = 1`` as an equality (row 0, ``n_eq = 1``), the degree and edge
+    rows as built, then the n rows ``y_i <= 1``."""
+    lp = build_damks_lp(G, root, gamma)
+    n, nv = G.n, len(lp.objective)
+    rows = np.vstack([-lp.rows[:1], lp.rows[1:], np.eye(n, nv)])
+    rhs = np.concatenate([[1.0], lp.rhs[1:], np.ones(n)])
+    return LinearProgram(lp.objective.copy(), rows, rhs, n_eq=1)

@@ -19,12 +19,22 @@ from densek.rng import derive_rng
 from densek.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from densek.graph import doubling_ladder, gnp_graph, graph_from_edges
 from helpers import (
+    EQUAL,
+    GREATER_EQUAL,
+    LESS_EQUAL,
+    GeneralLp,
     check_cauchy_mass,
     count_induced_edges,
     dense_average_degrees,
+    full_damks_lp,
+    lp_feasible,
     min_degree_core,
     petersen,
+    random_box_lp,
     round_once,
+    solve_general,
+    standard_form,
+    vertex_enum_optimum,
 )
 
 
@@ -56,7 +66,7 @@ class TestLpConstruction:
         def unit(j, value=1.0):
             return [value if c == j else 0.0 for c in range(n + m)]
 
-        rows, rhs = [unit(2)], [1.0]
+        rows, rhs = [unit(2, -1.0)], [-1.0]
         for i in range(n):
             row = unit(i, 3.0)
             for e, edge in enumerate(G.edges):
@@ -70,12 +80,9 @@ class TestLpConstruction:
                 row[end] = -1.0
                 rows.append(row)
                 rhs.append(0.0)
-        for i in range(n):
-            rows.append(unit(i))
-            rhs.append(1.0)
         lp = build_damks_lp(G, root=2, gamma=3)
         assert lp.objective.tolist() == [1.0] * n + [0.0] * m
-        assert lp.n_eq == 1
+        assert lp.n_eq == 0
         assert lp.rows.tolist() == rows
         assert lp.rhs.tolist() == rhs
 
@@ -126,6 +133,94 @@ class TestLpConstruction:
                 assert sol.status == INFEASIBLE
 
 
+def highs_optimum(lp):
+    """HiGHS's status code and optimum for ``lp`` (a scipy test extra)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    eq, ub = slice(None, lp.n_eq), slice(lp.n_eq, None)
+    ref = linprog(
+        lp.objective,
+        A_ub=lp.rows[ub],
+        b_ub=lp.rhs[ub],
+        A_eq=lp.rows[eq] if lp.n_eq else None,
+        b_eq=lp.rhs[eq] if lp.n_eq else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    return ref.status, ref.fun
+
+
+# Graphs and k on which the two-phase primal route stalled or took seconds
+# per LP: the (6, 8) LP of the first ran all MAX_PIVOTS pivots.
+STALL_INPUTS = [((22, 0.5, 4), 16), ((24, 0.5, 2), 10), ((30, 0.25, 7), 6)]
+
+
+class TestDualRoute:
+    def test_damks_lps_take_the_dual_route(self, monkeypatch):
+        routed = []
+        real = simplex._solve_dual
+        monkeypatch.setattr(
+            simplex, "_solve_dual", lambda lp: routed.append(lp) or real(lp)
+        )
+        lp = build_damks_lp(petersen(), 0, 2)
+        assert solve_lp(lp).status == OPTIMAL
+        assert routed == [lp]
+        # the full relaxation has an equality row: the primal route
+        assert solve_lp(full_damks_lp(petersen(), 0, 2)).status == OPTIMAL
+        assert routed == [lp]
+
+    def test_known_stall_is_solved(self):
+        lp = build_damks_lp(gnp_graph(22, 0.5, 4), 6, 8)
+        status, optimum = highs_optimum(lp)
+        sol = solve_lp(lp)
+        assert status == 0 and sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(optimum, abs=1e-6)
+
+    @pytest.mark.parametrize("dantzig_limit", [simplex.DANTZIG_LIMIT, 0])
+    def test_matches_highs_on_stall_inputs(self, monkeypatch, dantzig_limit):
+        # A seeded sample of each input's lp_pairs, under Dantzig's rule and
+        # under Bland's rule from the first pivot.  Every optimum capped at 1
+        # must be an optimum of the full relaxation, with its y <= 1 rows.
+        monkeypatch.setattr(simplex, "DANTZIG_LIMIT", dantzig_limit)
+        rng = random.Random("dual-route")
+        for args, k in STALL_INPUTS:
+            G = gnp_graph(*args)
+            for root, gamma in rng.sample(lp_pairs(G, k), 5):
+                lp = build_damks_lp(G, root, gamma)
+                status, optimum = highs_optimum(lp)
+                sol = solve_lp(lp)
+                assert status == 0 and sol.status == OPTIMAL, (args, root, gamma)
+                assert sol.objective == pytest.approx(optimum, abs=1e-6)
+                capped = np.minimum(sol.x, 1.0)
+                simplex._verify_feasible(full_damks_lp(G, root, gamma), capped)
+                assert capped[: G.n].sum() == pytest.approx(optimum, abs=1e-6)
+
+    @pytest.mark.parametrize("dantzig_limit", [simplex.DANTZIG_LIMIT, 0])
+    def test_random_boxes_with_nonnegative_costs(self, monkeypatch, dantzig_limit):
+        # Box LPs with costs >= 0 and each equality split into two rows have
+        # only <= rows in standard form, so they take the dual route.
+        monkeypatch.setattr(simplex, "DANTZIG_LIMIT", dantzig_limit)
+        rng = random.Random("dual-boxes")
+        statuses = set()
+        for _ in range(80):
+            lp = random_box_lp(rng)
+            rows = []
+            for coeffs, relation, rhs in lp.rows:
+                if relation == EQUAL:
+                    rows += [(coeffs, LESS_EQUAL, rhs), (coeffs, GREATER_EQUAL, rhs)]
+                else:
+                    rows.append((coeffs, relation, rhs))
+            lp = GeneralLp([abs(c) for c in lp.objective], lp.bounds, rows)
+            assert standard_form(lp)[0].n_eq == 0
+            sol = solve_general(lp)
+            status, best, _ = vertex_enum_optimum(lp)
+            assert sol.status == status
+            statuses.add(status)
+            if status == OPTIMAL:
+                assert sol.objective == pytest.approx(best, abs=1e-6)
+                assert lp_feasible(lp, sol.x, tol=1e-6)
+        assert statuses == {OPTIMAL, INFEASIBLE}
+
+
 class TestDistanceLayers:
     def test_path(self):
         P5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -164,6 +259,22 @@ class TestRounding:
         L = distance_layers(G, 0)
         out = round_once(G, L, [0.0] * G.n, derive_rng(0, "t"))
         assert out.s1 == () and out.s2 == () and out.d1 == 0.0
+
+    def test_draws_only_for_fractional_y(self):
+        G = petersen()
+        L = distance_layers(G, 0)
+        y = [1.0, 0.0, 1.0, 0.5, 0.0, 1.0, 0.25, 1.0, 0.0, 1.0]
+        fractional = [v for v in sorted(L[0] | L[1] | L[2]) if 0 < y[v] < 1]
+        fractional += [v for v in sorted(L[1] | L[2] | L[3]) if 0 < y[v] < 1]
+        rng, reference = derive_rng(3, "draws"), derive_rng(3, "draws")
+        s1, s2 = round_batch(G, L, y, rng, 5)
+        for _ in range(5 * len(fractional)):
+            reference.random()
+        assert rng.getstate() == reference.getstate()
+        integral = [v for v in range(G.n) if y[v] in (0.0, 1.0)]
+        window1 = L[0] | L[1] | L[2]
+        assert (s1[:, integral] == [[y[v] == 1.0 and v in window1 for v in integral]]).all()
+        assert not s2[:, [v for v in range(G.n) if y[v] == 0.0]].any()
 
     def test_deterministic_per_seed(self):
         G = petersen()
