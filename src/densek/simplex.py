@@ -153,7 +153,7 @@ def _solve_dual(lp: LinearProgram) -> LpSolution:
     nonbasic = np.arange(nv)
     rhs, costs = T[:-1, -1], T[-1, :-1]
     pivots = 0
-    while m:
+    while m:  # a program without rows is optimal at x = 0
         if pivots < DANTZIG_LIMIT:
             row = int(rhs.argmin())
             if rhs[row] >= -PIVOT_TOL:

@@ -43,8 +43,9 @@ def complete_graph(n):
 
 
 # a6_damks(gnp_graph(n, p, graph_seed), k, reps=2 * n, seed=graph_seed) as
-# computed before the LP moved to standard form, and before a6 drew its
-# roundings in chunks.
+# computed before the LP moved to standard form, before a6 drew its
+# roundings in chunks, and before its LPs took the dual route and its
+# roundings drew only for fractional y.
 PINNED_A6 = [
     (8, 0.5, 1, 3, (0, 1, 4), 3),
     (9, 0.4, 2, 4, (0, 5, 8), 3),
@@ -55,6 +56,22 @@ PINNED_A6 = [
     (13, 0.3, 7, 5, (0, 3, 4), 3),
     (14, 0.4, 8, 8, (2, 5, 7, 8, 9, 10, 11, 13), 19),
 ]
+
+
+def highs_optimum(lp):
+    """HiGHS's status code and optimum for ``lp`` (a scipy test extra)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    eq, ub = slice(None, lp.n_eq), slice(lp.n_eq, None)
+    ref = linprog(
+        lp.objective,
+        A_ub=lp.rows[ub],
+        b_ub=lp.rhs[ub],
+        A_eq=lp.rows[eq] if lp.n_eq else None,
+        b_eq=lp.rhs[eq] if lp.n_eq else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    return ref.status, ref.fun
 
 
 class TestLpConstruction:
@@ -109,7 +126,6 @@ class TestLpConstruction:
         assert solve_lp(build_damks_lp(G, 0, 1)).status == INFEASIBLE
 
     def test_matches_scipy(self):
-        opt = pytest.importorskip("scipy.optimize")
         rng = random.Random("damks-lp")
         for _ in range(12):
             G = gnp_graph(rng.randint(3, 7), 0.6, rng.randint(0, 99))
@@ -117,36 +133,12 @@ class TestLpConstruction:
             gamma = rng.choice([1, 2, 3])
             lp = build_damks_lp(G, root, gamma)
             sol = solve_lp(lp)
-            ref = opt.linprog(
-                lp.objective,
-                A_ub=lp.rows[lp.n_eq:],
-                b_ub=lp.rhs[lp.n_eq:],
-                A_eq=lp.rows[:lp.n_eq],
-                b_eq=lp.rhs[:lp.n_eq],
-                bounds=(0, None),
-                method="highs",
-            )
-            if ref.status == 0:
+            status, optimum = highs_optimum(lp)
+            if status == 0:
                 assert sol.status == OPTIMAL
-                assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
-            elif ref.status == 2:
+                assert sol.objective == pytest.approx(optimum, abs=1e-6)
+            elif status == 2:
                 assert sol.status == INFEASIBLE
-
-
-def highs_optimum(lp):
-    """HiGHS's status code and optimum for ``lp`` (a scipy test extra)."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    eq, ub = slice(None, lp.n_eq), slice(lp.n_eq, None)
-    ref = linprog(
-        lp.objective,
-        A_ub=lp.rows[ub],
-        b_ub=lp.rhs[ub],
-        A_eq=lp.rows[eq] if lp.n_eq else None,
-        b_eq=lp.rhs[eq] if lp.n_eq else None,
-        bounds=(0, None),
-        method="highs",
-    )
-    return ref.status, ref.fun
 
 
 # Graphs and k on which the two-phase primal route stalled or took seconds
