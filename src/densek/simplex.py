@@ -183,7 +183,7 @@ def _solve_dual(lp: LinearProgram) -> LpSolution:
             raise LpNumericalError(f"no convergence after {MAX_PIVOTS} pivots")
 
     u = np.zeros(nv + m)
-    u[basic] = np.maximum(T[:-1, -1], 0.0)
+    u[basic] = np.maximum(rhs, 0.0)
     x = u[:nv]
     _verify_feasible(lp, x)
     return LpSolution(
