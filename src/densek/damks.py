@@ -241,14 +241,12 @@ def a6_damks(
             chosen = np.where(denser[:, None], s1, s2)
             sizes = chosen.sum(axis=1)
             chosen = chosen[(sizes > 0) & (sizes <= 2 * k)]
-            packed = np.packbits(chosen, axis=1)
-            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-            for i in np.unique(keys, return_index=True)[1]:
-                key = keys[i].tobytes()
+            for row, packed in zip(chosen, np.packbits(chosen, axis=1)):
+                key = packed.tobytes()
                 if key in seen:
                     continue
                 seen.add(key)
-                cand = induced_stats(G, fixing_trim(G, np.flatnonzero(chosen[i]).tolist(), k))
+                cand = induced_stats(G, fixing_trim(G, np.flatnonzero(row).tolist(), k))
                 if best is None or better_than(cand, best):
                     best = cand
     if best is None:

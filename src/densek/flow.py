@@ -114,7 +114,6 @@ def max_quasi_density(
     q: Fraction | int,
     inner: Iterable[int] = (),
     outer: Iterable[int] | None = None,
-    inner_edges: int | None = None,
 ) -> tuple[tuple[int, ...], Fraction]:
     """Maximise ``|E(S)| - q*|S|`` over the vertex sets with
     ``inner <= S <= outer`` (by default over all sets), exactly, via a single
@@ -130,8 +129,6 @@ def max_quasi_density(
     optimum is ``e(inner) - q*|inner| + e(F) + e(F, inner) - mincut/(2b)``
     and the canonical cut's source side gives the inclusion-minimal
     optimiser within the bounds.  Requires ``q > 0`` and ``inner <= outer``.
-    A caller that already knows ``e(inner)`` passes it as ``inner_edges``,
-    and it is not recounted.
     """
     q = Fraction(q)
     if q <= 0:
@@ -160,19 +157,21 @@ def max_quasi_density(
         cross_edges += deg_fixed
         arcs.append((s, i, b * deg_free + 2 * b * deg_fixed, 0))
         arcs.append((i, t, 2 * a, 0))
-    if inner_edges is None:
-        inner_edges = sum(1 for v in fixed for u in G.adjacency[v] if u > v and u in fixed)
     cut, side = max_flow(len(free) + 2, arcs, s, t)
-    chosen = tuple(sorted([*fixed, *(free[i] for i in side if i < s)]))
-    value = (
-        inner_edges - q * len(fixed) + free_degrees // 2 + cross_edges
-        - Fraction(cut, 2 * b)
-    )
+    added = [free[i] for i in side if i < s]
+    chosen = tuple(sorted([*fixed, *added]))
     inside = set(chosen)
-    induced = sum(1 for v in chosen for u in G.adjacency[v] if u > v and u in inside)
-    if value != induced - q * len(chosen):  # pragma: no cover - construction guard
-        raise RuntimeError("min cut does not certify the quasi-density optimiser")
-    return chosen, value
+    # e(X) + e(X, inner) for the added vertices X, recounted from G: the cut
+    # must be 2b*(e(F) + e(F, inner)) - 2b*(that - q*|X|).
+    gained = sum(
+        1 for v in added for u in G.adjacency[v] if u in inside and (u > v or u in fixed)
+    )
+    if cut != 2 * b * (free_degrees // 2 + cross_edges - gained) + 2 * a * len(added):
+        raise RuntimeError(  # pragma: no cover - construction guard
+            "min cut does not certify the quasi-density optimiser"
+        )
+    fixed_edges = sum(1 for v in fixed for u in G.adjacency[v] if u > v and u in fixed)
+    return chosen, fixed_edges + gained - q * len(chosen)
 
 
 def _quasi_chain(
@@ -207,7 +206,7 @@ def _quasi_chain(
     while pending:
         right = pending[-1]
         cross = Fraction(left[1] - right[1], len(left[0]) - len(right[0]))
-        found = solve(cross, inner=right[0], outer=left[0], inner_edges=right[1])
+        found = solve(cross, inner=right[0], outer=left[0])
         if found[0] == right[0]:
             chain.append((cross, right[0]))
             left = pending.pop()
