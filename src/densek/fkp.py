@@ -162,16 +162,12 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
 
 
 def _walk_step(G: Graph, X: np.ndarray) -> np.ndarray:
-    """``A @ X`` for the adjacency matrix ``A`` of ``G``: one flat
-    ``np.add.at`` of row ``X[u]`` into row ``v`` and of ``X[v]`` into row
-    ``u`` for every edge ``(u, v)``."""
+    """``A @ X`` for the adjacency matrix ``A`` of ``G``."""
     u, v = G.ends[:, 0], G.ends[:, 1]
-    width = X.size // G.n
-    target = np.concatenate([v, u])
-    index = (target[:, None] * width + np.arange(width)).ravel()
-    out = np.zeros(X.size, dtype=X.dtype)
-    np.add.at(out, index, X[np.concatenate([u, v])].ravel())
-    return out.reshape(X.shape)
+    out = np.zeros_like(X)
+    np.add.at(out, v, X[u])
+    np.add.at(out, u, X[v])
+    return out
 
 
 def walk_rows(G: Graph, w: int, top: int) -> list[np.ndarray]:
