@@ -34,19 +34,23 @@ Each relaxation is built directly as one standard-form
 ``y_i0 >= 1`` as its only row of negative rhs and without the rows
 ``y_i <= 1``, which capping at 1 makes redundant (:func:`build_damks_lp`).
 Every row is then ``<=`` and every cost >= 0, so the simplex solves it by
-its dual route from the all-slack basis.  The optimum is capped into
-[0, 1].  The roundings of one relaxation are drawn in numpy batches of at
+its dual route from the all-slack basis.  a6 builds one such program and
+rewrites its root row and gamma coefficients in place for each pair
+(:func:`_retarget`).  The optimum is capped into [0, 1].  A relaxation with
+no fractional ``y_i`` in either window rounds alike in every rep, so its
+one outcome is taken directly (:func:`_integral_outcome`) and nothing is
+drawn.  Any other relaxation's roundings are drawn in numpy batches of at
 most ``ROUND_CHUNK`` reps (:func:`round_batch`), with a random draw only
 for a fractional ``y_i``; each rep's two window samples are scored over the
 edge list (:func:`_average_degrees`, no n x n matrix), and only the
-distinct candidate sets are trimmed and scored.
+distinct candidate sets are trimmed and scored (:func:`_rounded_sets`).
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -119,6 +123,11 @@ def distance_layers(G: Graph, root: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(v for v, d in dist.items() if d == i) for i in range(4))
 
 
+def _windows(layers: tuple[frozenset[int], ...]) -> tuple[list[int], list[int]]:
+    """Window 1 (layers 0-2) and window 2 (layers 1-3), each sorted."""
+    return sorted(layers[0] | layers[1] | layers[2]), sorted(layers[1] | layers[2] | layers[3])
+
+
 def round_batch(
     G: Graph,
     layers: tuple[frozenset[int], ...],
@@ -141,8 +150,7 @@ def round_batch(
     """
     if len(y) != G.n:
         raise ValueError(f"{len(y)} y-values for {G.n} vertices")
-    window1 = sorted(layers[0] | layers[1] | layers[2])
-    window2 = sorted(layers[1] | layers[2] | layers[3])
+    window1, window2 = _windows(layers)
     columns = np.array(window1 + window2, dtype=np.intp)
     values = np.asarray(y, dtype=float)[columns]
     fractional = np.flatnonzero((values > 0) & (values < 1))
@@ -197,6 +205,56 @@ def lp_pairs(G: Graph, k: int) -> list[tuple[int, int]]:
     ]
 
 
+def _retarget(lp: simplex.LinearProgram, n: int, root: int, gamma: float) -> None:
+    """Turn a :func:`build_damks_lp` program of an ``n``-vertex graph into
+    the one for ``root`` and ``gamma``, in place: only row 0
+    (``-y_root <= -1``) and the ``gamma`` coefficients of the degree rows
+    depend on them."""
+    vertex = np.arange(n)
+    lp.rows[0] = 0.0
+    lp.rows[0, root] = -1.0
+    lp.rows[1 + vertex, vertex] = float(gamma)
+
+
+def _integral_outcome(
+    G: Graph, windows: tuple[list[int], list[int]], y: Sequence[float]
+) -> tuple[int, ...] | None:
+    """What every rounding of a relaxation gives when neither window has a
+    vertex with ``0 < y < 1``: the denser of the two windows' ``y = 1``
+    vertices, window 1 on a tie, by the average degree and the ``>=`` that
+    :func:`a6_damks` applies to :func:`round_batch`'s samples.  None when
+    some window vertex is fractional."""
+    if any(0 < y[v] < 1 for window in windows for v in window):
+        return None
+    s1, s2 = (induced_stats(G, [v for v in window if y[v] >= 1]) for window in windows)
+    return (s1 if s1.average_degree >= s2.average_degree else s2).vertices
+
+
+def _rounded_sets(
+    G: Graph,
+    layers: tuple[frozenset[int], ...],
+    y: Sequence[float],
+    rng: random.Random,
+    reps: int,
+    k: int,
+) -> Iterator[list[int]]:
+    """The distinct sets of ``reps`` roundings, drawn by :func:`round_batch`
+    in batches of at most ``ROUND_CHUNK``: per rep the denser window sample
+    (window 1 on a tie), kept when it has 1 to 2k vertices."""
+    seen: set[bytes] = set()
+    for start in range(0, reps, ROUND_CHUNK):
+        s1, s2 = round_batch(G, layers, y, rng, min(ROUND_CHUNK, reps - start))
+        denser = _average_degrees(G, s1) >= _average_degrees(G, s2)
+        chosen = np.where(denser[:, None], s1, s2)
+        sizes = chosen.sum(axis=1)
+        chosen = chosen[(sizes > 0) & (sizes <= 2 * k)]
+        for row, packed in zip(chosen, np.packbits(chosen, axis=1)):
+            key = packed.tobytes()
+            if key not in seen:
+                seen.add(key)
+                yield np.flatnonzero(row).tolist()
+
+
 def a6_damks(
     G: Graph,
     k: int,
@@ -212,6 +270,13 @@ def a6_damks(
     sets to at most k, and return the best candidate.  Never returns more
     than k vertices.  A pair whose LP the simplex cannot certify
     (:class:`simplex.LpNumericalError`) is skipped like an infeasible one.
+
+    A relaxation with no fractional ``y`` in either window rounds the same
+    way every time, so it draws nothing and its one outcome
+    (:func:`_integral_outcome`) is trimmed and scored once.  One program is
+    built and then rewritten in place for each pair (:func:`_retarget`), so
+    a6 holds one program however long its gamma ladder; the distance layers
+    are computed once per root.
     """
     check_k(G, k)
     if reps is None:
@@ -219,9 +284,15 @@ def a6_damks(
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
     best: SubgraphResult | None = None
+    lp = None
+    layers_root = None
     for root, gamma in lp_pairs(G, k):
+        if lp is None:
+            lp = build_damks_lp(G, root, gamma)
+        else:
+            _retarget(lp, G.n, root, gamma)
         try:
-            sol = simplex.solve_lp(build_damks_lp(G, root, gamma))
+            sol = simplex.solve_lp(lp)
         except simplex.LpNumericalError:
             continue
         if sol.status != simplex.OPTIMAL:
@@ -230,25 +301,21 @@ def a6_damks(
         if sol.objective > k + LP_SCREEN_TOL:
             continue
         y = [min(1.0, max(0.0, val)) for val in sol.x[: G.n]]
-        layers = distance_layers(G, root)
-        rng = derive_rng(seed, "a6", root, gamma)
+        if layers_root != root:
+            layers_root, layers = root, distance_layers(G, root)
+            windows = _windows(layers)
+        outcome = _integral_outcome(G, windows, y)
+        if outcome is None:
+            rng = derive_rng(seed, "a6", root, gamma)
+            rounded = _rounded_sets(G, layers, y, rng, reps, k)
+        else:
+            rounded = [outcome] if 0 < len(outcome) <= 2 * k else []
         # better_than is a strict total order on distinct vertex sets, so
         # scoring each distinct set once, in any order, gives the same best.
-        seen: set[bytes] = set()
-        for start in range(0, reps, ROUND_CHUNK):
-            s1, s2 = round_batch(G, layers, y, rng, min(ROUND_CHUNK, reps - start))
-            denser = _average_degrees(G, s1) >= _average_degrees(G, s2)
-            chosen = np.where(denser[:, None], s1, s2)
-            sizes = chosen.sum(axis=1)
-            chosen = chosen[(sizes > 0) & (sizes <= 2 * k)]
-            for row, packed in zip(chosen, np.packbits(chosen, axis=1)):
-                key = packed.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                cand = induced_stats(G, fixing_trim(G, np.flatnonzero(row).tolist(), k))
-                if best is None or better_than(cand, best):
-                    best = cand
+        for vertices in rounded:
+            cand = induced_stats(G, fixing_trim(G, vertices, k))
+            if best is None or better_than(cand, best):
+                best = cand
     if best is None:
         # Nothing rounded usefully (e.g. edgeless graph): any single vertex
         # achieves the optimum-0 trivially.

@@ -24,8 +24,13 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
 
 ``ALGORITHMS`` is the one table of the six: name -> runner and smallest k
 accepted; ``ALGO_NAMES``, :mod:`densek.ratio` and ``densek solve`` read it.
-Every exactly-k answer goes through one completion step, ``_completed``:
-map ids back, pad with the lowest free ids, score.
+Every exactly-k answer goes through one completion step, ``_completed``,
+which takes a whole batch of candidate sets: map ids back, pad each set
+with its lowest free ids, count each padded set's edges over ``G.ends`` and
+keep the best, all as numpy bool masks of at most ``SCORE_CELLS`` cells at
+a time.  a3 hands it all its singles and pairs, a4 each edge's a3
+candidates and then its pool of local answers, a5 its trimmed sets; a1 and
+``dks_candidates`` hand it one set each.
 
 ``dks_candidates`` runs any subset of the six on the graph itself and on
 the graph with its top-degree half removed, and yields each run's answer
@@ -41,7 +46,8 @@ the peeled branch, so each algorithm runs once per branch.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator
+from itertools import chain, islice
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +60,6 @@ from .graph import (
     doubling_ladder,
     induced_stats,
     induced_subgraph,
-    pad_lowest_id,
     pick_best,
     remove_top_degrees,
     top_degree_vertices,
@@ -73,6 +78,10 @@ WALK_BLOCK = 64
 # a5 counts walks in int64; a length-5 count is at most d_max^4, and this is
 # the largest degree whose fourth power stays below 2^63.
 MAX_WALK_DEGREE = math.isqrt(math.isqrt(2**63 - 1))
+# Most cells one scoring batch of _completed holds: candidate sets times
+# max(n, m), so that neither the set masks nor the per-edge test grow with
+# the number of candidates.  At 2^20 a batch takes about 10 MB.
+SCORE_CELLS = 1 << 20
 
 
 def _greedy_matching(G: Graph, k: int) -> set[int]:
@@ -88,14 +97,67 @@ def _greedy_matching(G: Graph, k: int) -> set[int]:
     return matched
 
 
+def _best_padded(
+    G: Graph, batch: list[Collection[int]], k: int, lookup: np.ndarray | None
+) -> tuple[tuple[int, bytes], np.ndarray]:
+    """One batch of :func:`_completed`: the best set of ``batch`` once
+    padded, as its key ``(edges, packed mask)``, where larger is better,
+    and its mask."""
+    sizes = [len(c) for c in batch]
+    flat = np.fromiter(chain.from_iterable(batch), np.intp, sum(sizes))
+    bound = G.n if lookup is None else len(lookup)
+    if flat.size and (flat.min() < 0 or flat.max() >= bound):
+        bad = flat[(flat < 0) | (flat >= bound)][0]
+        raise ValueError(f"vertex {bad} out of range for n={bound}")
+    if lookup is not None:
+        flat = lookup[flat]
+    mask = np.zeros((len(batch), G.n), dtype=bool)
+    mask[np.repeat(np.arange(len(batch)), sizes), flat] = True
+    missing = k - mask.sum(axis=1)
+    if missing.min() < 0:
+        raise ValueError(f"set of size {k - missing.min()} already exceeds k={k}")
+    # A free vertex is padded in when its rank among the row's free ids is
+    # at most what the row is missing.
+    mask |= np.cumsum(~mask, axis=1, dtype=np.int32) <= missing[:, None]
+    edges = (mask[:, G.ends[:, 0]] & mask[:, G.ends[:, 1]]).sum(axis=1)
+    top = (edges == edges.max()).nonzero()[0]
+    packed = np.packbits(mask[top], axis=1).tolist()
+    row = max(range(len(top)), key=packed.__getitem__)
+    return (int(edges[top[row]]), bytes(packed[row])), mask[top[row]]
+
+
 def _completed(
-    G: Graph, vertices: Iterable[int], k: int, ids: tuple[int, ...] | None = None
+    G: Graph,
+    candidates: Iterable[Collection[int]],
+    k: int,
+    ids: Sequence[int] | None = None,
 ) -> SubgraphResult:
-    """``vertices`` mapped through ``ids`` (a subgraph's id -> ``G``'s) when
-    given, padded with the lowest free ids to exactly k, scored on ``G``."""
-    if ids is not None:
-        vertices = [ids[x] for x in vertices]
-    return induced_stats(G, pad_lowest_id(G, vertices, k))
+    """The best of ``candidates``, each mapped through ``ids`` (a subgraph's
+    id -> ``G``'s) when given and padded with the lowest free ids to exactly
+    k, scored on ``G``: what ``pick_best`` of ``induced_stats`` over the
+    padded sets returns.
+
+    Every padded set has k vertices, so the best one has the most edges and,
+    among those, the smallest vertex tuple: the largest ``np.packbits`` row
+    of its mask read from vertex 0.  The candidates are padded and scored as
+    bool mask batches of at most ``SCORE_CELLS`` cells (:func:`_best_padded`),
+    counting each row's edges over ``G.ends``; only the winner becomes a
+    ``SubgraphResult``.  Raises ``ValueError`` on an id out of range, a set
+    of more than k vertices, or no candidates.
+    """
+    check_k(G, k)
+    lookup = None if ids is None else np.asarray(ids, dtype=np.intp)
+    batch_rows = max(1, SCORE_CELLS // max(G.n, G.m))
+    best: tuple[tuple[int, bytes], np.ndarray] | None = None
+    pending = iter(candidates)
+    while batch := list(islice(pending, batch_rows)):
+        found = _best_padded(G, batch, k, lookup)
+        if best is None or found[0] > best[0]:
+            best = found
+    if best is None:
+        raise ValueError("no candidate results")
+    (count, _), winner = best
+    return SubgraphResult(tuple(winner.nonzero()[0].tolist()), count, 2.0 * count / k)
 
 
 def a1_matching(G: Graph, k: int) -> SubgraphResult:
@@ -103,7 +165,7 @@ def a1_matching(G: Graph, k: int) -> SubgraphResult:
     with the lowest free ids.  If the greedy matching reaches ``floor(k/2)``
     edges the result keeps at least that many."""
     check_k(G, k)
-    return _completed(G, _greedy_matching(G, k), k)
+    return _completed(G, [_greedy_matching(G, k)], k)
 
 
 def attachment_counts(G: Graph, heavy: set[int]) -> dict[int, int]:
@@ -126,30 +188,34 @@ def a2_top_degrees(G: Graph, k: int) -> SubgraphResult:
 
 
 def _neighborhood_candidates(G: Graph, k: int) -> Iterator[list[int]]:
+    # Position of each vertex in (-degree, id) order.
+    rank = [0] * G.n
+    for i, v in enumerate(top_degree_vertices(G, G.n)):
+        rank[v] = i
     for v in range(G.n):
-        ranked = sorted(G.adjacency[v], key=lambda u: (-G.degree(u), u))
+        ranked = sorted(G.adjacency[v], key=rank.__getitem__)
         yield [v, *ranked[: k - 1]]
     if k >= 2:
         neigh = [set(G.adjacency[v]) for v in range(G.n)]
         for u in range(G.n):
             for v in range(u + 1, G.n):
-                common = sorted(neigh[u] & neigh[v])
+                common = neigh[u] & neigh[v]
                 if common:
-                    yield [u, v, *common[: k - 2]]
+                    yield [u, v, *sorted(common)[: k - 2]]
 
 
 def a3_neighborhoods(G: Graph, k: int) -> SubgraphResult:
     """Best of: each vertex with its highest-degree neighbors, and each pair
     with its lowest-id common neighbors; all candidates padded to k."""
     check_k(G, k)
-    return pick_best(_completed(G, c, k) for c in _neighborhood_candidates(G, k))
+    return _completed(G, _neighborhood_candidates(G, k), k)
 
 
 def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
     """Run a1/a2/a3 inside ``N(u) union N(v)`` for every edge ``(u, v)`` and
     keep the best candidate (the plain a1 answer is always in the pool)."""
     check_k(G, k)
-    candidates: list[SubgraphResult] = [a1_matching(G, k)]
+    pool: list[Collection[int]] = [_greedy_matching(G, k)]
     for u, v in G.edges:
         verts = set(G.adjacency[u]) | set(G.adjacency[v])
         sub, ids = induced_subgraph(G, verts)
@@ -157,8 +223,8 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
         local = [a1_matching(sub, kk), a3_neighborhoods(sub, kk)]
         if kk >= ALGORITHMS["a2"][1]:
             local.append(a2_top_degrees(sub, kk))
-        candidates.extend(_completed(G, res.vertices, k, ids) for res in local)
-    return pick_best(candidates)
+        pool.extend([ids[x] for x in res.vertices] for res in local)
+    return _completed(G, pool, k)
 
 
 def _walk_step(G: Graph, X: np.ndarray) -> np.ndarray:
@@ -337,7 +403,7 @@ def a5_walks(
         raw.extend(_good_vertex_candidates(layers, cut, tau, k))
 
     unique = sorted({fixing_trim(G, cand, k) for cand in set(raw)})
-    return pick_best(_completed(G, cand, k) for cand in unique if cand)
+    return _completed(G, (cand for cand in unique if cand), k)
 
 
 # a1-a6 in dispatch order: name -> (runner, smallest k accepted), where a
@@ -394,7 +460,7 @@ def dks_candidates(
                 continue
             algo_seed = seed if ids is None else derive_seed(seed, branch, algo)
             res = run(bg, kk, algo_seed, a6_reps, G.n)
-            yield branch, algo, _completed(G, res.vertices, k, ids)
+            yield branch, algo, _completed(G, [res.vertices], k, ids)
 
 
 def combined_dks(

@@ -294,20 +294,6 @@ def remove_top_degrees(G: Graph, k: int) -> tuple[Graph, tuple[int, ...]]:
     return induced_subgraph(G, keep)
 
 
-def pad_lowest_id(G: Graph, vertices: Iterable[int], k: int) -> tuple[int, ...]:
-    """Grow the set to exactly ``k`` vertices by adding the smallest free ids."""
-    vset = set(vertices)
-    if len(vset) > k:
-        raise ValueError(f"set of size {len(vset)} already exceeds k={k}")
-    if k > G.n:
-        raise ValueError(f"k={k} exceeds n={G.n}")
-    for v in range(G.n):
-        if len(vset) == k:
-            break
-        vset.add(v)
-    return tuple(sorted(vset))
-
-
 def pad_most_neighbors(G: Graph, vertices: Iterable[int], k: int) -> tuple[int, ...]:
     """Grow the set to exactly ``k`` vertices, each time adding the outside
     vertex with the most neighbors already inside (ties to lower ids)."""

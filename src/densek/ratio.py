@@ -12,19 +12,24 @@ The lattice maximum underestimates the continuous one by at most
 ``grid_max_min`` finds the lattice maximum exactly by a coarse-to-fine
 branch and bound over boxes of lattice indices in (g, d, K).  It starts
 from one box whose side is the smallest power of two that covers the
-lattice.  Every formula is jointly convex in (g, d, K) wherever it applies:
-a1, a2, a4 and a6 are linear, a3 is a max of linear terms, and each of a5's
-two cases is g minus a min of linear terms.  So a formula's maximum over a
-box is its largest value at the box's eight corners, and the least of those
-maxima over the selected formulas bounds the per-point minimum on the box.
-a5 applies only where K > d (or 2d <= K), so it is bounded by max(wide,
-mid) at the corners and tightens the bound only where it applies on the
-whole box; on a box it leaves partly uncovered, the other formulas alone
-bound the points it misses (which are not lattice points at all when a5 is
-the whole set).  At each level one lattice point of every box is evaluated,
-the boxes whose bound lies below the best value found so far less
-``MARGIN`` are dropped, and the rest are split into the eight children that
-meet the lattice, down to boxes of side 1, which are single lattice points.
+lattice.  Every formula is monotone in each of g, d and K: a1 = g and
+a2 = g - K - d + 1 rise with g and do not rise with d or K, while
+a3 = -g + max(K, d), a4 = -2g + 2K + d/3, a6 = (4d + K - 4g)/3 and both of
+a5's cases, each -2g plus a max of terms with non-negative weights on d and
+K, fall with g and do not fall with d or K.  So over a box a1 and a2 peak
+at the corner (g_hi, d_lo, K_lo) and the others at (g_lo, d_hi, K_hi), and
+the least of those peaks over the selected formulas bounds the per-point
+minimum on the box.  (A seeded test finds these two corners give the
+float maximum over all eight bit for bit; a rounding slip would in any case
+sit far inside ``MARGIN``.)  a5 applies only where K > d (or 2d <= K), so
+it is bounded by max(wide, mid) at its corner and tightens the bound only
+where it applies on the whole box; on a box it leaves partly uncovered, the
+other formulas alone bound the points it misses (which are not lattice
+points at all when a5 is the whole set).  At each level one lattice point
+of every box is evaluated, the boxes whose bound lies below the best value
+found so far less ``MARGIN`` are dropped, and the rest are split into the
+eight children that meet the lattice, down to boxes of side 1, which are
+single lattice points.
 ``MARGIN`` exceeds the float rounding of the bounds and of the evaluated
 expressions many times over, so every dropped box lies strictly below the
 lattice maximum and every point equal to it is evaluated at the last level.
@@ -124,26 +129,27 @@ def _evaluate(g: np.ndarray, d: np.ndarray, K: np.ndarray,
     return np.where(r < np.inf, r, -np.inf)
 
 
+# The formulas that rise with g and do not rise with d or K; every other
+# one falls with g and does not fall with d or K.
+RISING = frozenset({"a1", "a2"})
+
+
 def _bound(i0, j0, l0, side: int, imax: int, delta: float,
            algos: frozenset[str]) -> np.ndarray:
     """Upper bound of ``_evaluate``'s finite values on each box of lattice
     indices ``[i0, i0 + side) x [j0, j0 + side) x [l0, l0 + side)`` in
     (g, d, K), clipped to ``imax``; -inf on a box that no selected formula
-    covers."""
+    covers.  Each formula peaks at one corner of a box: those of
+    :data:`RISING` at (g_hi, d_lo, K_lo), the rest at (g_lo, d_hi, K_hi)."""
     g_lo, d_lo, K_lo = (lo * delta for lo in (i0, j0, l0))
     g_hi, d_hi, K_hi = (np.minimum(lo + side - 1, imax) * delta for lo in (i0, j0, l0))
-    corners = [
-        _exponents(g, d, K, algos)
-        for g in (g_lo, g_hi) for d in (d_lo, d_hi) for K in (K_lo, K_hi)
-    ]
-    bound = np.full(np.shape(i0), np.inf)
-    for term in zip(*(terms for terms, _ in corners)):
-        bound = np.minimum(bound, functools.reduce(np.maximum, term))
-    if "a5" in algos:
-        a5 = functools.reduce(np.maximum, (np.maximum(*cases) for _, cases in corners))
+    rising, _ = _exponents(g_hi, d_lo, K_lo, algos & RISING)
+    falling, a5 = _exponents(g_lo, d_hi, K_hi, algos - RISING)
+    bound = functools.reduce(np.minimum, rising + falling, np.full(np.shape(i0), np.inf))
+    if a5 is not None:
         applies = (K_hi > d_lo) | (2 * d_lo <= K_hi)
         misses = (K_lo <= d_hi) & (K_lo < 2 * d_hi)
-        a5 = np.where(applies, a5, -np.inf)
+        a5 = np.where(applies, np.maximum(*a5), -np.inf)
         bound = np.where(misses & (len(algos) > 1), bound, np.minimum(bound, a5))
     return bound
 

@@ -31,8 +31,9 @@ from densek.graph import (
     graph_from_edges,
     induced_stats,
     pad_most_neighbors,
+    pick_best,
 )
-from densek.ratio import ExponentPoint, GridResult
+from densek.ratio import ExponentPoint, GridResult, _exponents
 from densek.simplex import OPTIMAL, LinearProgram, LpSolution, solve_lp
 
 LESS_EQUAL = "<="
@@ -458,6 +459,29 @@ def brute_bounded_quasi_density(G: Graph, q, inner, outer) -> tuple[tuple[int, .
     return best
 
 
+def pad_lowest_id(G: Graph, vertices, k: int) -> tuple[int, ...]:
+    """Grow the set to exactly ``k`` vertices by adding the smallest free ids."""
+    vset = set(vertices)
+    if len(vset) > k:
+        raise ValueError(f"set of size {len(vset)} already exceeds k={k}")
+    if k > G.n:
+        raise ValueError(f"k={k} exceeds n={G.n}")
+    for v in range(G.n):
+        if len(vset) == k:
+            break
+        vset.add(v)
+    return tuple(sorted(vset))
+
+
+def reference_completed(G: Graph, candidates, k: int, ids=None) -> SubgraphResult:
+    """Per-set reference for ``fkp._completed``: map each candidate through
+    ``ids``, pad it with :func:`pad_lowest_id`, score it with
+    ``induced_stats`` and keep the best by ``better_than``."""
+    if ids is not None:
+        candidates = [[ids[x] for x in c] for c in candidates]
+    return pick_best(induced_stats(G, pad_lowest_id(G, c, k)) for c in candidates)
+
+
 def reference_pad_most_neighbors(G: Graph, vertices, k: int) -> tuple[int, ...]:
     """The quadratic padding ``graph.pad_most_neighbors`` replaced: each step
     scans every outside vertex for the most neighbors inside (ties to lower
@@ -711,6 +735,29 @@ def full_grid_max_min(delta: float, algos) -> GridResult:
         argmax=ExponentPoint(g=gi * delta, K=kl * delta, d=dj * delta),
         evaluations=evaluations,
     )
+
+
+def eight_corner_bound(i0, j0, l0, side: int, imax: int, delta: float,
+                       algos: frozenset[str]) -> np.ndarray:
+    """Reference for ``ratio._bound``: each formula's largest value over all
+    eight corners of every box, with no use of monotonicity; the a5 rule is
+    the same."""
+    g_lo, d_lo, K_lo = (lo * delta for lo in (i0, j0, l0))
+    g_hi, d_hi, K_hi = (np.minimum(lo + side - 1, imax) * delta for lo in (i0, j0, l0))
+    corners = [
+        _exponents(g, d, K, algos)
+        for g in (g_lo, g_hi) for d in (d_lo, d_hi) for K in (K_lo, K_hi)
+    ]
+    bound = np.full(np.shape(i0), np.inf)
+    for term in zip(*(terms for terms, _ in corners)):
+        bound = np.minimum(bound, np.max(term, axis=0))
+    if "a5" in algos:
+        a5 = np.max([np.maximum(*cases) for _, cases in corners], axis=0)
+        applies = (K_hi > d_lo) | (2 * d_lo <= K_hi)
+        misses = (K_lo <= d_hi) & (K_lo < 2 * d_hi)
+        a5 = np.where(applies, a5, -np.inf)
+        bound = np.where(misses & (len(algos) > 1), bound, np.minimum(bound, a5))
+    return bound
 
 
 def best_edges_by_size(G: Graph) -> list[int]:

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from densek.ratio import (
     error_bound,
     grid_max_min,
 )
-from helpers import full_grid_max_min, ratio_exponent, scalar_grid_oracle
+from helpers import eight_corner_bound, full_grid_max_min, ratio_exponent, scalar_grid_oracle
 
 
 class TestExponentPoint:
@@ -156,6 +157,25 @@ class TestGrid:
             r = grid_max_min(delta, algos)
             assert len(evaluated) == levels, delta
             assert sum(evaluated) < 0.00001 * r.evaluations, delta
+
+    def test_two_corner_bound_is_the_eight_corner_maximum(self):
+        # Every formula is monotone on a box, so its peak sits at one of two
+        # corners; random aligned boxes of every side, on lattices of several
+        # widths, for every subset of a1-a6.
+        rng = np.random.default_rng(20)
+        subsets = [
+            frozenset(c)
+            for size in range(1, len(ALGOS) + 1)
+            for c in itertools.combinations(ALGOS, size)
+        ]
+        for imax in (7, 129, 2000):
+            delta = 1.0 / imax
+            for side in (2 ** p for p in range(imax.bit_length() + 1)):
+                i0, j0, l0 = side * rng.integers(0, imax // side + 1, (3, 64))
+                for algos in subsets:
+                    got = ratio._bound(i0, j0, l0, side, imax, delta, algos)
+                    want = eight_corner_bound(i0, j0, l0, side, imax, delta, algos)
+                    assert got.tobytes() == want.tobytes(), (imax, side, sorted(algos))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from densek.damks import (
 )
 from densek.rng import derive_rng
 from densek.simplex import INFEASIBLE, OPTIMAL, solve_lp
-from densek.graph import doubling_ladder, gnp_graph, graph_from_edges
+from densek.graph import doubling_ladder, gnp_graph, graph_from_edges, induced_stats
 from helpers import (
     EQUAL,
     GREATER_EQUAL,
@@ -56,6 +56,9 @@ PINNED_A6 = [
     (13, 0.3, 7, 5, (0, 3, 4), 3),
     (14, 0.4, 8, 8, (2, 5, 7, 8, 9, 10, 11, 13), 19),
 ]
+# How many of each PINNED_A6 input's usable relaxations have a fractional y
+# in a window, and so draw their roundings; the other inputs have none.
+FRACTIONAL_A6 = {(10, 0.6, 4): 5, (14, 0.4, 8): 9}
 
 
 def highs_optimum(lp):
@@ -102,6 +105,22 @@ class TestLpConstruction:
         assert lp.n_eq == 0
         assert lp.rows.tolist() == rows
         assert lp.rhs.tolist() == rhs
+
+    def test_retargeted_program_is_a_fresh_build(self):
+        # a6 rewrites one program for each (root, gamma) pair; every rewrite,
+        # in the order a6 makes them and in a shuffled one, must give the
+        # program build_damks_lp writes for that pair, cell for cell.
+        rng = random.Random("retarget")
+        for G in (petersen(), gnp_graph(12, 0.4, 3), graph_from_edges(5, [(0, 1)])):
+            pairs = [(r, g) for r in range(G.n) for g in doubling_ladder(G.n)]
+            for order in (pairs, rng.sample(pairs, len(pairs))):
+                lp = build_damks_lp(G, *order[0])
+                for root, gamma in order:
+                    damks._retarget(lp, G.n, root, gamma)
+                    fresh = build_damks_lp(G, root, gamma)
+                    for field in ("objective", "rows", "rhs"):
+                        assert getattr(lp, field).tobytes() == getattr(fresh, field).tobytes()
+                    assert lp.n_eq == fresh.n_eq
 
     def test_validation(self):
         G = complete_graph(3)
@@ -268,6 +287,33 @@ class TestRounding:
         assert (s1[:, integral] == [[y[v] == 1.0 and v in window1 for v in integral]]).all()
         assert not s2[:, [v for v in range(G.n) if y[v] == 0.0]].any()
 
+    def test_integral_outcome_is_every_rounding(self):
+        # With every y in {0, 1}, each rep of round_batch gives the same two
+        # samples; the direct outcome must be the one set _rounded_sets
+        # keeps, windows of equal density (window 1 wins) included.  One
+        # fractional y in either window, and only there, sends the
+        # relaxation to the rounding path.
+        rng = random.Random("integral-outcome")
+        ties = fractional = 0
+        for _ in range(300):
+            G = gnp_graph(rng.randint(2, 10), rng.uniform(0.1, 0.9), rng.randint(0, 999))
+            layers = distance_layers(G, rng.randrange(G.n))
+            windows = damks._windows(layers)
+            y = [float(rng.random() < 0.6) for _ in range(G.n)]
+            outcome = damks._integral_outcome(G, windows, y)
+            rounded = list(damks._rounded_sets(G, layers, y, derive_rng(0), 3, G.n))
+            assert rounded == ([list(outcome)] if outcome else [])
+            s1, s2 = (
+                induced_stats(G, [v for v in window if y[v] == 1.0]) for window in windows
+            )
+            ties += s1.vertices != s2.vertices and s1.average_degree == s2.average_degree
+            for v in range(G.n):
+                y_v = [0.5 if u == v else y[u] for u in range(G.n)]
+                in_window = any(v in window for window in windows)
+                fractional += in_window
+                assert (damks._integral_outcome(G, windows, y_v) is None) == in_window
+        assert ties > 0 and fractional > 0
+
     def test_deterministic_per_seed(self):
         G = petersen()
         L = distance_layers(G, 3)
@@ -368,20 +414,70 @@ class TestA6:
     def test_chunked_rounding_keeps_outputs(
         self, monkeypatch, n, p, graph_seed, k, vertices, edges
     ):
-        # With chunks of 7, the 2n reps of each LP span three or four
-        # batches, the last one partial; the answer must not change.
+        # With chunks of 7, the 2n reps of each relaxation with a fractional
+        # window column span three or four batches, the last one partial;
+        # every other relaxation takes its one outcome directly and draws
+        # nothing.  The answer must not change.
         monkeypatch.setattr(damks, "ROUND_CHUNK", 7)
-        batches = []
+        batches: dict[int, list[int]] = {}
+        held = []  # keeps each generator alive, so that its id stays unique
+        fractional = []
+        integral = damks._integral_outcome
 
         def spy(G, layers, y, rng, reps):
-            batches.append(reps)
+            window = frozenset().union(*layers)
+            assert any(0 < y[v] < 1 for v in window), "an integral relaxation drew"
+            held.append(rng)
+            batches.setdefault(id(rng), []).append(reps)
             return round_batch(G, layers, y, rng, reps)
 
+        def route(G, windows, y):
+            outcome = integral(G, windows, y)
+            fractional.append(outcome is None)
+            return outcome
+
         monkeypatch.setattr(damks, "round_batch", spy)
+        monkeypatch.setattr(damks, "_integral_outcome", route)
         res = a6_damks(gnp_graph(n, p, graph_seed), k, reps=2 * n, seed=graph_seed)
         assert (res.vertices, res.edge_count) == (vertices, edges)
-        assert batches and max(batches) <= 7
-        assert sum(batches) % (2 * n) == 0
+        assert len(batches) == sum(fractional) == FRACTIONAL_A6.get((n, p, graph_seed), 0)
+        for sizes in batches.values():
+            assert max(sizes) <= 7 and sum(sizes) == 2 * n
+
+    def test_direct_outcome_matches_the_rounding_path(self, monkeypatch):
+        # An integral relaxation rounds alike in every rep: drawing all of
+        # its reps through round_batch must trim and score the same sets,
+        # in the same order, as taking its one outcome directly.
+        rng = random.Random("a6-direct")
+        cases = []
+        for _ in range(14):
+            G = gnp_graph(rng.randint(4, 14), rng.uniform(0.15, 0.8), rng.randint(0, 999))
+            cases.append((G, rng.randint(2, G.n), rng.randint(0, 99)))
+        integral = damks._integral_outcome
+        taken = []
+        trimmed = []
+        real_trim = damks.fixing_trim
+
+        def recorded_trim(G, vertices, k):
+            trimmed.append(tuple(vertices))
+            return real_trim(G, vertices, k)
+
+        def counted(G, windows, y):
+            outcome = integral(G, windows, y)
+            taken.append(outcome is not None)
+            return outcome
+
+        def run_all():
+            trimmed.clear()
+            outs = [a6_damks(G, k, reps=2 * G.n, seed=seed) for G, k, seed in cases]
+            return outs, list(trimmed)
+
+        monkeypatch.setattr(damks, "fixing_trim", recorded_trim)
+        monkeypatch.setattr(damks, "_integral_outcome", counted)
+        want = run_all()
+        assert sum(taken) > 50 and not all(taken)
+        monkeypatch.setattr(damks, "_integral_outcome", lambda G, windows, y: None)
+        assert run_all() == want
 
     def test_numerical_error_skips_the_pair(self, monkeypatch):
         # An LP the simplex cannot certify is skipped like an infeasible one.
@@ -391,7 +487,7 @@ class TestA6:
 
         def failing_on_root_1_gamma_2(outcome):
             def solve(lp):
-                root = int(np.argmax(lp.rows[0]))
+                root = int(np.argmin(lp.rows[0]))
                 if (root, lp.rows[1 + root, root]) != (1, 2.0):
                     return real(lp)
                 failed.append(root)

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densek import fkp, ratio
 from densek.fkp import (
@@ -12,6 +14,7 @@ from densek.fkp import (
     MAX_WALK_DEGREE,
     SAMPLE_RETRIES,
     _best_pair,
+    _completed,
     _greedy_matching,
     _walk_layers,
     a1_matching,
@@ -29,6 +32,7 @@ from helpers import (
     count_induced_edges,
     good_vertex_candidates_rebuild,
     petersen,
+    reference_completed,
     walk_count_matrix,
     walk_powers,
 )
@@ -56,6 +60,75 @@ class TestParams:
         assert EPSILON_LADDER[0] < 1 < EPSILON_LADDER[-1]
         assert all(0 < a < b for a, b in zip(EPSILON_LADDER, EPSILON_LADDER[1:]))
         assert MAX_CANDIDATES >= 1 and SAMPLE_RETRIES >= 0
+
+
+@st.composite
+def completion_cases(draw):
+    """A graph, k, a batch of candidate sets of at most k ids and, half the
+    time, a subgraph's id map: empty sets, sets of exactly k, and graphs
+    with no edges or all of them, where every padded set ties."""
+    n = draw(st.integers(1, 12))
+    G = gnp_graph(n, draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])), draw(st.integers(0, 999)))
+    k = draw(st.integers(1, n))
+    ids = None
+    if draw(st.booleans()):
+        ids = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    space = n if ids is None else len(ids)
+    top = min(k, space)
+    sets = st.one_of(
+        st.just(()),
+        st.lists(st.integers(0, space - 1), max_size=top, unique=True),
+        st.sets(st.integers(0, space - 1), min_size=top, max_size=top),
+    )
+    return G, draw(st.lists(sets, min_size=1, max_size=25)), k, ids
+
+
+class TestCompleted:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(completion_cases())
+    def test_matches_per_set_reference(self, case):
+        G, batch, k, ids = case
+        assert _completed(G, batch, k, ids) == reference_completed(G, batch, k, ids)
+
+    def test_checks_ids_and_sizes(self):
+        G = petersen()
+        with pytest.raises(ValueError, match="out of range"):
+            _completed(G, [[0, 1], [10]], 3)
+        with pytest.raises(ValueError, match="out of range"):
+            _completed(G, [[-1]], 3)
+        with pytest.raises(ValueError, match="out of range"):
+            _completed(G, [[0, 2]], 3, ids=(4, 5))
+        with pytest.raises(ValueError, match="exceeds k=2"):
+            _completed(G, [[0], [1, 2, 3]], 2)
+        with pytest.raises(ValueError, match="no candidate"):
+            _completed(G, [], 2)
+
+    @pytest.mark.parametrize("cells", [40, 97])
+    def test_batches_stay_under_the_cell_cap(self, monkeypatch, cells):
+        # Batches of one to a few rows, so that the best set often comes
+        # from a later batch or ties with an earlier batch's best.
+        graphs = [gnp_graph(14, 0.3, 5), gnp_graph(20, 0.2, 6), petersen()]
+
+        def outputs(G):
+            return [
+                a3_neighborhoods(G, 5), a4_edge_dense(G, 5), a5_walks(G, 5, seed=3),
+                list(dks_candidates(G, 5, seed=3, include=("a1", "a3", "a5"))),
+            ]
+
+        want = [outputs(G) for G in graphs]
+        batches = []
+        one_batch = fkp._best_padded
+
+        def recorded(G, batch, k, lookup):
+            batches.append(len(batch) * max(G.n, G.m))
+            return one_batch(G, batch, k, lookup)
+
+        monkeypatch.setattr(fkp, "SCORE_CELLS", cells)
+        monkeypatch.setattr(fkp, "_best_padded", recorded)
+        assert all(max(G.n, G.m) <= cells for G in graphs)
+        assert [outputs(G) for G in graphs] == want
+        assert max(batches) <= cells
+        assert len(batches) > 10 * len(graphs)
 
 
 class TestA1:

@@ -22,7 +22,6 @@ from densek.graph import (
     graph_from_edges,
     induced_stats,
     induced_subgraph,
-    pad_lowest_id,
     pad_most_neighbors,
     parse_edge_list,
     pick_best,
@@ -34,6 +33,7 @@ from densek.reduction import dalks_gadget
 from helpers import (
     count_induced_edges,
     has_edge,
+    pad_lowest_id,
     petersen,
     random_graph,
     reference_pad_most_neighbors,
