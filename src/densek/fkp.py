@@ -9,7 +9,9 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
 * ``a3_neighborhoods`` — closed-neighborhood and common-neighbor candidates
   around single vertices and pairs.
 * ``a4_edge_dense`` — run the three algorithms above inside the joint
-  neighborhood of every edge.
+  neighborhood of every edge.  The rules read only ``adjacency``, so they
+  run on a :class:`~densek.score.Window` of the neighborhood as on a graph,
+  and no subgraph is built.
 * ``a5_walks`` — pick the pair joined by the most length-5 walks, slice the
   graph into walk layers between them, and harvest candidate sets from the
   middle layers (including a thresholded "good vertex" sweep over a doubling
@@ -24,13 +26,16 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
 
 ``ALGORITHMS`` is the one table of the six: name -> runner and smallest k
 accepted; ``ALGO_NAMES``, :mod:`densek.ratio` and ``densek solve`` read it.
-Every exactly-k answer goes through one completion step, ``_completed``,
-which takes a whole batch of candidate sets: map ids back, pad each set
-with its lowest free ids, count each padded set's edges over ``G.ends`` and
-keep the best, all as numpy bool masks of at most ``SCORE_CELLS`` cells at
-a time.  a3 hands it all its singles and pairs, a4 each edge's a3
-candidates and then its pool of local answers, a5 its trimmed sets; a1 and
-``dks_candidates`` hand it one set each.
+Every exactly-k answer goes through one completion step,
+:func:`densek.score.completed`, which takes a whole batch of candidate sets:
+map ids back, pad each set with its lowest free ids, count each padded
+set's edges over ``G.ends`` and keep the best, all as numpy bool masks of
+at most ``score.SCORE_CELLS`` cells at a time.  a3 hands it all its singles
+and wedge pairs, a4 its plain a1 answer and its windows of fewer than k
+vertices, a5 its trimmed sets; a1 and ``dks_candidates`` hand it one set
+each.  a4 scores the a1-a3 candidates of its other windows, each padded
+inside its own window, with ``score.best_in_windows`` in batches that span
+many windows.
 
 ``dks_candidates`` runs any subset of the six on the graph itself and on
 the graph with its top-degree half removed, and yields each run's answer
@@ -46,8 +51,8 @@ the peeled branch, so each algorithm runs once per branch.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -59,13 +64,13 @@ from .graph import (
     checked_vertices,
     doubling_ladder,
     induced_stats,
-    induced_subgraph,
     pick_best,
     remove_top_degrees,
     top_degree_vertices,
 )
 from .reduction import fixing_trim
 from .rng import derive_rng, derive_seed
+from .score import Window, best_in_windows, completed, window_on
 
 # Slack factors of a5's good-vertex thresholds.
 EPSILON_LADDER = tuple(2.0**i for i in range(-8, 5))
@@ -78,86 +83,20 @@ WALK_BLOCK = 64
 # a5 counts walks in int64; a length-5 count is at most d_max^4, and this is
 # the largest degree whose fourth power stays below 2^63.
 MAX_WALK_DEGREE = math.isqrt(math.isqrt(2**63 - 1))
-# Most cells one scoring batch of _completed holds: candidate sets times
-# max(n, m), so that neither the set masks nor the per-edge test grow with
-# the number of candidates.  At 2^20 a batch takes about 10 MB.
-SCORE_CELLS = 1 << 20
 
 
-def _greedy_matching(G: Graph, k: int) -> set[int]:
-    """Endpoints of the greedy matching over ``G.edges`` in order, stopped at
-    ``floor(k/2)`` edges."""
+def _greedy_matching(G: Graph | Window, k: int) -> set[int]:
+    """Endpoints of the greedy matching over the edges ``(x, y)``, ``x < y``,
+    in order, stopped at ``floor(k/2)`` edges."""
     matched: set[int] = set()
-    for u, v in G.edges:
-        if len(matched) == k // 2 * 2:
-            break
-        if u not in matched and v not in matched:
-            matched.add(u)
-            matched.add(v)
+    for x, nb in enumerate(G.adjacency):
+        for y in nb:
+            if len(matched) == k // 2 * 2:
+                return matched
+            if y > x and x not in matched and y not in matched:
+                matched.add(x)
+                matched.add(y)
     return matched
-
-
-def _best_padded(
-    G: Graph, batch: list[Collection[int]], k: int, lookup: np.ndarray | None
-) -> tuple[tuple[int, bytes], np.ndarray]:
-    """One batch of :func:`_completed`: the best set of ``batch`` once
-    padded, as its key ``(edges, packed mask)``, where larger is better,
-    and its mask."""
-    sizes = [len(c) for c in batch]
-    flat = np.fromiter(chain.from_iterable(batch), np.intp, sum(sizes))
-    bound = G.n if lookup is None else len(lookup)
-    if flat.size and (flat.min() < 0 or flat.max() >= bound):
-        bad = flat[(flat < 0) | (flat >= bound)][0]
-        raise ValueError(f"vertex {bad} out of range for n={bound}")
-    if lookup is not None:
-        flat = lookup[flat]
-    mask = np.zeros((len(batch), G.n), dtype=bool)
-    mask[np.repeat(np.arange(len(batch)), sizes), flat] = True
-    missing = k - mask.sum(axis=1)
-    if missing.min() < 0:
-        raise ValueError(f"set of size {k - missing.min()} already exceeds k={k}")
-    # A free vertex is padded in when its rank among the row's free ids is
-    # at most what the row is missing.
-    mask |= np.cumsum(~mask, axis=1, dtype=np.int32) <= missing[:, None]
-    edges = (mask[:, G.ends[:, 0]] & mask[:, G.ends[:, 1]]).sum(axis=1)
-    top = (edges == edges.max()).nonzero()[0]
-    packed = np.packbits(mask[top], axis=1).tolist()
-    row = max(range(len(top)), key=packed.__getitem__)
-    return (int(edges[top[row]]), bytes(packed[row])), mask[top[row]]
-
-
-def _completed(
-    G: Graph,
-    candidates: Iterable[Collection[int]],
-    k: int,
-    ids: Sequence[int] | None = None,
-) -> SubgraphResult:
-    """The best of ``candidates``, each mapped through ``ids`` (a subgraph's
-    id -> ``G``'s) when given and padded with the lowest free ids to exactly
-    k, scored on ``G``: what ``pick_best`` of ``induced_stats`` over the
-    padded sets returns.
-
-    Every padded set has k vertices, so the best one has the most edges and,
-    among those, the smallest vertex tuple: the largest ``np.packbits`` row
-    of its mask read from vertex 0.  The candidates are padded and scored as
-    bool mask batches of at most ``SCORE_CELLS`` cells (:func:`_best_padded`),
-    counting each row's edges over ``G.ends``; only the winner becomes a
-    ``SubgraphResult``.  Raises ``ValueError`` on an id out of range, a set
-    of more than k vertices, or no candidates.
-    """
-    check_k(G, k)
-    lookup = None if ids is None else np.asarray(ids, dtype=np.intp)
-    batch_rows = max(1, SCORE_CELLS // max(G.n, G.m))
-    best: tuple[tuple[int, bytes], np.ndarray] | None = None
-    pending = iter(candidates)
-    while batch := list(islice(pending, batch_rows)):
-        found = _best_padded(G, batch, k, lookup)
-        if best is None or found[0] > best[0]:
-            best = found
-    if best is None:
-        raise ValueError("no candidate results")
-    (count, _), winner = best
-    return SubgraphResult(tuple(winner.nonzero()[0].tolist()), count, 2.0 * count / k)
 
 
 def a1_matching(G: Graph, k: int) -> SubgraphResult:
@@ -165,15 +104,21 @@ def a1_matching(G: Graph, k: int) -> SubgraphResult:
     with the lowest free ids.  If the greedy matching reaches ``floor(k/2)``
     edges the result keeps at least that many."""
     check_k(G, k)
-    return _completed(G, [_greedy_matching(G, k)], k)
+    return completed(G, [_greedy_matching(G, k)], k)
 
 
-def attachment_counts(G: Graph, heavy: set[int]) -> dict[int, int]:
-    return {
-        v: sum(1 for u in G.adjacency[v] if u in heavy)
-        for v in range(G.n)
-        if v not in heavy
-    }
+def attachment_counts(G: Graph | Window, heavy: set[int]) -> dict[int, int]:
+    return {v: len(heavy.intersection(nb)) for v, nb in enumerate(G.adjacency) if v not in heavy}
+
+
+def _top_and_attached(G: Graph | Window, k: int) -> set[int]:
+    """a2's k vertices: the top ``ceil(k/2)`` degrees and the ``floor(k/2)``
+    others with the most neighbours among them."""
+    heavy = set(top_degree_vertices(G, (k + 1) // 2))
+    counts = attachment_counts(G, heavy)
+    # counts lists the ids in order, and a stable sort keeps ties so.
+    rest = sorted(counts, key=counts.__getitem__, reverse=True)
+    return heavy | set(rest[: k // 2])
 
 
 def a2_top_degrees(G: Graph, k: int) -> SubgraphResult:
@@ -181,50 +126,77 @@ def a2_top_degrees(G: Graph, k: int) -> SubgraphResult:
     the most neighbors among them.  Requires k at least a2's least k in
     :data:`ALGORITHMS` (2)."""
     check_k(G, k, minimum=ALGORITHMS["a2"][1])
-    heavy = set(top_degree_vertices(G, (k + 1) // 2))
-    counts = attachment_counts(G, heavy)
-    rest = sorted(counts, key=lambda v: (-counts[v], v))
-    return induced_stats(G, heavy | set(rest[: k // 2]))
+    return induced_stats(G, _top_and_attached(G, k))
 
 
-def _neighborhood_candidates(G: Graph, k: int) -> Iterator[list[int]]:
-    # Position of each vertex in (-degree, id) order.
-    rank = [0] * G.n
-    for i, v in enumerate(top_degree_vertices(G, G.n)):
-        rank[v] = i
-    for v in range(G.n):
-        ranked = sorted(G.adjacency[v], key=rank.__getitem__)
-        yield [v, *ranked[: k - 1]]
-    if k >= 2:
-        neigh = [set(G.adjacency[v]) for v in range(G.n)]
-        for u in range(G.n):
-            for v in range(u + 1, G.n):
-                common = neigh[u] & neigh[v]
-                if common:
-                    yield [u, v, *sorted(common)[: k - 2]]
+def _neighborhood_candidates(G: Graph | Window, k: int) -> Iterator[list[int]]:
+    """a3's candidates: each vertex with its first ``k - 1`` neighbours in
+    (-degree, id) order, then each pair ``u < v`` with a common neighbour,
+    with its first ``k - 2`` common neighbours by id.  The pairs come from
+    u's wedges ``u - w - v``, so no pair without a common neighbour is
+    looked at."""
+    adj = G.adjacency
+    # Walking the vertices in (-degree, id) order lists each one's
+    # neighbours in that order.
+    ranked: list[list[int]] = [[] for _ in adj]
+    for x in top_degree_vertices(G, len(adj)):
+        for y in adj[x]:
+            ranked[y].append(x)
+    for v, nb in enumerate(ranked):
+        yield [v, *nb[: k - 1]]
+    if k < 2:
+        return
+    for u, nb in enumerate(adj):
+        # v -> [u, v, common neighbours in increasing order]
+        rows: dict[int, list[int]] = {}
+        for w in nb:
+            for v in adj[w]:
+                if v <= u:
+                    continue
+                if v in rows:
+                    rows[v].append(w)
+                else:
+                    rows[v] = [u, v, w]
+        for row in rows.values():
+            yield row[:k]
 
 
 def a3_neighborhoods(G: Graph, k: int) -> SubgraphResult:
     """Best of: each vertex with its highest-degree neighbors, and each pair
     with its lowest-id common neighbors; all candidates padded to k."""
     check_k(G, k)
-    return _completed(G, _neighborhood_candidates(G, k), k)
+    return completed(G, _neighborhood_candidates(G, k), k)
 
 
 def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
-    """Run a1/a2/a3 inside ``N(u) union N(v)`` for every edge ``(u, v)`` and
-    keep the best candidate (the plain a1 answer is always in the pool)."""
+    """Run a1/a2/a3 inside ``N(u) union N(v)`` for every edge ``(u, v)`` at
+    ``min(k, |N(u) union N(v)|)`` and keep the best of their answers padded
+    to k (the plain a1 answer is always in the pool).
+
+    The pool's best is found without each window's own answers: a window of
+    fewer than k vertices answers itself for all three, and in a window of
+    at least k vertices every candidate padded inside the window is a k-set
+    whose edges there are its edges in G, so the best of the window's answers
+    is the best of all its candidates.  Those are scored together, in
+    batches that span many windows.
+    """
     check_k(G, k)
-    pool: list[Collection[int]] = [_greedy_matching(G, k)]
-    for u, v in G.edges:
-        verts = set(G.adjacency[u]) | set(G.adjacency[v])
-        sub, ids = induced_subgraph(G, verts)
-        kk = min(k, sub.n)
-        local = [a1_matching(sub, kk), a3_neighborhoods(sub, kk)]
-        if kk >= ALGORITHMS["a2"][1]:
-            local.append(a2_top_degrees(sub, kk))
-        pool.extend([ids[x] for x in res.vertices] for res in local)
-    return _completed(G, pool, k)
+    spans = [sorted({*G.adjacency[u], *G.adjacency[v]}) for u, v in G.edges]
+    pool = completed(G, [_greedy_matching(G, k), *(s for s in spans if len(s) < k)], k)
+
+    def local_runs() -> Iterator[tuple[Window, Iterable[Collection[int]]]]:
+        for verts in spans:
+            if len(verts) >= k:
+                inside = window_on(G, verts)
+                a2 = [_top_and_attached(inside, k)] if k >= ALGORITHMS["a2"][1] else []
+                yield inside, chain(
+                    [_greedy_matching(inside, k)], _neighborhood_candidates(inside, k), a2
+                )
+
+    local = best_in_windows(local_runs(), k)
+    if local is None or (pool.edge_count, local[1]) >= (local[0], pool.vertices):
+        return pool
+    return SubgraphResult(local[1], local[0], 2.0 * local[0] / k)
 
 
 def _walk_step(G: Graph, X: np.ndarray) -> np.ndarray:
@@ -403,7 +375,7 @@ def a5_walks(
         raw.extend(_good_vertex_candidates(layers, cut, tau, k))
 
     unique = sorted({fixing_trim(G, cand, k) for cand in set(raw)})
-    return _completed(G, (cand for cand in unique if cand), k)
+    return completed(G, (cand for cand in unique if cand), k)
 
 
 # a1-a6 in dispatch order: name -> (runner, smallest k accepted), where a
@@ -460,7 +432,7 @@ def dks_candidates(
                 continue
             algo_seed = seed if ids is None else derive_seed(seed, branch, algo)
             res = run(bg, kk, algo_seed, a6_reps, G.n)
-            yield branch, algo, _completed(G, [res.vertices], k, ids)
+            yield branch, algo, completed(G, [res.vertices], k, ids)
 
 
 def combined_dks(

@@ -257,10 +257,12 @@ def doubling_ladder(top: int) -> list[int]:
 
 
 def top_degree_vertices(G: Graph, count: int) -> tuple[int, ...]:
-    """The ``count`` highest-degree vertices; degree ties go to lower ids."""
-    if not (0 <= count <= G.n):
-        raise ValueError(f"count {count} out of range for n={G.n}")
-    order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
+    """The ``count`` highest-degree vertices; degree ties go to lower ids.
+    Reads only ``G.adjacency``, so it also ranks a ``score.Window``."""
+    if not (0 <= count <= len(G.adjacency)):
+        raise ValueError(f"count {count} out of range for n={len(G.adjacency)}")
+    # A stable sort of the ids in order keeps ties in id order.
+    order = sorted(range(len(G.adjacency)), key=[-len(nb) for nb in G.adjacency].__getitem__)
     return tuple(order[:count])
 
 

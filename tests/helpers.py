@@ -22,18 +22,29 @@ from densek.exact import (
     _adjacency_masks,
     exact_solve,
 )
-from densek.fkp import walk_rows
+from densek.fkp import (
+    ALGORITHMS,
+    _greedy_matching,
+    a1_matching,
+    a2_top_degrees,
+    a3_neighborhoods,
+    walk_rows,
+)
 from densek.flow import max_quasi_density
 from densek.graph import (
     Graph,
     SubgraphResult,
     better_than,
+    check_k,
     graph_from_edges,
     induced_stats,
+    induced_subgraph,
     pad_most_neighbors,
     pick_best,
+    top_degree_vertices,
 )
 from densek.ratio import ExponentPoint, GridResult, _exponents
+from densek.score import completed
 from densek.simplex import OPTIMAL, LinearProgram, LpSolution, solve_lp
 
 LESS_EQUAL = "<="
@@ -474,12 +485,51 @@ def pad_lowest_id(G: Graph, vertices, k: int) -> tuple[int, ...]:
 
 
 def reference_completed(G: Graph, candidates, k: int, ids=None) -> SubgraphResult:
-    """Per-set reference for ``fkp._completed``: map each candidate through
+    """Per-set reference for ``score.completed``: map each candidate through
     ``ids``, pad it with :func:`pad_lowest_id`, score it with
     ``induced_stats`` and keep the best by ``better_than``."""
     if ids is not None:
         candidates = [[ids[x] for x in c] for c in candidates]
     return pick_best(induced_stats(G, pad_lowest_id(G, c, k)) for c in candidates)
+
+
+def reference_neighborhood_candidates(G: Graph, k: int):
+    """a3's candidates as the pair scan enumerated them: each vertex with its
+    first ``k - 1`` neighbours in (-degree, id) order, then every pair
+    ``u < v`` of all n^2/2 whose neighbourhoods meet, with its first
+    ``k - 2`` common neighbours by id."""
+    # Position of each vertex in (-degree, id) order.
+    rank = [0] * G.n
+    for i, v in enumerate(top_degree_vertices(G, G.n)):
+        rank[v] = i
+    for v in range(G.n):
+        ranked = sorted(G.adjacency[v], key=rank.__getitem__)
+        yield [v, *ranked[: k - 1]]
+    if k >= 2:
+        neigh = [set(G.adjacency[v]) for v in range(G.n)]
+        for u in range(G.n):
+            for v in range(u + 1, G.n):
+                common = neigh[u] & neigh[v]
+                if common:
+                    yield [u, v, *sorted(common)[: k - 2]]
+
+
+def reference_a4(G: Graph, k: int) -> SubgraphResult:
+    """``fkp.a4_edge_dense`` as its per-edge loop computed it: a1, a3 and a2
+    run on the induced subgraph of each edge's ``N(u) | N(v)`` at
+    ``min(k, size)``, and the best of their answers and the plain a1 answer,
+    each completed on ``G``."""
+    check_k(G, k)
+    pool = [_greedy_matching(G, k)]
+    for u, v in G.edges:
+        verts = set(G.adjacency[u]) | set(G.adjacency[v])
+        sub, ids = induced_subgraph(G, verts)
+        kk = min(k, sub.n)
+        local = [a1_matching(sub, kk), a3_neighborhoods(sub, kk)]
+        if kk >= ALGORITHMS["a2"][1]:
+            local.append(a2_top_degrees(sub, kk))
+        pool.extend([ids[x] for x in res.vertices] for res in local)
+    return completed(G, pool, k)
 
 
 def reference_pad_most_neighbors(G: Graph, vertices, k: int) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densek import fkp, ratio
+from densek import fkp, ratio, score
 from densek.fkp import (
     ALGO_NAMES,
     ALGORITHMS,
@@ -14,7 +14,6 @@ from densek.fkp import (
     MAX_WALK_DEGREE,
     SAMPLE_RETRIES,
     _best_pair,
-    _completed,
     _greedy_matching,
     _walk_layers,
     a1_matching,
@@ -28,11 +27,14 @@ from densek.fkp import (
     walk_rows,
 )
 from densek.graph import better_than, gnp_graph, graph_from_edges
+from densek.score import completed
 from helpers import (
     count_induced_edges,
     good_vertex_candidates_rebuild,
     petersen,
+    reference_a4,
     reference_completed,
+    reference_neighborhood_candidates,
     walk_count_matrix,
     walk_powers,
 )
@@ -83,25 +85,32 @@ def completion_cases(draw):
     return G, draw(st.lists(sets, min_size=1, max_size=25)), k, ids
 
 
+def batch_cells(batch):
+    """Cells of one scoring batch: its rows times the largest
+    max(width + 1, edges) of its windows."""
+    rows = sum(len(part) for _, part in batch)
+    return rows * max(max(len(w.verts) + 1, len(w.ends) // 2) for w, _ in batch)
+
+
 class TestCompleted:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(completion_cases())
     def test_matches_per_set_reference(self, case):
         G, batch, k, ids = case
-        assert _completed(G, batch, k, ids) == reference_completed(G, batch, k, ids)
+        assert completed(G, batch, k, ids) == reference_completed(G, batch, k, ids)
 
     def test_checks_ids_and_sizes(self):
         G = petersen()
         with pytest.raises(ValueError, match="out of range"):
-            _completed(G, [[0, 1], [10]], 3)
+            completed(G, [[0, 1], [10]], 3)
         with pytest.raises(ValueError, match="out of range"):
-            _completed(G, [[-1]], 3)
+            completed(G, [[-1]], 3)
         with pytest.raises(ValueError, match="out of range"):
-            _completed(G, [[0, 2]], 3, ids=(4, 5))
+            completed(G, [[0, 2]], 3, ids=(4, 5))
         with pytest.raises(ValueError, match="exceeds k=2"):
-            _completed(G, [[0], [1, 2, 3]], 2)
+            completed(G, [[0], [1, 2, 3]], 2)
         with pytest.raises(ValueError, match="no candidate"):
-            _completed(G, [], 2)
+            completed(G, [], 2)
 
     @pytest.mark.parametrize("cells", [40, 97])
     def test_batches_stay_under_the_cell_cap(self, monkeypatch, cells):
@@ -117,15 +126,15 @@ class TestCompleted:
 
         want = [outputs(G) for G in graphs]
         batches = []
-        one_batch = fkp._best_padded
+        one_batch = score._best_padded
 
-        def recorded(G, batch, k, lookup):
-            batches.append(len(batch) * max(G.n, G.m))
-            return one_batch(G, batch, k, lookup)
+        def recorded(batch, k, lookup):
+            batches.append(batch_cells(batch))
+            return one_batch(batch, k, lookup)
 
-        monkeypatch.setattr(fkp, "SCORE_CELLS", cells)
-        monkeypatch.setattr(fkp, "_best_padded", recorded)
-        assert all(max(G.n, G.m) <= cells for G in graphs)
+        monkeypatch.setattr(score, "SCORE_CELLS", cells)
+        monkeypatch.setattr(score, "_best_padded", recorded)
+        assert all(max(G.n + 1, G.m) <= cells for G in graphs)
         assert [outputs(G) for G in graphs] == want
         assert max(batches) <= cells
         assert len(batches) > 10 * len(graphs)
@@ -190,6 +199,42 @@ class TestA3:
             assert len(res.vertices) == k
             assert count_induced_edges(G, res.vertices) == res.edge_count
 
+    def test_wedge_pairs_match_the_pair_scan(self):
+        graphs = [*random_graphs("a3-wedges", 40, lo=1, hi=16), complete_graph(6), petersen()]
+        for G in [*graphs, graph_from_edges(5, []), graph_from_edges(1, [])]:
+            for k in sorted({1, 2, 3, G.n} & set(range(1, G.n + 1))):
+                want = list(reference_neighborhood_candidates(G, k))
+                assert sorted(fkp._neighborhood_candidates(G, k)) == sorted(want)
+                assert a3_neighborhoods(G, k) == completed(G, want, k)
+
+
+@st.composite
+def a4_cases(draw):
+    """A graph and k for a4: G(n, p) samples, edgeless and complete graphs, a
+    star beside isolated vertices (its windows hold fewer than k vertices
+    once k passes the star), and disjoint copies of one small graph, whose
+    windows tie exactly; k is 1, where a2 is skipped, a fifth of the time."""
+    kind = draw(st.sampled_from(["gnp", "edgeless", "complete", "star", "copies"]))
+    if kind == "gnp":
+        n = draw(st.integers(1, 13))
+        G = gnp_graph(n, draw(st.sampled_from([0.15, 0.3, 0.5, 0.8])), draw(st.integers(0, 9999)))
+    elif kind == "edgeless":
+        G = graph_from_edges(draw(st.integers(1, 8)), [])
+    elif kind == "complete":
+        G = complete_graph(draw(st.integers(1, 9)))
+    elif kind == "star":
+        leaves, spare = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+        G = graph_from_edges(leaves + 1 + spare, [(0, i) for i in range(1, leaves + 1)])
+    else:
+        part = gnp_graph(draw(st.integers(2, 5)), 0.7, draw(st.integers(0, 99)))
+        copies = draw(st.integers(2, 3))
+        G = graph_from_edges(
+            part.n * copies,
+            [(u + c * part.n, v + c * part.n) for c in range(copies) for u, v in part.edges],
+        )
+    k = draw(st.integers(1, G.n)) if draw(st.integers(0, 4)) else 1
+    return G, k
+
 
 class TestA4:
     def test_at_least_a1(self):
@@ -209,6 +254,34 @@ class TestA4:
         )
         res = a4_edge_dense(graph_from_edges(8, edges), 4)
         assert res.average_degree == 3.0
+
+    @settings(derandomize=True, max_examples=320, deadline=None)
+    @given(a4_cases())
+    def test_matches_the_per_edge_reference(self, case):
+        G, k = case
+        assert a4_edge_dense(G, k) == reference_a4(G, k)
+
+    @pytest.mark.parametrize("cells", [150, 400])
+    def test_batches_stay_under_the_cell_cap(self, monkeypatch, cells):
+        # Windows of up to 9 vertices: small caps split a window's candidates
+        # over several batches, and put several windows in one batch.
+        star = graph_from_edges(9, [(0, i) for i in range(1, 6)])
+        graphs = [gnp_graph(12, 0.45, 3), complete_graph(7), petersen(), star]
+        cases = [(G, k) for G in graphs for k in (1, 3, 5, 7)]
+        want = [a4_edge_dense(G, k) for G, k in cases]
+        batches = []
+        one_batch = score._best_padded
+
+        def recorded(batch, k, lookup):
+            batches.append((batch_cells(batch), len(batch)))
+            return one_batch(batch, k, lookup)
+
+        monkeypatch.setattr(score, "SCORE_CELLS", cells)
+        monkeypatch.setattr(score, "_best_padded", recorded)
+        assert [a4_edge_dense(G, k) for G, k in cases] == want
+        assert max(cells_used for cells_used, _ in batches) <= cells
+        assert max(windows for _, windows in batches) > 1
+        assert len(batches) > 4 * len(cases)
 
 
 class TestWalkRows:
