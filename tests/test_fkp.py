@@ -114,8 +114,9 @@ class TestCompleted:
 
     @pytest.mark.parametrize("cells", [40, 97])
     def test_batches_stay_under_the_cell_cap(self, monkeypatch, cells):
-        # Batches of one to a few rows, so that the best set often comes
-        # from a later batch or ties with an earlier batch's best.
+        # Batches of one row (a row counts at least score.ROW_CELLS cells),
+        # so that the best set often comes from a later batch or ties with
+        # an earlier batch's best.
         graphs = [gnp_graph(14, 0.3, 5), gnp_graph(20, 0.2, 6), petersen()]
 
         def outputs(G):
