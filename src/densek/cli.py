@@ -3,7 +3,9 @@
 Machine-readable results go to stdout as one JSON object per line
 (``json.dumps(..., sort_keys=True)``, so identical runs are byte-identical
 except for the ``wall_time_ms`` field); human-oriented notes go to stderr.
-Exit codes: 0 success, 1 verification mismatch, 2 usage/input errors
+Exit codes: 0 success, 1 verification mismatch (a recounted edge count or
+average degree, or a size that breaks the record's problem constraint on k),
+2 usage/input errors
 (including ``reduce`` on a graph whose padded copy would pass
 ``reduction.MAX_GADGET_EDGES`` edges, and ``gen`` past
 ``graph.MAX_GNP_PAIRS`` vertex pairs), 3 refusal because an instance exceeds
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 import time
 
@@ -174,6 +177,28 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each problem's size constraint, as the word a note uses and the test a
+# record's vertex count must pass against its k.
+_SIZE_RULES = {
+    exact.ProblemKind.EXACTLY_K.value: ("exactly", operator.eq),
+    exact.ProblemKind.AT_LEAST_K.value: ("at least", operator.ge),
+    exact.ProblemKind.AT_MOST_K.value: ("at most", operator.le),
+}
+
+
+def _size_breach(problem: str, k: int, size: int, n: int) -> str | None:
+    """Why a record of ``size`` vertices breaks its problem's constraint on
+    ``k`` in an ``n``-vertex graph, or None when it keeps it."""
+    if problem not in _SIZE_RULES:
+        return f"unknown problem {problem!r}; expected one of {', '.join(_SIZE_RULES)}"
+    if not 1 <= k <= n:
+        return f"k={k} out of range [1, {n}]"
+    word, fits = _SIZE_RULES[problem]
+    if not fits(size, k):
+        return f"{size} vertices, but {problem} needs {word} k={k}"
+    return None
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
     checked = 0
@@ -207,15 +232,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     f"{args.records}: line {lineno}: edge_count must be an integer "
                     "and average_degree a number"
                 )
+            problem, k = record.get("problem"), record.get("k")
+            if type(problem) is not str or type(k) is not int:
+                raise ValueError(
+                    f"{args.records}: line {lineno}: problem must be a string and k "
+                    "an integer"
+                )
             checked += 1
+            breach = _size_breach(problem, k, len(vertices), G.n)
+            if breach:
+                _note(f"line {lineno}: {breach}")
             actual = induced_stats(G, vertices)
             # written with "not <=" so that a NaN average counts as a mismatch
-            if actual.edge_count != edges or not abs(actual.average_degree - avg) <= 1e-9:
-                mismatches += 1
+            wrong = actual.edge_count != edges or not abs(actual.average_degree - avg) <= 1e-9
+            if wrong:
                 _note(
                     f"line {lineno}: recorded {edges} edges / avg {avg}, recomputed "
                     f"{actual.edge_count} / {actual.average_degree}"
                 )
+            if breach or wrong:
+                mismatches += 1
     _emit({"type": "verify", "checked": checked, "mismatches": mismatches})
     return 1 if mismatches else 0
 

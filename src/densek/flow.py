@@ -7,12 +7,19 @@ Goldberg's density network, whose capacities are integers from the start.
 The problem can be bounded to ``inner <= S <= outer``, and the network then
 has nodes only for the free vertices between the bounds: the 2-approximation
 makes each cut of its nested chain on the vertices between the chain's two
-neighbouring sets.
+neighbouring sets.  The chain's two ends take no cut: below penalty 1/2
+the optimiser is the set of non-isolated vertices (leaving one out loses at
+least half an edge), and at a penalty of at least half the maximum degree it
+is empty (``|E(S)| <= max_degree*|S|/2``).
+
+The max-flow folds the source and sink into the other nodes, as a supply
+(residual ``s -> v``) and a demand (residual ``v -> t``) per node, so its
+searches never walk their arcs.  This cannot move an answer: the canonical
+minimum cut's source side is the same for every maximum flow.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from typing import Iterable
 
@@ -31,82 +38,127 @@ def max_flow(
     flow value and the source side of the canonical minimum cut (nodes
     reachable in the final residual graph); that side is the
     inclusion-minimal one among all minimum cuts, and the same for every
-    maximum flow.
+    maximum flow, so how the flow is found does not show in the answer.
 
-    Every direct ``source -> v -> sink`` path is saturated before the first
-    level graph is built, and after each augmentation the search resumes
-    from the tail of the path's first saturated arc.
+    The source and sink are folded into the other nodes: each node ``v``
+    keeps a ``supply``, its residual ``s -> v`` capacity, and a ``demand``,
+    its residual ``v -> t`` capacity, summed over every arc touching ``s``
+    or ``t``; an ``s -> t`` arc adds straight to the flow.  Every direct
+    ``s -> v -> t`` path is saturated first.  Each phase's level graph is a
+    search from all supply nodes at once that stops at the first level
+    holding a demand node, and the blocking-flow search starts from each
+    supply node in turn, resuming at the path's first saturated arc after
+    each augmentation.  The final search, which reaches no demand node,
+    reaches exactly the canonical source side less ``s``.
     """
-    # Paired residual arcs: edge 2i is forward, 2i+1 its reverse.
+    s, t, n = source, sink, node_count
+    # Paired residual arcs between the other nodes: edge 2i is forward,
+    # 2i+1 its reverse.
     heads: list[int] = []
     caps: list[int] = []
-    out: list[list[int]] = [[] for _ in range(node_count)]
+    out: list[list[int]] = [[] for _ in range(n)]
+    supply = [0] * n
+    demand = [0] * n
+    at_end = [False] * n
+    at_end[s] = at_end[t] = True
+    total = 0
     for tail, head, cap, reverse in arcs:
+        if at_end[tail] or at_end[head]:
+            if tail == s:
+                if head == t:
+                    total += cap
+                else:
+                    supply[head] += cap
+            elif head == s:
+                if tail == t:
+                    total += reverse
+                else:
+                    supply[tail] += reverse
+            elif head == t:
+                demand[tail] += cap
+            else:
+                demand[head] += reverse
+            continue
         eid = len(heads)
         out[tail].append(eid)
         out[head].append(eid + 1)
         heads += (head, tail)
         caps += (cap, reverse)
 
-    s, t = source, sink
-    total = 0
-    for first in out[s]:
-        v = heads[first]
-        for second in out[v]:
-            if heads[second] == t and caps[first] and caps[second]:
-                push = min(caps[first], caps[second])
-                caps[first] -= push
-                caps[first ^ 1] += push
-                caps[second] -= push
-                caps[second ^ 1] += push
-                total += push
+    sources = []
+    for v in range(n):
+        if supply[v]:
+            push = min(supply[v], demand[v])
+            supply[v] -= push
+            demand[v] -= push
+            total += push
+            if supply[v]:
+                sources.append(v)
 
-    n = node_count
     while True:
+        sources = [v for v in sources if supply[v]]
         level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            nxt = level[v] + 1
-            for eid in out[v]:
-                w = heads[eid]
-                if caps[eid] > 0 and level[w] < 0:
-                    level[w] = nxt
-                    queue.append(w)
-        if level[t] < 0:
-            # The last search reached exactly the canonical source side.
+        for v in sources:
+            level[v] = 1
+        frontier, last = sources, 1
+        while frontier and not any(map(demand.__getitem__, frontier)):
+            last += 1
+            reached = []
+            for v in frontier:
+                for eid in out[v]:
+                    if caps[eid]:
+                        w = heads[eid]
+                        if level[w] < 0:
+                            level[w] = last
+                            reached.append(w)
+            frontier = reached
+        if not frontier:
+            level[s] = 0
             return total, frozenset(v for v in range(n) if level[v] >= 0)
+        # Blocking flow in the level graph, whose sink side is level ``last``.
         ptr = [0] * n
-        path: list[int] = []
-        v = s
-        while True:
-            # Advance/retreat in the level graph until the path reaches t.
-            if v == t:
-                push = min([caps[eid] for eid in path])
-                for eid in path:
-                    caps[eid] -= push
-                    caps[eid ^ 1] += push
-                total += push
-                del path[next(i for i, eid in enumerate(path) if not caps[eid]):]
-                v = heads[path[-1]] if path else s
-                continue
-            arcs_v, nxt = out[v], level[v] + 1
-            i, end = ptr[v], len(arcs_v)
-            while i < end:
-                eid = arcs_v[i]
-                if caps[eid] > 0 and level[heads[eid]] == nxt:
+        for u in sources:
+            path: list[int] = []
+            v = u
+            while True:
+                nxt = level[v] + 1
+                if nxt > last:
+                    if demand[v]:
+                        push = min(supply[u], demand[v], *[caps[eid] for eid in path])
+                        for eid in path:
+                            caps[eid] -= push
+                            caps[eid ^ 1] += push
+                        supply[u] -= push
+                        demand[v] -= push
+                        total += push
+                        if not supply[u]:
+                            break
+                        for i, eid in enumerate(path):
+                            if not caps[eid]:
+                                del path[i:]
+                                v = heads[path[-1]] if path else u
+                                break
+                        continue
+                    # a spent demand node: retreat from it
+                    v = heads[path.pop() ^ 1]
+                    ptr[v] += 1
+                    continue
+                arcs_v = out[v]
+                i, end = ptr[v], len(arcs_v)
+                while i < end:
+                    eid = arcs_v[i]
+                    if caps[eid] and level[heads[eid]] == nxt:
+                        break
+                    i += 1
+                ptr[v] = i
+                if i < end:
+                    path.append(eid)
+                    v = heads[eid]
+                elif v == u:
                     break
-                i += 1
-            ptr[v] = i
-            if i < end:
-                path.append(eid)
-                v = heads[eid]
-            elif v == s:
-                break
-            else:
-                v = heads[path.pop() ^ 1]  # back to the arc's tail
-                ptr[v] += 1
+                else:
+                    v = heads[path.pop() ^ 1]  # back to the arc's tail
+                    ptr[v] += 1
 
 
 def max_quasi_density(
@@ -193,14 +245,26 @@ def _quasi_chain(
     optimisers nest, ``B <= S(q*) <= A``.  So the cut at ``hi`` is bounded
     by ``outer=S(lo)`` and each crossing cut by ``inner=B``, ``outer=A``,
     and each returns the same set as a cut on the whole graph.
+
+    The two ends often need no cut at all.  For ``lo < 1/2``, ``S(lo)`` is
+    the set of non-isolated vertices: each of them left out of a set S
+    costs S at least half an edge, more than the ``lo`` it saves, and each
+    isolated vertex costs ``lo``.  For ``2*hi >= `` the maximum degree,
+    ``S(hi)`` is empty: ``|E(S)| <= max_degree*|S|/2 <= hi*|S|``.
     """
 
     def solve(q: Fraction, **bounds) -> tuple[tuple[int, ...], int]:
         chosen, value = max_quasi_density(G, q, **bounds)
         return chosen, int(value + q * len(chosen))
 
-    left = solve(lo)
-    last = solve(hi, outer=left[0])
+    if lo < Fraction(1, 2):
+        left = tuple(v for v in range(G.n) if G.adjacency[v]), G.m
+    else:
+        left = solve(lo)
+    if 2 * hi >= max(map(len, G.adjacency), default=0):
+        last = (), 0
+    else:
+        last = solve(hi, outer=left[0])
     chain = [(lo, left[0])]
     pending = [last] if last[0] != left[0] else []  # right of ``left``, nearest last
     while pending:
@@ -233,7 +297,11 @@ def dalks_2approx(G: Graph, k: int) -> SubgraphResult:
     ``d/4`` (the empty set for ``d = 0``), padded to ``k`` vertices (most
     neighbors inside first); the result is the best one.  The optimisers form
     a nested chain of at most ``n + 1`` sets, found with ``O(n)`` min-cuts; a
-    chain set counts only if a guess's penalty falls in its interval.
+    chain set counts only if a guess's penalty falls in its interval.  The
+    chain's two ends follow in closed form (see ``_quasi_chain``): at the
+    lowest penalty ``1/(2n) < 1/2`` the non-isolated vertices, and at the
+    highest, ``m/(2k)``, the empty set whenever ``m/k`` reaches the maximum
+    degree; only the crossing cuts in between run a min-cut.
     """
     check_k(G, k)
     candidates = [induced_stats(G, pad_most_neighbors(G, (), k))]

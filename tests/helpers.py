@@ -442,14 +442,25 @@ def reference_max_flow(node_count, arcs, source, sink):
     return total, frozenset(reachable)
 
 
-def goldberg_arcs(G: Graph, q: Fraction) -> list[tuple[int, int, int, int]]:
-    """Goldberg's whole-graph density network for penalty ``q = a/b``: nodes
-    ``0..n-1``, ``s = n``, ``t = n+1``; edges carry ``b`` both ways,
-    ``s -> v`` carries ``b*deg(v)`` and ``v -> t`` carries ``2a``."""
-    n, a, b = G.n, q.numerator, q.denominator
-    arcs = [(u, v, b, b) for u, v in G.edges]
-    arcs += [(n, v, b * G.degree(v), 0) for v in range(n)]
-    arcs += [(v, n + 1, 2 * a, 0) for v in range(n)]
+def goldberg_arcs(
+    G: Graph, q: Fraction, inner=(), outer=None
+) -> list[tuple[int, int, int, int]]:
+    """Goldberg's density network for penalty ``q = a/b`` on the free
+    vertices ``F = outer - inner`` (by default every vertex), numbered
+    ``0..|F|-1`` in id order, with ``s = |F|`` and ``t = |F|+1``: edges
+    inside ``F`` carry ``b`` both ways, ``s -> v`` carries
+    ``b*deg_F(v) + 2b*deg_inner(v)`` and ``v -> t`` carries ``2a``."""
+    a, b = q.numerator, q.denominator
+    inner = set(inner)
+    free = sorted(set(range(G.n) if outer is None else outer) - inner)
+    index = {v: i for i, v in enumerate(free)}
+    s, t = len(free), len(free) + 1
+    arcs = [(index[u], index[v], b, b) for u, v in G.edges if u in index and v in index]
+    for v in free:
+        deg_free = sum(1 for u in G.adjacency[v] if u in index)
+        deg_inner = sum(1 for u in G.adjacency[v] if u in inner)
+        arcs.append((s, index[v], b * deg_free + 2 * b * deg_inner, 0))
+    arcs += [(index[v], t, 2 * a, 0) for v in free]
     return arcs
 
 

@@ -213,7 +213,21 @@ class TestExact:
 
 
 # Vertices 0 and 1 of graph_file induce no edge.
-GOOD_RECORD = {"type": "run", "vertices": [0, 1], "edge_count": 0, "average_degree": 0.0}
+GOOD_RECORD = {
+    "type": "run", "problem": "dks", "k": 2, "vertices": [0, 1], "edge_count": 0,
+    "average_degree": 0.0,
+}
+
+
+def verify_in_process(capsys, graph_file, tmp_path, lines):
+    """``densek verify`` through ``cli.main`` on the given record lines:
+    (exit code, summary record, stderr)."""
+    capsys.readouterr()
+    rec_file = tmp_path / "records.jsonl"
+    rec_file.write_text("".join(line + "\n" for line in lines))
+    code = main(["verify", str(graph_file), str(rec_file)])
+    out, err = capsys.readouterr()
+    return code, records(out)[-1], err
 
 
 class TestVerify:
@@ -271,6 +285,66 @@ class TestVerify:
         assert proc.returncode == 2
         assert f"{rec_file}: line 2: " in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+    def test_solve_and_exact_records_verify(self, capsys, graph_file, tmp_path):
+        printed = []
+        for argv in (
+            ["solve", "-k", "5", "--reps", "8", str(graph_file)],
+            *(["exact", "-k", "5", "--problem", p, str(graph_file)]
+              for p in ("dks", "dalks", "damks")),
+        ):
+            capsys.readouterr()
+            assert main(argv) == 0
+            printed += capsys.readouterr().out.splitlines()
+        code, summary, err = verify_in_process(capsys, graph_file, tmp_path, printed)
+        assert (code, summary["checked"], summary["mismatches"]) == (0, len(printed), 0)
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "problem, k, size",
+        [
+            ("dks", 9, 6),     # exactly-9 record of 6 vertices
+            ("dalks", 11, 6),  # at-least-11 record of 6 vertices
+            ("damks", 3, 4),
+            ("dks", 0, 0),
+            ("dalks", 13, 12),  # k past n = 12
+            ("dense", 2, 2),
+        ],
+    )
+    def test_size_breach_is_a_mismatch(self, capsys, graph_file, tmp_path, problem, k, size):
+        G = parse_edge_list(graph_file.read_text())
+        vertices = list(range(size))
+        edges = sum(1 for u, v in G.edges if u < size and v < size)
+        breach = dict(
+            GOOD_RECORD, problem=problem, k=k, vertices=vertices, edge_count=edges,
+            average_degree=2 * edges / size if size else 0.0,
+        )
+        lines = [json.dumps(GOOD_RECORD), json.dumps(breach)]
+        code, summary, err = verify_in_process(capsys, graph_file, tmp_path, lines)
+        assert (code, summary["checked"], summary["mismatches"]) == (1, 2, 1)
+        assert err.startswith("line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {k: v for k, v in GOOD_RECORD.items() if k != "problem"},
+            {k: v for k, v in GOOD_RECORD.items() if k != "k"},
+            dict(GOOD_RECORD, problem=3),
+            dict(GOOD_RECORD, problem=["dks"]),
+            dict(GOOD_RECORD, k="2"),
+            dict(GOOD_RECORD, k=2.0),
+            dict(GOOD_RECORD, k=True),
+        ],
+        ids=["problem-missing", "k-missing", "problem-number", "problem-list",
+             "k-string", "k-float", "k-bool"],
+    )
+    def test_malformed_problem_or_k_rejected(self, capsys, graph_file, tmp_path, bad):
+        rec_file = tmp_path / "malformed.jsonl"
+        rec_file.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(bad) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(graph_file), str(rec_file)]) == 2
+        assert f"{rec_file}: line 2: " in capsys.readouterr().err
 
 
 class TestAnalyze:

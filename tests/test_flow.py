@@ -71,6 +71,40 @@ class TestMaxFlow:
             s, t = rng.sample(range(n), 2)
             assert max_flow(n, arcs, s, t) == reference_max_flow(n, arcs, s, t)
 
+    @pytest.mark.parametrize(
+        "n, arcs, s, t",
+        [
+            # an s -> t arc, alone and beside a path; a t -> s arc whose
+            # reverse capacity is s -> t
+            (2, [(0, 1, 5, 3)], 0, 1),
+            (3, [(0, 2, 4, 0), (0, 1, 2, 0), (1, 2, 3, 0)], 0, 2),
+            (3, [(2, 0, 1, 6), (0, 1, 2, 0), (1, 2, 9, 9)], 0, 2),
+            (2, [(1, 0, 7, 0)], 0, 1),
+            (2, [(1, 0, 0, 4), (0, 1, 3, 0)], 0, 1),
+            # arcs into s and out of t, each with a reverse capacity
+            (4, [(1, 0, 3, 5), (1, 2, 4, 0), (3, 2, 2, 6)], 0, 3),
+            (4, [(1, 0, 9, 0), (2, 3, 0, 9), (0, 2, 1, 1), (1, 2, 5, 5)], 0, 3),
+            # parallel s-arcs, and parallel t-arcs, in both directions
+            (3, [(0, 1, 2, 0), (0, 1, 3, 0), (1, 0, 0, 4), (1, 2, 20, 0)], 0, 2),
+            (4, [(3, 1, 1, 2), (0, 1, 4, 0), (0, 1, 4, 0), (1, 2, 3, 1),
+                 (2, 3, 2, 0), (3, 2, 0, 5)], 3, 0),
+            # zero capacities everywhere, and zero capacities on every s- or
+            # t-arc while the middle is wide open
+            (3, [(0, 1, 0, 0), (1, 2, 0, 0), (0, 2, 0, 0)], 0, 2),
+            (4, [(0, 1, 0, 3), (1, 2, 9, 9), (2, 3, 0, 0)], 0, 3),
+            # two nodes and nothing else, with and without arcs
+            (2, [], 0, 1),
+            (2, [(0, 1, 0, 0)], 1, 0),
+            # a source with no arcs, beside a busy network
+            (5, [(1, 2, 4, 4), (2, 3, 5, 0), (3, 4, 2, 2), (1, 4, 6, 0)], 0, 4),
+            (5, [(1, 2, 4, 4), (2, 3, 5, 0), (3, 4, 2, 2), (1, 4, 6, 0)], 4, 0),
+            # s and t numbered below the other nodes, as any caller may
+            (5, [(1, 3, 2, 0), (3, 2, 2, 2), (4, 0, 1, 0), (1, 4, 3, 3), (2, 0, 7, 0)], 1, 0),
+        ],
+    )
+    def test_source_and_sink_arcs_match_reference(self, n, arcs, s, t):
+        assert max_flow(n, arcs, s, t) == reference_max_flow(n, arcs, s, t)
+
     def test_matches_reference_on_density_networks(self):
         rng = random.Random("flow-goldberg")
         for _ in range(40):
@@ -78,6 +112,15 @@ class TestMaxFlow:
             q = Fraction(rng.randint(1, 3 * G.n), rng.randint(1, 2 * G.n))
             args = (G.n + 2, goldberg_arcs(G, q), G.n, G.n + 1)
             assert max_flow(*args) == reference_max_flow(*args), (G, q)
+        # bounded networks, as max_quasi_density builds them for the chain
+        for _ in range(60):
+            G = random_graph(rng, 1, 40, 0.05, 0.6)
+            outer = [v for v in range(G.n) if rng.random() < 0.8]
+            inner = [v for v in outer if rng.random() < 0.3]
+            q = Fraction(rng.randint(1, 3 * G.n), rng.randint(1, 2 * G.n))
+            free = len(outer) - len(inner)
+            args = (free + 2, goldberg_arcs(G, q, inner, outer), free, free + 1)
+            assert max_flow(*args) == reference_max_flow(*args), (G, q, inner, outer)
 
 
 class TestMaxQuasiDensity:
@@ -93,7 +136,8 @@ class TestMaxQuasiDensity:
     def test_matches_enumeration(self, monkeypatch):
         # Besides random penalties, the ties where only minimality decides:
         # the maximum density, where the densest sets tie the empty set, and
-        # every penalty the chain walk cuts at.
+        # every penalty the chain walk cuts at, and its two ends, which it
+        # takes without a cut.
         cuts = []
 
         def recorded(graph, q, **bounds):
@@ -110,8 +154,9 @@ class TestMaxQuasiDensity:
                 densest = max(Fraction(profile[s], s) for s in range(1, G.n + 1))
                 assert max_quasi_density(G, densest) == ((), 0)
                 cuts.clear()
-                flow._quasi_chain(G, Fraction(1, 2 * G.n), Fraction(G.m, 2))
-                penalties.update(cuts, [densest])
+                lo, hi = Fraction(1, 2 * G.n), Fraction(G.m, 2)
+                flow._quasi_chain(G, lo, hi)
+                penalties.update(cuts, [densest, lo, hi])
             for q in penalties:
                 assert max_quasi_density(G, q) == brute_quasi_density(G, q), (G, q)
 
@@ -177,8 +222,10 @@ class TestDalksChain:
         assert 0 < len(calls) <= 2 * (G.n + 1)
 
     def test_cuts_contract_to_the_free_vertices(self, monkeypatch):
-        # Each cut after the first two spans only the vertices between its
-        # chain neighbours; on whole-graph networks the 15 cuts span 15n.
+        # The chain's two ends, which would be whole-graph cuts, take no
+        # flow, and each of the 13 crossing cuts spans only the vertices
+        # between its chain neighbours; on whole-graph networks they would
+        # span 13n.
         G = gnp_graph(200, 0.04, 1)
         free = []
 
@@ -188,7 +235,84 @@ class TestDalksChain:
 
         monkeypatch.setattr(flow, "max_flow", counted)
         dalks_2approx(G, 20)
-        assert len(free) == 15 and sum(free) < 5 * G.n
+        assert len(free) == 13 and sum(free) < 5 * G.n
+
+
+class TestChainEnds:
+    """The chain's two ends, taken without a cut, against the cuts they
+    replace: ``S(lo)`` is the set of non-isolated vertices for ``lo < 1/2``,
+    and ``S(hi)`` is empty for ``2*hi >= `` the maximum degree."""
+
+    @staticmethod
+    def walk(monkeypatch, G, lo, hi):
+        """The chain, and the penalties of the cuts it ran without an
+        ``inner`` bound (the ends; crossing cuts all have one)."""
+        ends = []
+
+        def recorded(graph, q, **bounds):
+            if "inner" not in bounds:
+                ends.append(q)
+            return max_quasi_density(graph, q, **bounds)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(flow, "max_quasi_density", recorded)
+            chain = flow._quasi_chain(G, lo, hi)
+        return chain, ends
+
+    def graphs(self):
+        # isolated vertices, single-edge components, a perfect matching
+        yield graph_from_edges(7, [(0, 1), (3, 4), (4, 5), (3, 5)])
+        yield graph_from_edges(5, [(1, 3)])
+        yield graph_from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        rng = random.Random("chain-ends")
+        for _ in range(80):
+            G = random_graph(rng, 2, 24, 0.03, 0.6)
+            # drop every edge of a few vertices, so isolated ones are common
+            gone = set(rng.sample(range(G.n), rng.randint(0, G.n // 3)))
+            yield graph_from_edges(
+                G.n, [(u, v) for u, v in G.edges if u not in gone and v not in gone]
+            )
+
+    def test_ends_match_the_cuts_they_replace(self, monkeypatch):
+        ran = {True: 0, False: 0}
+        for G in self.graphs():
+            if not G.m:
+                continue
+            lo = Fraction(1, 2 * G.n)
+            degree = max(map(G.degree, range(G.n)))
+            first = max_quasi_density(G, lo)[0]
+            assert first == tuple(v for v in range(G.n) if G.degree(v)), G
+            for hi in sorted({Fraction(G.m, 2 * k) for k in range(1, G.n + 1)}):
+                chain, ends = self.walk(monkeypatch, G, lo, hi)
+                assert chain[0] == (lo, first)
+                assert chain[-1][1] == max_quasi_density(G, hi, outer=first)[0], (G, hi)
+                cut = 2 * hi < degree
+                assert ends == ([hi] if cut else []), (G, hi)
+                ran[cut] += 1
+        # both ends of the rule are exercised, with the cut and without it
+        assert min(ran.values()) > 20
+
+    def test_lone_edge_bounds_the_lower_end(self, monkeypatch):
+        # At penalty 1/2 a lone edge breaks even (1 - 2/2 = 0), so the
+        # minimal optimiser drops it: below 1/2 the closed form holds, and
+        # from 1/2 on the chain must cut.
+        G = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        assert max_quasi_density(G, Fraction(1, 2))[0] == (0, 1, 2)
+        assert max_quasi_density(G, Fraction(49, 100))[0] == (0, 1, 2, 3, 4)
+        chain, ends = self.walk(monkeypatch, G, Fraction(1, 2), Fraction(3, 2))
+        assert chain[0] == (Fraction(1, 2), (0, 1, 2)) and ends == [Fraction(1, 2)]
+        chain, ends = self.walk(monkeypatch, G, Fraction(1, 12), Fraction(3, 2))
+        assert chain[0] == (Fraction(1, 12), (0, 1, 2, 3, 4)) and ends == []
+
+    def test_upper_end_cuts_below_half_the_max_degree(self, monkeypatch):
+        # K5 plus an isolated vertex: at hi = 3/2 < 4/2 the clique still
+        # pays (10 - 5*3/2 > 0), so S(hi) is not empty and the cut must run.
+        G = graph_from_edges(6, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+        chain, ends = self.walk(monkeypatch, G, Fraction(1, 12), Fraction(3, 2))
+        assert chain == [(Fraction(1, 12), (0, 1, 2, 3, 4))]
+        assert ends == [Fraction(3, 2)]
+        chain, ends = self.walk(monkeypatch, G, Fraction(1, 12), Fraction(2))
+        assert chain[-1][1] == () and ends == []
 
 
 class TestDalks2Approx:
