@@ -33,8 +33,8 @@ Each relaxation is built directly as one standard-form
 :class:`simplex.LinearProgram` matrix from the edge view ``G.ends``, with
 ``y_i0 >= 1`` as its only row of negative rhs and without the rows
 ``y_i <= 1``, which capping at 1 makes redundant (:func:`build_damks_lp`).
-Every row is then ``<=`` and every cost >= 0, so the simplex solves it by
-its dual route from the all-slack basis.  a6 builds one such program and
+Every row is then ``<=`` and every cost >= 0, the dual form that the
+simplex solves from the all-slack basis.  a6 builds one such program and
 rewrites its root row and gamma coefficients in place for each pair
 (:func:`_retarget`).  The optimum is capped into [0, 1].  A relaxation with
 no fractional ``y_i`` in either window rounds alike in every rep, so its
@@ -72,8 +72,8 @@ def build_damks_lp(G: Graph, root: int, gamma: float) -> simplex.LinearProgram:
     Variable ``i < n`` is ``y_i`` and variable ``n + e`` is ``x`` of edge
     ``G.edges[e]``.  Row 0 is ``-y_root <= -1``; then come the n degree
     rows and the two rows ``x_e <= y_u``, ``x_e <= y_v`` of each edge in
-    edge order.  Every row is ``<=`` and every cost is >= 0, so
-    :func:`simplex.solve_lp` takes its dual route.
+    edge order.  Every row is ``<=`` and every cost is >= 0, the form
+    :func:`simplex.solve_lp` accepts.
 
     The rows ``y_i <= 1`` and ``y_root <= 1`` of the relaxation are left
     out: capping every variable of a feasible point at 1 keeps it feasible

@@ -39,10 +39,9 @@ many windows.
 
 ``dks_candidates`` runs any subset of the six on the graph itself and on
 the graph with its top-degree half removed, and yields each run's answer
-completed to exactly k; ``combined_dks`` keeps the densest of them.  Both take
-a ``seed``, from which each branch and algorithm derives its own random
-stream; with a fixed seed, enlarging the subset can never make the answer
-worse.
+completed to exactly k.  It takes a ``seed``, from which each branch and
+algorithm derives its own random stream; with a fixed seed, enlarging the
+subset can never make the densest answer worse.
 ``densek solve --algo all`` reports the main-branch candidates as its
 ``run`` records and picks its ``best`` record from those same runs plus
 the peeled branch, so each algorithm runs once per branch.
@@ -64,7 +63,6 @@ from .graph import (
     checked_vertices,
     doubling_ladder,
     induced_stats,
-    pick_best,
     remove_top_degrees,
     top_degree_vertices,
 )
@@ -433,17 +431,3 @@ def dks_candidates(
             algo_seed = seed if ids is None else derive_seed(seed, branch, algo)
             res = run(bg, kk, algo_seed, a6_reps, G.n)
             yield branch, algo, completed(G, [res.vertices], k, ids)
-
-
-def combined_dks(
-    G: Graph,
-    k: int,
-    seed: int = 0,
-    include: Iterable[str] = ALGO_NAMES,
-    a6_reps: int | None = None,
-) -> SubgraphResult:
-    """Best exactly-k candidate of :func:`dks_candidates` over both branches
-    and the selected algorithms."""
-    return pick_best(
-        res for _, _, res in dks_candidates(G, k, seed, include, a6_reps)
-    )

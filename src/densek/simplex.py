@@ -1,20 +1,15 @@
-"""A small dense simplex solver for programs in standard form.
+"""A small dense dual simplex for programs in dual form.
 
 A program is ``minimise objective . x`` over ``x >= 0`` subject to
-``rows @ x = rhs`` on its first ``n_eq`` rows and ``rows @ x <= rhs`` on the
-rest.  :func:`solve_lp` takes one of two routes:
+``rows @ x <= rhs``, with every cost >= 0 (the form
+:func:`densek.damks.build_damks_lp` writes).  The all-slack basis is then
+dual feasible, so the dual simplex needs no phase 1 and no artificial
+columns, and the program cannot be unbounded.  It runs on a condensed
+(Tucker) tableau that keeps only the nonbasic columns:
+``(m + 1) x (nv + 1)`` cells.  The leaving row is the most negative rhs and
+the entering column wins the min-ratio test.
 
-* **Dual route**, for programs with no equality rows and costs >= 0 (the
-  form :func:`densek.damks.build_damks_lp` writes).  The all-slack basis is
-  then dual feasible, so a dual simplex needs no phase 1 and no artificial
-  columns.  It runs on a condensed (Tucker) tableau that keeps only the
-  nonbasic columns: ``(m + 1) x (nv + 1)`` cells.  The leaving row is the
-  most negative rhs and the entering column wins the min-ratio test.
-* **Primal route**, for every other program: rows with a negative rhs are
-  negated, slack and artificial columns are appended, and both phases run
-  on a dense numpy tableau.
-
-Both routes start with Dantzig-style choices and fall back to Bland's
+Pivots start with Dantzig-style choices and fall back to Bland's
 lowest-index rule after ``DANTZIG_LIMIT`` pivots, which guarantees
 termination.  A final residual check re-verifies the reported optimum
 against the original rows, so a numerically wrong "optimal" is never
@@ -29,14 +24,12 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
-# Mixed absolute/relative tolerance of the infeasibility and residual checks.
+# Mixed absolute/relative tolerance of the residual check.
 TOL = 1e-9
 # Entries at or below this magnitude never serve as pivots.
 PIVOT_TOL = 1e-10
-# Dantzig's rule for this many pivots of a phase (or of the dual route),
-# Bland's rule after.
+# Dantzig's rule for this many pivots, Bland's rule after.
 DANTZIG_LIMIT = 2000
 MAX_PIVOTS = 200_000
 
@@ -47,13 +40,12 @@ class LpNumericalError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """Minimise ``objective . x`` over ``x >= 0``; the first ``n_eq`` rows
-    are equalities ``row . x = rhs``, the others ``row . x <= rhs``."""
+    """Minimise ``objective . x`` over ``x >= 0`` subject to
+    ``rows @ x <= rhs``; every cost must be >= 0."""
 
     objective: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
-    n_eq: int = 0
 
     def validate(self) -> None:
         nv = self.objective.shape[0]
@@ -63,8 +55,8 @@ class LinearProgram:
                 f"rows of shape {self.rows.shape} for {m} rhs values and "
                 f"{nv} variables"
             )
-        if not (0 <= self.n_eq <= m):
-            raise ValueError(f"n_eq={self.n_eq} out of range for {m} rows")
+        if not (self.objective >= 0).all():
+            raise ValueError("every cost must be >= 0")
 
 
 @dataclass
@@ -72,52 +64,6 @@ class LpSolution:
     status: str
     x: list[float] | None = None
     objective: float | None = None
-
-
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
-
-
-def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, *, phase: int) -> str:
-    """Iterate pivots until optimal or unbounded; returns "optimal" or
-    "unbounded".  ``ncols`` excludes the rhs column."""
-    pivots = 0
-    while True:
-        costs = T[-1, :ncols]
-        if pivots < DANTZIG_LIMIT:
-            col = int(np.argmin(costs))
-            if costs[col] >= -PIVOT_TOL:
-                return OPTIMAL
-        else:
-            eligible = np.nonzero(costs < -PIVOT_TOL)[0]
-            if eligible.size == 0:
-                return OPTIMAL
-            col = int(eligible[0])
-        column = T[:-1, col]
-        rows = np.nonzero(column > PIVOT_TOL)[0]
-        if rows.size == 0:
-            if phase == 1:
-                raise LpNumericalError("phase-1 objective unbounded below")
-            return UNBOUNDED
-        ratios = np.maximum(T[rows, -1], 0.0) / column[rows]
-        best_ratio = ratios.min()
-        # Rows tied (within tolerance) at the minimum ratio: repeatedly
-        # dividing by a near-zero pivot element is what blows the tableau
-        # up on long degenerate runs, so insist on a pivot element within
-        # a factor 1e-3 of the best available in the tie before applying
-        # the smallest-basis-index anti-cycling preference.
-        tied = rows[ratios <= best_ratio + PIVOT_TOL * (1.0 + best_ratio)]
-        strong = tied[column[tied] >= 1e-3 * column[tied].max()]
-        _pivot(T, basis, int(strong[np.argmin(basis[strong])]), col)
-        pivots += 1
-        if pivots > MAX_PIVOTS:
-            raise LpNumericalError(f"no convergence after {MAX_PIVOTS} pivots")
 
 
 def _tucker_pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -134,8 +80,14 @@ def _tucker_pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row, col] = 1.0 / p
 
 
-def _solve_dual(lp: LinearProgram) -> LpSolution:
-    """Dual simplex for ``n_eq == 0`` and ``objective >= 0``.
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve the program by the dual simplex; status is optimal or
+    infeasible.
+
+    Raises ``ValueError`` on a malformed program or a negative cost.  An
+    optimal answer is re-checked against every row with mixed
+    absolute/relative tolerance ``TOL``; on failure an
+    :class:`LpNumericalError` is raised instead of returning a wrong result.
 
     Row i of the tableau reads ``basic[i] = T[i, -1] - T[i, :-1] @ x_N``
     over the nonbasic variables ``x_N``; the last row holds the objective,
@@ -143,6 +95,7 @@ def _solve_dual(lp: LinearProgram) -> LpSolution:
     costs, kept >= 0 by every pivot.  Variable labels are ``j < nv`` for x
     and ``nv + i`` for the slack of row i; Bland's rule compares labels.
     """
+    lp.validate()
     m, nv = lp.rows.shape
     T = np.empty((m + 1, nv + 1))
     T[:m, :nv] = lp.rows
@@ -170,8 +123,10 @@ def _solve_dual(lp: LinearProgram) -> LpSolution:
             return LpSolution(status=INFEASIBLE)
         ratios = np.maximum(-costs[cols], 0.0) / -line[cols]
         best_ratio = ratios.min()
-        # As in the primal ratio test: among tied columns take a strong
-        # pivot element, then the lowest label.
+        # Among columns tied (within tolerance) at the minimum ratio take a
+        # pivot element within a factor 1e-3 of the strongest, since
+        # dividing by near-zero pivots blows the tableau up on long
+        # degenerate runs; then prefer the lowest label.
         tied = cols[ratios <= best_ratio + PIVOT_TOL * (1.0 + best_ratio)]
         if tied.size > 1:
             tied = tied[-line[tied] >= 1e-3 * -line[tied].min()]
@@ -191,85 +146,10 @@ def _solve_dual(lp: LinearProgram) -> LpSolution:
     )
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve the program; status is one of optimal / infeasible / unbounded.
-
-    Programs with only ``<=`` rows and costs >= 0 take the dual route (they
-    cannot be unbounded), all others the primal two-phase route.  An optimal
-    answer is re-checked against every row with mixed absolute/relative
-    tolerance ``TOL``; on failure an :class:`LpNumericalError` is raised
-    instead of returning a wrong result.
-    """
-    lp.validate()
-    if lp.n_eq == 0 and (lp.objective >= 0).all():
-        return _solve_dual(lp)
-    m, nv = lp.rows.shape
-    ineq = np.arange(m) >= lp.n_eq
-    # Negate rows with a negative rhs: a negated <= row takes a surplus and
-    # an artificial, an equality row always takes an artificial.
-    flip = np.where(lp.rhs < 0, -1.0, 1.0)
-    needs_art = ~ineq | (flip < 0)
-    slack_rows = np.nonzero(ineq)[0]
-    art_rows = np.nonzero(needs_art)[0]
-    art_start = nv + slack_rows.size
-    total = art_start + art_rows.size
-
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :nv] = flip[:, None] * lp.rows
-    T[:m, -1] = flip * lp.rhs
-    T[slack_rows, nv + np.arange(slack_rows.size)] = flip[slack_rows]
-    T[art_rows, art_start + np.arange(art_rows.size)] = 1.0
-    basis = np.empty(m, dtype=np.int64)
-    basis[slack_rows] = nv + np.arange(slack_rows.size)
-    basis[art_rows] = art_start + np.arange(art_rows.size)
-
-    if art_rows.size:
-        # Phase 1: minimise the artificial sum; reduced costs of the current
-        # (artificial) basis must start at zero.
-        T[-1, art_start:total] = 1.0
-        for i in art_rows:
-            T[-1] -= T[i]
-        _run_simplex(T, basis, total, phase=1)
-        if -T[-1, -1] > TOL * (1.0 + np.abs(lp.rhs).sum()):
-            return LpSolution(status=INFEASIBLE)
-        # Pivot surviving artificials out of the basis; rows that cannot be
-        # pivoted are redundant and get dropped.
-        keep = np.ones(m + 1, dtype=bool)
-        for i in np.nonzero(basis >= art_start)[0]:
-            cols = np.nonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)[0]
-            if cols.size:
-                _pivot(T, basis, i, int(cols[0]))
-            else:
-                keep[i] = False
-        T = T[keep]
-        basis = basis[keep[:m]]
-
-    # Phase 2 on the artificial-free tableau.
-    T = np.hstack([T[:, :art_start], T[:, -1:]])
-    T[-1, :] = 0.0
-    T[-1, :nv] = lp.objective
-    for i, col in enumerate(basis):
-        T[-1] -= T[-1, col] * T[i]
-    status = _run_simplex(T, basis, art_start, phase=2)
-    if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED)
-
-    u = np.zeros(art_start)
-    u[basis] = np.maximum(T[:-1, -1], 0.0)
-    x = u[:nv]
-    _verify_feasible(lp, x)
-    return LpSolution(
-        status=OPTIMAL, x=x.tolist(), objective=float(np.dot(lp.objective, x))
-    )
-
-
 def _verify_feasible(lp: LinearProgram, x: np.ndarray) -> None:
     lhs = lp.rows @ x
     slack = TOL * (1.0 + np.abs(lp.rhs) + np.abs(lp.rows).sum(axis=1))
-    excess = np.abs(lhs - lp.rhs)
-    excess[lp.n_eq:] = lhs[lp.n_eq:] - lp.rhs[lp.n_eq:]
-    bad = np.nonzero(excess > slack)[0]
+    bad = np.nonzero(lhs - lp.rhs > slack)[0]
     if bad.size:
         i = int(bad[0])
-        relation = "!=" if i < lp.n_eq else ">"
-        raise LpNumericalError(f"row {i}: {lhs[i]} {relation} {lp.rhs[i]}")
+        raise LpNumericalError(f"row {i}: {lhs[i]} > {lp.rhs[i]}")

@@ -4,7 +4,7 @@
 The ledger is one JSON line (sorted keys) per seeded ``gnp_graph`` and k:
 the graph's ``n``, ``p`` and ``seed``, ``k``, the exact optimum's edge
 count ``opt``, the edge count of ``best`` (the densest candidate of
-``fkp.dks_candidates(G, k, 0)`` over both branches, as ``combined_dks``
+``fkp.dks_candidates(G, k, 0)`` over both branches, as ``helpers.combined_dks``
 returns it) and each algorithm's main-branch edge count under its own name.
 An algorithm skipped below its least k has no field on that line.  All
 algorithms run at their default repetitions.

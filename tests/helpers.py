@@ -10,9 +10,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+import pytest
 
 from densek.damks import build_damks_lp, core_numbers
 from densek.exact import (
@@ -23,11 +24,13 @@ from densek.exact import (
     exact_solve,
 )
 from densek.fkp import (
+    ALGO_NAMES,
     ALGORITHMS,
     _greedy_matching,
     a1_matching,
     a2_top_degrees,
     a3_neighborhoods,
+    dks_candidates,
     walk_rows,
 )
 from densek.flow import max_quasi_density
@@ -577,42 +580,54 @@ class GeneralLp:
     rows: list[tuple[list[float], str, float]] = field(default_factory=list)
 
 
-def standard_form(lp: GeneralLp) -> tuple[LinearProgram, np.ndarray]:
-    """Rewrite ``lp`` over ``u = x - lo >= 0`` for ``solve_lp``: equalities
-    first, then ``<=`` rows and negated ``>=`` rows, then ``u_j <= hi - lo``
-    for every finite upper bound.  Needs finite lower bounds; returns the
-    program and ``lo``."""
-    lo = np.array([b[0] for b in lp.bounds], dtype=float)
-    assert np.isfinite(lo).all(), "standard_form needs finite lower bounds"
-    eq, ub = [], []
+def standard_form(lp: GeneralLp) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
+    """Rewrite ``lp`` in the dual form ``solve_lp`` takes, over ``u >= 0``
+    with ``x = base + sign * u``: a variable of cost >= 0 is shifted by its
+    lower bound (``u = x - lo``), one of negative cost is complemented at
+    its upper bound (``u = hi - x``), so every cost ``sign * c`` is >= 0.
+    Then come the ``<=`` rows, the negated ``>=`` rows and each equality as
+    two ``<=`` rows, in row order, then ``u_j <= hi - lo`` for every finite
+    box.  Returns the program, ``base`` and ``sign``."""
+    objective = np.array(lp.objective, dtype=float)
+    sign = np.where(objective < 0, -1.0, 1.0)
+    base = np.array([hi if s < 0 else lo for (lo, hi), s in zip(lp.bounds, sign)])
+    assert np.isfinite(base).all(), (
+        "standard_form needs a finite lower bound under each cost >= 0 and a "
+        "finite upper bound under each negative cost"
+    )
+    pairs = []
     for coeffs, relation, rhs in lp.rows:
         coeffs = np.array(coeffs, dtype=float)
-        rhs = rhs - float(coeffs @ lo)
-        if relation == EQUAL:
-            eq.append((coeffs, rhs))
-        else:
-            sign = -1.0 if relation == GREATER_EQUAL else 1.0
-            ub.append((sign * coeffs, sign * rhs))
-    nv = len(lp.objective)
+        row, rhs = sign * coeffs, rhs - float(coeffs @ base)
+        if relation != GREATER_EQUAL:
+            pairs.append((row, rhs))
+        if relation != LESS_EQUAL:
+            pairs.append((-row, -rhs))
+    nv = len(objective)
     for j, (low, high) in enumerate(lp.bounds):
-        if math.isfinite(high):
-            ub.append((np.eye(nv)[j], high - low))
-    pairs = eq + ub
+        if math.isfinite(high - low):
+            pairs.append((np.eye(nv)[j], high - low))
     rows = np.array([c for c, _ in pairs]).reshape(len(pairs), nv)
     rhs = np.array([b for _, b in pairs], dtype=float)
-    program = LinearProgram(np.array(lp.objective, dtype=float), rows, rhs, len(eq))
-    return program, lo
+    return LinearProgram(sign * objective, rows, rhs), base, sign
 
 
 def solve_general(lp: GeneralLp) -> LpSolution:
     """``solve_lp`` on :func:`standard_form`, mapped back to ``lp``'s
     variables and objective."""
-    program, lo = standard_form(lp)
+    program, base, sign = standard_form(lp)
     sol = solve_lp(program)
     if sol.status != OPTIMAL:
         return sol
-    x = np.array(sol.x) + lo
+    x = base + sign * np.array(sol.x)
     return LpSolution(OPTIMAL, x.tolist(), float(np.dot(lp.objective, x)))
+
+
+def highs_optimum(lp: LinearProgram) -> tuple[int, float | None]:
+    """HiGHS's status code and optimum for ``lp`` (a scipy test extra)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    ref = linprog(lp.objective, A_ub=lp.rows, b_ub=lp.rhs, bounds=(0, None), method="highs")
+    return ref.status, ref.fun
 
 
 def lp_feasible(lp: GeneralLp, x, tol: float = 1e-7) -> bool:
@@ -955,10 +970,25 @@ def dense_average_degrees(G: Graph, masks: np.ndarray) -> np.ndarray:
 
 def full_damks_lp(G: Graph, root: int, gamma: float) -> LinearProgram:
     """The relaxation with every row ``damks.build_damks_lp`` leaves out:
-    ``y_root = 1`` as an equality (row 0, ``n_eq = 1``), the degree and edge
-    rows as built, then the n rows ``y_i <= 1``."""
+    its rows as built, then the n rows ``y_i <= 1``.  Row 0,
+    ``-y_root <= -1``, and the root's ``y_root <= 1`` row make ``y_root = 1``."""
     lp = build_damks_lp(G, root, gamma)
     n, nv = G.n, len(lp.objective)
-    rows = np.vstack([-lp.rows[:1], lp.rows[1:], np.eye(n, nv)])
-    rhs = np.concatenate([[1.0], lp.rhs[1:], np.ones(n)])
-    return LinearProgram(lp.objective.copy(), rows, rhs, n_eq=1)
+    rows = np.vstack([lp.rows, np.eye(n, nv)])
+    rhs = np.concatenate([lp.rhs, np.ones(n)])
+    return LinearProgram(lp.objective.copy(), rows, rhs)
+
+
+def combined_dks(
+    G: Graph,
+    k: int,
+    seed: int = 0,
+    include: Iterable[str] = ALGO_NAMES,
+    a6_reps: int | None = None,
+) -> SubgraphResult:
+    """Best exactly-k candidate of ``fkp.dks_candidates`` over both branches
+    and the selected algorithms: the answer ``densek solve`` prints as its
+    ``best`` record."""
+    return pick_best(
+        res for _, _, res in dks_candidates(G, k, seed, include, a6_reps)
+    )

@@ -23,7 +23,7 @@ from densek.damks import (
     distance_layers,
 )
 from densek.exact import ProblemKind, exact_solve
-from densek.fkp import ALGO_NAMES, combined_dks
+from densek.fkp import ALGO_NAMES
 from densek.flow import dalks_2approx
 from densek.graph import (
     Graph,
@@ -39,6 +39,7 @@ from densek.rng import derive_rng
 from densek.simplex import OPTIMAL, solve_lp
 from helpers import (
     best_density_at_least,
+    combined_dks,
     best_density_at_most,
     best_edges_by_size,
     connected_random_graph,

@@ -5,10 +5,10 @@ import sys
 import pytest
 
 from densek.cli import main
-from densek.fkp import combined_dks
 from densek.graph import MAX_GNP_PAIRS, MAX_VERTICES, parse_edge_list
 from densek.ratio import MAX_LATTICE_STEPS
 from densek.reduction import MAX_GADGET_EDGES
+from helpers import combined_dks
 
 
 def run_cli(*args, stdin=None, env_extra=None, check=True, timeout=None):

@@ -19,21 +19,18 @@ from densek.rng import derive_rng
 from densek.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from densek.graph import doubling_ladder, gnp_graph, graph_from_edges, induced_stats
 from helpers import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
     GeneralLp,
     check_cauchy_mass,
     count_induced_edges,
     dense_average_degrees,
     full_damks_lp,
+    highs_optimum,
     lp_feasible,
     min_degree_core,
     petersen,
     random_box_lp,
     round_once,
     solve_general,
-    standard_form,
     vertex_enum_optimum,
 )
 
@@ -61,22 +58,6 @@ PINNED_A6 = [
 FRACTIONAL_A6 = {(10, 0.6, 4): 5, (14, 0.4, 8): 9}
 
 
-def highs_optimum(lp):
-    """HiGHS's status code and optimum for ``lp`` (a scipy test extra)."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    eq, ub = slice(None, lp.n_eq), slice(lp.n_eq, None)
-    ref = linprog(
-        lp.objective,
-        A_ub=lp.rows[ub],
-        b_ub=lp.rhs[ub],
-        A_eq=lp.rows[eq] if lp.n_eq else None,
-        b_eq=lp.rhs[eq] if lp.n_eq else None,
-        bounds=(0, None),
-        method="highs",
-    )
-    return ref.status, ref.fun
-
-
 class TestLpConstruction:
     def test_shape(self):
         # cell for cell against a row-by-row build of the documented layout
@@ -102,7 +83,6 @@ class TestLpConstruction:
                 rhs.append(0.0)
         lp = build_damks_lp(G, root=2, gamma=3)
         assert lp.objective.tolist() == [1.0] * n + [0.0] * m
-        assert lp.n_eq == 0
         assert lp.rows.tolist() == rows
         assert lp.rhs.tolist() == rhs
 
@@ -120,7 +100,6 @@ class TestLpConstruction:
                     fresh = build_damks_lp(G, root, gamma)
                     for field in ("objective", "rows", "rhs"):
                         assert getattr(lp, field).tobytes() == getattr(fresh, field).tobytes()
-                    assert lp.n_eq == fresh.n_eq
 
     def test_validation(self):
         G = complete_graph(3)
@@ -160,24 +139,20 @@ class TestLpConstruction:
                 assert sol.status == INFEASIBLE
 
 
-# Graphs and k on which the two-phase primal route stalled or took seconds
+# Graphs and k on which a two-phase primal simplex stalled or took seconds
 # per LP: the (6, 8) LP of the first ran all MAX_PIVOTS pivots.
 STALL_INPUTS = [((22, 0.5, 4), 16), ((24, 0.5, 2), 10), ((30, 0.25, 7), 6)]
 
 
 class TestDualRoute:
-    def test_damks_lps_take_the_dual_route(self, monkeypatch):
-        routed = []
-        real = simplex._solve_dual
-        monkeypatch.setattr(
-            simplex, "_solve_dual", lambda lp: routed.append(lp) or real(lp)
-        )
-        lp = build_damks_lp(petersen(), 0, 2)
-        assert solve_lp(lp).status == OPTIMAL
-        assert routed == [lp]
-        # the full relaxation has an equality row: the primal route
-        assert solve_lp(full_damks_lp(petersen(), 0, 2)).status == OPTIMAL
-        assert routed == [lp]
+    def test_full_relaxation_has_the_same_optimum(self):
+        # the rows y_i <= 1 that build_damks_lp leaves out do not move the
+        # optimum, which capping at 1 keeps feasible
+        for root, gamma in [(0, 1), (0, 2), (3, 2)]:
+            capped = solve_lp(build_damks_lp(petersen(), root, gamma))
+            full = solve_lp(full_damks_lp(petersen(), root, gamma))
+            assert capped.status == full.status == OPTIMAL
+            assert full.objective == pytest.approx(capped.objective, abs=1e-9)
 
     def test_known_stall_is_solved(self):
         lp = build_damks_lp(gnp_graph(22, 0.5, 4), 6, 8)
@@ -207,21 +182,14 @@ class TestDualRoute:
 
     @pytest.mark.parametrize("dantzig_limit", [simplex.DANTZIG_LIMIT, 0])
     def test_random_boxes_with_nonnegative_costs(self, monkeypatch, dantzig_limit):
-        # Box LPs with costs >= 0 and each equality split into two rows have
-        # only <= rows in standard form, so they take the dual route.
+        # Box LPs with costs >= 0, which standard_form shifts by their lower
+        # bounds and does not complement.
         monkeypatch.setattr(simplex, "DANTZIG_LIMIT", dantzig_limit)
         rng = random.Random("dual-boxes")
         statuses = set()
         for _ in range(80):
             lp = random_box_lp(rng)
-            rows = []
-            for coeffs, relation, rhs in lp.rows:
-                if relation == EQUAL:
-                    rows += [(coeffs, LESS_EQUAL, rhs), (coeffs, GREATER_EQUAL, rhs)]
-                else:
-                    rows.append((coeffs, relation, rhs))
-            lp = GeneralLp([abs(c) for c in lp.objective], lp.bounds, rows)
-            assert standard_form(lp)[0].n_eq == 0
+            lp = GeneralLp([abs(c) for c in lp.objective], lp.bounds, lp.rows)
             sol = solve_general(lp)
             status, best, _ = vertex_enum_optimum(lp)
             assert sol.status == status

@@ -22,13 +22,13 @@ from densek.fkp import (
     a4_edge_dense,
     a5_walks,
     attachment_counts,
-    combined_dks,
     dks_candidates,
     walk_rows,
 )
 from densek.graph import better_than, gnp_graph, graph_from_edges
 from densek.score import completed
 from helpers import (
+    combined_dks,
     count_induced_edges,
     good_vertex_candidates_rebuild,
     petersen,

@@ -7,12 +7,15 @@ from densek import simplex
 from densek.simplex import (
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LinearProgram,
     solve_lp,
 )
 from helpers import (
+    EQUAL,
+    GREATER_EQUAL,
+    LESS_EQUAL,
     GeneralLp,
+    highs_optimum,
     lp_feasible,
     random_box_lp,
     solve_general,
@@ -21,52 +24,60 @@ from helpers import (
 )
 
 
-def program(objective, rows=(), rhs=(), n_eq=0):
+def program(objective, rows=(), rhs=()):
     """``LinearProgram`` from nested lists; ``rows`` may be empty."""
     nv = len(objective)
     return LinearProgram(
         np.array(objective, dtype=float),
         np.array(rows, dtype=float).reshape(len(rhs), nv),
         np.array(rhs, dtype=float),
-        n_eq,
     )
 
 
 class TestKnownPrograms:
     def test_two_variable_corner(self):
-        # min -x - y  s.t.  x + 2y <= 4, 3x + y <= 6, x,y >= 0
-        lp = program([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
-        sol = solve_lp(lp)
+        # min -x - y  s.t.  x + 2y <= 4, 3x + y <= 6 over the box [0,4] x
+        # [0,2] that the rows already imply
+        lp = GeneralLp(
+            [-1.0, -1.0],
+            [(0.0, 4.0), (0.0, 2.0)],
+            [([1.0, 2.0], LESS_EQUAL, 4.0), ([3.0, 1.0], LESS_EQUAL, 6.0)],
+        )
+        sol = solve_general(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-14.0 / 5.0)
         assert sol.x == pytest.approx([8.0 / 5.0, 6.0 / 5.0])
 
     def test_equality_row(self):
-        # min x + y  s.t.  x + y = 3, x - y >= 1 (negated to -x + y <= -1)
-        lp = program([1.0, 1.0], [[1.0, 1.0], [-1.0, 1.0]], [3.0, -1.0], n_eq=1)
-        sol = solve_lp(lp)
+        # min x + y  s.t.  x + y = 3, x - y >= 1 over [0,3]^2
+        lp = GeneralLp(
+            [1.0, 1.0],
+            [(0.0, 3.0), (0.0, 3.0)],
+            [([1.0, 1.0], EQUAL, 3.0), ([1.0, -1.0], GREATER_EQUAL, 1.0)],
+        )
+        sol = solve_general(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(3.0)
 
     def test_free_variable(self):
-        # min y  s.t.  y >= x - 2, y >= -x, with x and y free: optimum y = -1
-        # at x = 1.  Variables are (x+, x-, y+, y-) with x = x+ - x-.
-        lp = program(
-            [0.0, 0.0, 1.0, -1.0],
-            [[1.0, -1.0, -1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]],
-            [2.0, 0.0],
+        # min y  s.t.  y >= x - 2, y >= -x: optimum y = -1 at x = 1, inside
+        # the box [-10,10]^2 that stands in for free x and y
+        lp = GeneralLp(
+            [0.0, 1.0],
+            [(-10.0, 10.0), (-10.0, 10.0)],
+            [([1.0, -1.0], LESS_EQUAL, 2.0), ([-1.0, -1.0], LESS_EQUAL, 0.0)],
         )
-        sol = solve_lp(lp)
+        sol = solve_general(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-1.0)
-        assert sol.x[0] - sol.x[1] == pytest.approx(1.0)
+        assert sol.x[0] == pytest.approx(1.0)
 
     def test_upper_bounded_variable(self):
         # maximise x + 2y (minimise the negation) within x<=1, y<=2, x+y<=2
-        lp = program(
-            [-1.0, -2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [2.0, 1.0, 2.0]
+        lp = GeneralLp(
+            [-1.0, -2.0], [(0.0, 1.0), (0.0, 2.0)], [([1.0, 1.0], LESS_EQUAL, 2.0)]
         )
-        sol = solve_lp(lp)
+        sol = solve_general(lp)
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-4.0)
         assert sol.x == pytest.approx([0.0, 2.0])
@@ -95,16 +106,13 @@ class TestStatuses:
         assert solve_lp(lp).status == INFEASIBLE
 
     def test_infeasible_equalities(self):
-        lp = program([0.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0], n_eq=2)
-        assert solve_lp(lp).status == INFEASIBLE
-
-    def test_unbounded(self):
-        assert solve_lp(program([-1.0])).status == UNBOUNDED
-
-    def test_unbounded_free_pair(self):
-        # min x - y  s.t.  x - y <= 0, x and y free, as (x+, x-, y+, y-)
-        lp = program([1.0, -1.0, -1.0, 1.0], [[1.0, -1.0, -1.0, 1.0]], [0.0])
-        assert solve_lp(lp).status == UNBOUNDED
+        # x + y = 1 and 2x + 2y = 3, over a box that neither row reaches past
+        lp = GeneralLp(
+            [0.0, 0.0],
+            [(0.0, 5.0), (0.0, 5.0)],
+            [([1.0, 1.0], EQUAL, 1.0), ([2.0, 2.0], EQUAL, 3.0)],
+        )
+        assert solve_general(lp).status == INFEASIBLE
 
     def test_bound_validation(self):
         lp = LinearProgram(np.array([1.0, 2.0]), np.zeros((1, 1)), np.zeros(1))
@@ -113,40 +121,45 @@ class TestStatuses:
         lp = LinearProgram(np.array([1.0]), np.zeros((2, 1)), np.zeros(1))
         with pytest.raises(ValueError):
             solve_lp(lp)
-        lp = program([1.0], [[1.0]], [1.0], n_eq=2)
+
+    def test_negative_cost_is_refused(self):
+        # the all-slack basis is dual feasible only for costs >= 0
         with pytest.raises(ValueError):
-            solve_lp(lp)
+            solve_lp(program([-1.0]))
+        with pytest.raises(ValueError):
+            solve_lp(program([1.0, -1e-12], [[1.0, 1.0]], [1.0]))
 
 
 class TestPivotingRules:
     def beale(self):
-        # the classic cycling instance for naive Dantzig pivoting
-        return program(
+        # the classic cycling instance for naive Dantzig pivoting, over the
+        # box [0,1]^4, which does not bind at its optimum
+        return GeneralLp(
             [-0.75, 150.0, -0.02, 6.0],
+            [(0.0, 1.0)] * 4,
             [
-                [0.25, -60.0, -0.04, 9.0],
-                [0.5, -90.0, -0.02, 3.0],
-                [0.0, 0.0, 1.0, 0.0],
+                ([0.25, -60.0, -0.04, 9.0], LESS_EQUAL, 0.0),
+                ([0.5, -90.0, -0.02, 3.0], LESS_EQUAL, 0.0),
+                ([0.0, 0.0, 1.0, 0.0], LESS_EQUAL, 1.0),
             ],
-            [0.0, 0.0, 1.0],
         )
 
     def test_beale_default(self):
-        sol = solve_lp(self.beale())
+        sol = solve_general(self.beale())
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-0.05)
 
     def test_beale_immediate_bland(self, monkeypatch):
         # force Bland's rule from the very first pivot
         monkeypatch.setattr(simplex, "DANTZIG_LIMIT", 0)
-        sol = solve_lp(self.beale())
+        sol = solve_general(self.beale())
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(-0.05)
 
     def test_dantzig_limit_does_not_change_answers(self, monkeypatch):
         rng = random.Random("bland")
         for _ in range(20):
-            lp, _ = standard_form(random_box_lp(rng))
+            lp, _, _ = standard_form(random_box_lp(rng))
             a = solve_lp(lp)
             with monkeypatch.context() as bland:
                 bland.setattr(simplex, "DANTZIG_LIMIT", 0)
@@ -190,25 +203,13 @@ class TestAgainstEnumeration:
 
 class TestAgainstScipy:
     def test_cross_check(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         rng = random.Random("scipy-lp")
         for _ in range(60):
-            lp, _ = standard_form(random_box_lp(rng))
+            lp, _, _ = standard_form(random_box_lp(rng))
             sol = solve_lp(lp)
-            eq, ub = slice(None, lp.n_eq), slice(lp.n_eq, None)
-            ref = linprog(
-                lp.objective,
-                A_ub=lp.rows[ub] if lp.rows[ub].size else None,
-                b_ub=lp.rhs[ub] if lp.rows[ub].size else None,
-                A_eq=lp.rows[eq] if lp.rows[eq].size else None,
-                b_eq=lp.rhs[eq] if lp.rows[eq].size else None,
-                bounds=(0, None),
-                method="highs",
-            )
-            if ref.status == 0:
+            status, optimum = highs_optimum(lp)
+            if status == 0:
                 assert sol.status == OPTIMAL
-                assert sol.objective == pytest.approx(ref.fun, abs=1e-6)
-            elif ref.status == 2:
+                assert sol.objective == pytest.approx(optimum, abs=1e-6)
+            elif status == 2:
                 assert sol.status == INFEASIBLE
-            elif ref.status == 3:
-                assert sol.status == UNBOUNDED
