@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import sys
 import time
 
@@ -177,25 +176,24 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each problem's size constraint, as the word a note uses and the test a
-# record's vertex count must pass against its k.
-_SIZE_RULES = {
-    exact.ProblemKind.EXACTLY_K.value: ("exactly", operator.eq),
-    exact.ProblemKind.AT_LEAST_K.value: ("at least", operator.ge),
-    exact.ProblemKind.AT_MOST_K.value: ("at most", operator.le),
+# The word a note uses for each problem's size constraint on k; the rule
+# itself is ``exact.ProblemKind.sizes``.
+_SIZE_WORDS = {
+    exact.ProblemKind.EXACTLY_K.value: "exactly",
+    exact.ProblemKind.AT_LEAST_K.value: "at least",
+    exact.ProblemKind.AT_MOST_K.value: "at most",
 }
 
 
 def _size_breach(problem: str, k: int, size: int, n: int) -> str | None:
     """Why a record of ``size`` vertices breaks its problem's constraint on
     ``k`` in an ``n``-vertex graph, or None when it keeps it."""
-    if problem not in _SIZE_RULES:
-        return f"unknown problem {problem!r}; expected one of {', '.join(_SIZE_RULES)}"
+    if problem not in _SIZE_WORDS:
+        return f"unknown problem {problem!r}; expected one of {', '.join(_SIZE_WORDS)}"
     if not 1 <= k <= n:
         return f"k={k} out of range [1, {n}]"
-    word, fits = _SIZE_RULES[problem]
-    if not fits(size, k):
-        return f"{size} vertices, but {problem} needs {word} k={k}"
+    if size not in exact.ProblemKind(problem).sizes(k, n):
+        return f"{size} vertices, but {problem} needs {_SIZE_WORDS[problem]} k={k}"
     return None
 
 

@@ -39,6 +39,15 @@ class ProblemKind(str, Enum):
     AT_LEAST_K = "dalks"
     AT_MOST_K = "damks"
 
+    def sizes(self, k: int, n: int) -> range:
+        """The set sizes the constraint admits for ``k`` in an ``n``-vertex
+        graph."""
+        if self is ProblemKind.EXACTLY_K:
+            return range(k, k + 1)
+        if self is ProblemKind.AT_LEAST_K:
+            return range(k, n + 1)
+        return range(0, k + 1)
+
 
 class EnumerationCapError(ValueError):
     """Instance too large for exhaustive subset enumeration."""
@@ -132,13 +141,6 @@ def exact_solve(
         )
     check_k(G, k)
 
-    if kind is ProblemKind.EXACTLY_K:
-        legal = range(k, k + 1)
-    elif kind is ProblemKind.AT_LEAST_K:
-        legal = range(k, G.n + 1)
-    else:
-        legal = range(0, k + 1)
-
     n = G.n
     keys = _best_key_by_size(G)
 
@@ -148,4 +150,4 @@ def exact_solve(
         ec = key >> n
         return SubgraphResult(verts, ec, 2.0 * ec / len(verts) if verts else 0.0)
 
-    return pick_best(result(keys[size]) for size in legal)
+    return pick_best(result(keys[size]) for size in kind.sizes(k, n))

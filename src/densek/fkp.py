@@ -25,7 +25,8 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
 * ``a6_damks`` (in :mod:`densek.damks`) — LP rounding.
 
 ``ALGORITHMS`` is the one table of the six: name -> runner and smallest k
-accepted; ``ALGO_NAMES``, :mod:`densek.ratio` and ``densek solve`` read it.
+accepted; ``ALGO_NAMES`` and ``densek solve`` read it, and
+:mod:`densek.ratio` keeps its own copy of the names, tested equal to it.
 Every exactly-k answer goes through one completion step,
 :func:`densek.score.completed`, which takes a whole batch of candidate sets:
 map ids back, pad each set with its lowest free ids, count each padded

@@ -12,10 +12,11 @@ the optimiser is the set of non-isolated vertices (leaving one out loses at
 least half an edge), and at a penalty of at least half the maximum degree it
 is empty (``|E(S)| <= max_degree*|S|/2``).
 
-The max-flow folds the source and sink into the other nodes, as a supply
-(residual ``s -> v``) and a demand (residual ``v -> t``) per node, so its
-searches never walk their arcs.  This cannot move an answer: the canonical
-minimum cut's source side is the same for every maximum flow.
+The max-flow has no source or sink node: each node carries a supply (its
+``s -> v`` capacity) and a demand (its ``v -> t`` capacity), so its
+searches never walk those arcs.  How it finds the flow cannot move an
+answer: the canonical minimum cut's source side is the same for every
+maximum flow.
 """
 
 from __future__ import annotations
@@ -27,64 +28,43 @@ from .graph import Graph, SubgraphResult, check_k, induced_stats, pad_most_neigh
 
 
 def max_flow(
-    node_count: int,
     arcs: Iterable[tuple[int, int, int, int]],
-    source: int,
-    sink: int,
+    supply: list[int],
+    demand: list[int],
 ) -> tuple[int, frozenset[int]]:
-    """Dinic's algorithm on integer capacities.  Each arc
-    ``(tail, head, capacity, reverse_capacity)`` is one residual pair, so an
-    undirected edge is one arc with equal capacities both ways.  Returns the
-    flow value and the source side of the canonical minimum cut (nodes
-    reachable in the final residual graph); that side is the
-    inclusion-minimal one among all minimum cuts, and the same for every
-    maximum flow, so how the flow is found does not show in the answer.
+    """Dinic's algorithm on integer capacities, on the nodes
+    ``0..len(supply)-1`` and an implicit source ``s`` and sink ``t``:
+    ``supply[v]`` and ``demand[v]`` (both copied, not consumed) are the
+    capacities of ``s -> v`` and ``v -> t``.  Each arc
+    ``(tail, head, capacity, reverse_capacity)`` joins two nodes and is one
+    residual pair, so an undirected edge is one arc with equal capacities
+    both ways.  Returns the flow value and the canonical minimum cut's
+    source side less ``s`` (the nodes reachable in the final residual
+    graph); that side is the inclusion-minimal one among all minimum cuts,
+    and the same for every maximum flow, so how the flow is found does not
+    show in the answer.
 
-    The source and sink are folded into the other nodes: each node ``v``
-    keeps a ``supply``, its residual ``s -> v`` capacity, and a ``demand``,
-    its residual ``v -> t`` capacity, summed over every arc touching ``s``
-    or ``t``; an ``s -> t`` arc adds straight to the flow.  Every direct
-    ``s -> v -> t`` path is saturated first.  Each phase's level graph is a
-    search from all supply nodes at once that stops at the first level
-    holding a demand node, and the blocking-flow search starts from each
-    supply node in turn, resuming at the path's first saturated arc after
-    each augmentation.  The final search, which reaches no demand node,
-    reaches exactly the canonical source side less ``s``.
+    Every direct ``s -> v -> t`` path is saturated first.  Each phase's
+    level graph is a search from all supply nodes at once that stops at the
+    first level holding a demand node, and the blocking-flow search starts
+    from each supply node in turn, resuming at the path's first saturated
+    arc after each augmentation.  The final search, which reaches no demand
+    node, reaches exactly the canonical source side.
     """
-    s, t, n = source, sink, node_count
-    # Paired residual arcs between the other nodes: edge 2i is forward,
-    # 2i+1 its reverse.
+    supply, demand = list(supply), list(demand)
+    n = len(supply)
+    # Paired residual arcs: edge 2i is forward, 2i+1 its reverse.
     heads: list[int] = []
     caps: list[int] = []
     out: list[list[int]] = [[] for _ in range(n)]
-    supply = [0] * n
-    demand = [0] * n
-    at_end = [False] * n
-    at_end[s] = at_end[t] = True
-    total = 0
     for tail, head, cap, reverse in arcs:
-        if at_end[tail] or at_end[head]:
-            if tail == s:
-                if head == t:
-                    total += cap
-                else:
-                    supply[head] += cap
-            elif head == s:
-                if tail == t:
-                    total += reverse
-                else:
-                    supply[tail] += reverse
-            elif head == t:
-                demand[tail] += cap
-            else:
-                demand[head] += reverse
-            continue
         eid = len(heads)
         out[tail].append(eid)
         out[head].append(eid + 1)
         heads += (head, tail)
         caps += (cap, reverse)
 
+    total = 0
     sources = []
     for v in range(n):
         if supply[v]:
@@ -113,7 +93,6 @@ def max_flow(
                             reached.append(w)
             frontier = reached
         if not frontier:
-            level[s] = 0
             return total, frozenset(v for v in range(n) if level[v] >= 0)
         # Blocking flow in the level graph, whose sink side is level ``last``.
         ptr = [0] * n
@@ -173,9 +152,9 @@ def max_quasi_density(
     vertices ``F = outer - inner``.
 
     With ``q = a/b`` in lowest terms the network has one node per free
-    vertex plus ``s`` and ``t``: each edge inside ``F`` is an arc pair of
-    capacity ``b`` both ways, ``s -> v`` has capacity
-    ``b*deg_F(v) + 2b*deg_inner(v)`` and ``v -> t`` capacity ``2a``.  The cut
+    vertex: each edge inside ``F`` is an arc pair of capacity ``b`` both
+    ways, and ``v`` has supply (``s -> v``) ``b*deg_F(v) + 2b*deg_inner(v)``
+    and demand (``v -> t``) ``2a``.  The cut
     with source side ``X + {s}`` is
     ``2b*(e(F) + e(F, inner)) - 2b*(e(X) + e(X, inner) - q*|X|)``, so the
     optimum is ``e(inner) - q*|inner| + e(F) + e(F, inner) - mincut/(2b)``
@@ -192,8 +171,8 @@ def max_quasi_density(
         raise ValueError(f"need inner <= outer <= range({G.n})")
     free = sorted(bound - fixed)
     index = {v: i for i, v in enumerate(free)}
-    s, t = len(free), len(free) + 1
     arcs = []
+    supply = []
     free_degrees = cross_edges = 0  # 2*e(F) and e(F, inner)
     for i, v in enumerate(free):
         deg_free = deg_fixed = 0
@@ -207,10 +186,9 @@ def max_quasi_density(
                 deg_fixed += 1
         free_degrees += deg_free
         cross_edges += deg_fixed
-        arcs.append((s, i, b * deg_free + 2 * b * deg_fixed, 0))
-        arcs.append((i, t, 2 * a, 0))
-    cut, side = max_flow(len(free) + 2, arcs, s, t)
-    added = [free[i] for i in side if i < s]
+        supply.append(b * deg_free + 2 * b * deg_fixed)
+    cut, side = max_flow(arcs, supply, [2 * a] * len(free))
+    added = [free[i] for i in side]
     chosen = tuple(sorted([*fixed, *added]))
     inside = set(chosen)
     # e(X) + e(X, inner) for the added vertices X, recounted from G: the cut

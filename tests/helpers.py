@@ -370,9 +370,10 @@ def brute_min_cut(node_count, arcs, source, sink):
 
 
 def reference_max_flow(node_count, arcs, source, sink):
-    """Plain Dinic, the route ``flow.max_flow`` replaced: every blocking-flow
-    search restarts from the source after an augmentation, there is no
-    pre-saturation, and the source side comes from one more residual BFS."""
+    """Plain Dinic, the route ``flow.max_flow`` replaced, on an explicit
+    ``source`` and ``sink`` node: every blocking-flow search restarts from
+    the source after an augmentation, there is no pre-saturation, and the
+    source side (``source`` included) comes from one more residual BFS."""
     heads: list[int] = []
     caps: list[int] = []
     out: list[list[int]] = [[] for _ in range(node_count)]
@@ -447,24 +448,24 @@ def reference_max_flow(node_count, arcs, source, sink):
 
 def goldberg_arcs(
     G: Graph, q: Fraction, inner=(), outer=None
-) -> list[tuple[int, int, int, int]]:
+) -> tuple[list[tuple[int, int, int, int]], list[int], list[int]]:
     """Goldberg's density network for penalty ``q = a/b`` on the free
     vertices ``F = outer - inner`` (by default every vertex), numbered
-    ``0..|F|-1`` in id order, with ``s = |F|`` and ``t = |F|+1``: edges
-    inside ``F`` carry ``b`` both ways, ``s -> v`` carries
-    ``b*deg_F(v) + 2b*deg_inner(v)`` and ``v -> t`` carries ``2a``."""
+    ``0..|F|-1`` in id order, as ``flow.max_flow``'s ``(arcs, supply,
+    demand)``: edges inside ``F`` carry ``b`` both ways, each supply
+    (``s -> v``) is ``b*deg_F(v) + 2b*deg_inner(v)`` and each demand
+    (``v -> t``) is ``2a``."""
     a, b = q.numerator, q.denominator
     inner = set(inner)
     free = sorted(set(range(G.n) if outer is None else outer) - inner)
     index = {v: i for i, v in enumerate(free)}
-    s, t = len(free), len(free) + 1
     arcs = [(index[u], index[v], b, b) for u, v in G.edges if u in index and v in index]
-    for v in free:
-        deg_free = sum(1 for u in G.adjacency[v] if u in index)
-        deg_inner = sum(1 for u in G.adjacency[v] if u in inner)
-        arcs.append((s, index[v], b * deg_free + 2 * b * deg_inner, 0))
-    arcs += [(index[v], t, 2 * a, 0) for v in free]
-    return arcs
+    supply = [
+        b * sum(1 for u in G.adjacency[v] if u in index)
+        + 2 * b * sum(1 for u in G.adjacency[v] if u in inner)
+        for v in free
+    ]
+    return arcs, supply, [2 * a] * len(free)
 
 
 def brute_bounded_quasi_density(G: Graph, q, inner, outer) -> tuple[tuple[int, ...], Fraction]:

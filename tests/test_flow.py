@@ -23,104 +23,115 @@ from helpers import (
 )
 
 
-def random_arcs(rng):
-    """A random network on 3..7 nodes: each pair is one residual arc pair
-    with random (possibly zero) capacities both ways."""
-    n = rng.randint(3, 7)
+def unfolded_reference(arcs, supply, demand):
+    """``reference_max_flow`` on the network unfolded to an explicit
+    ``s = n`` and ``t = n + 1``, its source side taken without ``s``."""
+    n = len(supply)
+    s, t = n, n + 1
+    full = [
+        *arcs,
+        *((s, v, cap, 0) for v, cap in enumerate(supply)),
+        *((v, t, cap, 0) for v, cap in enumerate(demand)),
+    ]
+    value, side = reference_max_flow(n + 2, full, s, t)
+    return value, side - {s}
+
+
+def random_network(rng, low, high, density):
+    """A random network on ``low..high`` nodes: each ordered pair is one
+    residual arc pair with probability ``density`` (so two nodes may share
+    two), and every capacity, supplies and demands included, is random and
+    possibly zero."""
+    n = rng.randint(low, high)
     arcs = [
         (u, v, rng.randint(0, 9), rng.randint(0, 9))
         for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < 0.6
+        for v in range(n)
+        if u != v and rng.random() < density
     ]
-    return n, arcs
+    supply = [rng.randint(0, 9) if rng.random() < 0.5 else 0 for _ in range(n)]
+    demand = [rng.randint(0, 9) if rng.random() < 0.5 else 0 for _ in range(n)]
+    return arcs, supply, demand
 
 
 class TestMaxFlow:
     def test_single_arc(self):
-        assert max_flow(2, [(0, 1, 7, 0)], 0, 1) == (7, frozenset({0}))
+        assert max_flow([(0, 1, 7, 0)], [9, 0], [0, 9]) == (7, frozenset({0}))
 
     def test_diamond(self):
-        arcs = [(0, 1, 3, 0), (0, 2, 2, 0), (1, 3, 2, 0), (2, 3, 3, 0), (1, 2, 1, 0)]
-        value, side = max_flow(4, arcs, 0, 3)
+        value, side = max_flow([(0, 1, 1, 0)], [3, 2], [2, 3])
         assert value == 5
-        assert side == frozenset({0})
+        assert side == frozenset()
 
     def test_matches_brute_min_cut(self):
         rng = random.Random("flow-nets")
         for _ in range(60):
-            n, arcs = random_arcs(rng)
-            value, side = max_flow(n, arcs, 0, n - 1)
+            arcs, supply, demand = random_network(rng, 1, 5, 0.6)
+            value, side = max_flow(arcs, supply, demand)
+            n = len(supply)
             plain = [(t, h, c) for t, h, c, _ in arcs] + [(h, t, r) for t, h, _, r in arcs]
-            best, sides = brute_min_cut(n, plain, 0, n - 1)
+            plain += [(n, v, c) for v, c in enumerate(supply)]
+            plain += [(v, n + 1, c) for v, c in enumerate(demand)]
+            best, sides = brute_min_cut(n + 2, plain, n, n + 1)
             assert type(value) is int and value == best
-            assert side in sides
+            assert side | {n} in sides
             # the returned side is the inclusion-minimal minimizer
-            assert not any(other < side for other in sides)
+            assert not any(other < side | {n} for other in sides)
 
     def test_matches_reference_dinic(self):
         rng = random.Random("flow-reference")
         for _ in range(300):
-            n = rng.randint(2, 12)
-            arcs = [
-                (u, v, rng.randint(0, 9), rng.randint(0, 9))
-                for u in range(n)
-                for v in range(n)
-                if u != v and rng.random() < 0.4
-            ]
-            s, t = rng.sample(range(n), 2)
-            assert max_flow(n, arcs, s, t) == reference_max_flow(n, arcs, s, t)
+            arcs, supply, demand = random_network(rng, 0, 12, 0.4)
+            rng.shuffle(arcs)
+            kept = list(supply), list(demand)
+            got = max_flow(arcs, supply, demand)
+            assert got == unfolded_reference(arcs, supply, demand)
+            assert (supply, demand) == kept  # the lists are not consumed
 
     @pytest.mark.parametrize(
-        "n, arcs, s, t",
+        "arcs, supply, demand, expected",
         [
-            # an s -> t arc, alone and beside a path; a t -> s arc whose
-            # reverse capacity is s -> t
-            (2, [(0, 1, 5, 3)], 0, 1),
-            (3, [(0, 2, 4, 0), (0, 1, 2, 0), (1, 2, 3, 0)], 0, 2),
-            (3, [(2, 0, 1, 6), (0, 1, 2, 0), (1, 2, 9, 9)], 0, 2),
-            (2, [(1, 0, 7, 0)], 0, 1),
-            (2, [(1, 0, 0, 4), (0, 1, 3, 0)], 0, 1),
-            # arcs into s and out of t, each with a reverse capacity
-            (4, [(1, 0, 3, 5), (1, 2, 4, 0), (3, 2, 2, 6)], 0, 3),
-            (4, [(1, 0, 9, 0), (2, 3, 0, 9), (0, 2, 1, 1), (1, 2, 5, 5)], 0, 3),
-            # parallel s-arcs, and parallel t-arcs, in both directions
-            (3, [(0, 1, 2, 0), (0, 1, 3, 0), (1, 0, 0, 4), (1, 2, 20, 0)], 0, 2),
-            (4, [(3, 1, 1, 2), (0, 1, 4, 0), (0, 1, 4, 0), (1, 2, 3, 1),
-                 (2, 3, 2, 0), (3, 2, 0, 5)], 3, 0),
-            # zero capacities everywhere, and zero capacities on every s- or
-            # t-arc while the middle is wide open
-            (3, [(0, 1, 0, 0), (1, 2, 0, 0), (0, 2, 0, 0)], 0, 2),
-            (4, [(0, 1, 0, 3), (1, 2, 9, 9), (2, 3, 0, 0)], 0, 3),
-            # two nodes and nothing else, with and without arcs
-            (2, [], 0, 1),
-            (2, [(0, 1, 0, 0)], 1, 0),
-            # a source with no arcs, beside a busy network
-            (5, [(1, 2, 4, 4), (2, 3, 5, 0), (3, 4, 2, 2), (1, 4, 6, 0)], 0, 4),
-            (5, [(1, 2, 4, 4), (2, 3, 5, 0), (3, 4, 2, 2), (1, 4, 6, 0)], 4, 0),
-            # s and t numbered below the other nodes, as any caller may
-            (5, [(1, 3, 2, 0), (3, 2, 2, 2), (4, 0, 1, 0), (1, 4, 3, 3), (2, 0, 7, 0)], 1, 0),
+            pytest.param(
+                [(0, 1, 0, 0), (1, 2, 0, 0), (0, 2, 0, 0)], [0, 0, 0], [0, 0, 0],
+                (0, frozenset()), id="zero-capacities",
+            ),
+            pytest.param(
+                [(0, 1, 9, 9)], [0, 0], [0, 0], (0, frozenset()),
+                id="no-supply-or-demand-beside-an-open-middle",
+            ),
+            # node 3 has supply and no arcs, node 4 nothing at all
+            pytest.param(
+                [(0, 1, 4, 4), (1, 2, 5, 0), (0, 2, 6, 0)], [3, 6, 0, 5, 0],
+                [0, 0, 8, 0, 0], (8, frozenset({0, 1, 2, 3})),
+                id="nodes-without-arcs-beside-a-busy-network",
+            ),
+            # node 0's direct path is saturated before any search
+            pytest.param(
+                [(0, 1, 2, 2), (1, 2, 5, 0), (0, 2, 1, 0)], [9, 3, 0], [4, 0, 6],
+                (10, frozenset({0})), id="a-node-with-supply-and-demand",
+            ),
+            pytest.param([], [], [], (0, frozenset()), id="zero-nodes"),
         ],
     )
-    def test_source_and_sink_arcs_match_reference(self, n, arcs, s, t):
-        assert max_flow(n, arcs, s, t) == reference_max_flow(n, arcs, s, t)
+    def test_small_networks_match_reference(self, arcs, supply, demand, expected):
+        assert max_flow(arcs, supply, demand) == expected
+        assert unfolded_reference(arcs, supply, demand) == expected
 
     def test_matches_reference_on_density_networks(self):
         rng = random.Random("flow-goldberg")
         for _ in range(40):
             G = random_graph(rng, 1, 60, 0.02, 0.5)
             q = Fraction(rng.randint(1, 3 * G.n), rng.randint(1, 2 * G.n))
-            args = (G.n + 2, goldberg_arcs(G, q), G.n, G.n + 1)
-            assert max_flow(*args) == reference_max_flow(*args), (G, q)
+            net = goldberg_arcs(G, q)
+            assert max_flow(*net) == unfolded_reference(*net), (G, q)
         # bounded networks, as max_quasi_density builds them for the chain
         for _ in range(60):
             G = random_graph(rng, 1, 40, 0.05, 0.6)
             outer = [v for v in range(G.n) if rng.random() < 0.8]
             inner = [v for v in outer if rng.random() < 0.3]
             q = Fraction(rng.randint(1, 3 * G.n), rng.randint(1, 2 * G.n))
-            free = len(outer) - len(inner)
-            args = (free + 2, goldberg_arcs(G, q, inner, outer), free, free + 1)
-            assert max_flow(*args) == reference_max_flow(*args), (G, q, inner, outer)
+            net = goldberg_arcs(G, q, inner, outer)
+            assert max_flow(*net) == unfolded_reference(*net), (G, q, inner, outer)
 
 
 class TestMaxQuasiDensity:
@@ -174,6 +185,9 @@ class TestMaxQuasiDensity:
             q = Fraction(rng.randint(1, 12), rng.randint(1, 4))
             got = max_quasi_density(G, q, inner=inner, outer=outer)
             assert got == brute_bounded_quasi_density(G, q, inner, outer), (G, q, inner, outer)
+            # no free vertex: the cut runs on the zero-node network
+            got = max_quasi_density(G, q, inner=inner, outer=inner)
+            assert got == brute_bounded_quasi_density(G, q, inner, inner), (G, q, inner)
 
     def test_rejects_bounds_that_do_not_nest(self):
         G = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -229,9 +243,9 @@ class TestDalksChain:
         G = gnp_graph(200, 0.04, 1)
         free = []
 
-        def counted(node_count, arcs, source, sink):
-            free.append(node_count - 2)
-            return max_flow(node_count, arcs, source, sink)
+        def counted(arcs, supply, demand):
+            free.append(len(supply))
+            return max_flow(arcs, supply, demand)
 
         monkeypatch.setattr(flow, "max_flow", counted)
         dalks_2approx(G, 20)
