@@ -6,8 +6,9 @@ except for the ``wall_time_ms`` field); human-oriented notes go to stderr.
 Exit codes: 0 success, 1 verification mismatch (a recounted edge count or
 average degree, or a size that breaks the record's problem constraint on k),
 2 usage/input errors
-(including ``reduce`` on a graph whose padded copy would pass
-``reduction.MAX_GADGET_EDGES`` edges, and ``gen`` past
+(including a graph file of more than ``graph.MAX_EDGES`` edges, ``solve
+--reps`` past :data:`MAX_REPS`, ``reduce`` on a graph whose padded copy
+would pass ``reduction.MAX_GADGET_EDGES`` edges, and ``gen`` past
 ``graph.MAX_GNP_PAIRS`` vertex pairs), 3 refusal because an instance exceeds
 the exact-enumeration cap (or the 52 vertices past which exact's int64 subset
 keys would overflow).
@@ -35,6 +36,9 @@ from .graph import (
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
+# Most a6 rounding reps ``solve --reps`` takes: 16 batches of
+# ``damks.ROUND_CHUNK``.  The default of 16n reps is not held to it.
+MAX_REPS = 1 << 16
 
 
 def _emit(record: dict) -> None:
@@ -71,8 +75,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     G = _load_graph(args.graph)
     k = args.k
     check_k(G, k)
-    if args.reps is not None and args.reps < 1:
-        raise ValueError(f"reps must be positive, got {args.reps}")
+    if args.reps is not None and not 1 <= args.reps <= MAX_REPS:
+        raise ValueError(f"reps must be from 1 to {MAX_REPS} (cli.MAX_REPS), got {args.reps}")
     shared = {"seed": args.seed, "reps": args.reps}
     include = fkp.ALGO_NAMES if args.algo == "all" else (args.algo,)
     for name in include:
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base random seed")
     p.add_argument(
         "--reps", type=int, default=None,
-        help="rounding repetitions for a6 (default: 16n)",
+        help=f"rounding repetitions for a6, at most {MAX_REPS} (default: 16n)",
     )
     p.set_defaults(func=_cmd_solve)
 

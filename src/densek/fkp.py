@@ -28,15 +28,16 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
 accepted; ``ALGO_NAMES`` and ``densek solve`` read it, and
 :mod:`densek.ratio` keeps its own copy of the names, tested equal to it.
 Every exactly-k answer goes through one completion step,
-:func:`densek.score.completed`, which takes a whole batch of candidate sets:
-map ids back, pad each set with its lowest free ids, count each padded
+:func:`densek.score.completed`, which takes a whole batch of candidate sets
+in ``G``'s ids: pad each set with its lowest free ids, count each padded
 set's edges over ``G.ends`` and keep the best, all as numpy bool masks of
 at most ``score.SCORE_CELLS`` cells at a time.  a3 hands it all its singles
-and wedge pairs, a4 its plain a1 answer and its windows of fewer than k
-vertices, a5 its trimmed sets; a1 and ``dks_candidates`` hand it one set
-each.  a4 scores the a1-a3 candidates of its other windows, each padded
-inside its own window, with ``score.best_in_windows`` in batches that span
-many windows.
+and wedge pairs, a5 its trimmed sets; a1 hands it one set, and
+``dks_candidates`` each answer mapped to ``G``'s ids.  a4 makes one
+``score.best_in_windows`` call, in batches that span many windows: a run
+on ``score.whole(G)`` of its plain a1 answer and its windows of fewer than
+k vertices, then the a1-a3 candidates of each other window, padded inside
+it.
 
 ``dks_candidates`` runs any subset of the six on the graph itself and on
 the graph with its top-degree half removed, and yields each run's answer
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,7 +70,7 @@ from .graph import (
 )
 from .reduction import fixing_trim
 from .rng import derive_rng, derive_seed
-from .score import Window, best_in_windows, completed, window_on
+from .score import Window, best_in_windows, completed, whole, window_on
 
 # Slack factors of a5's good-vertex thresholds.
 EPSILON_LADDER = tuple(2.0**i for i in range(-8, 5))
@@ -176,14 +177,16 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
     fewer than k vertices answers itself for all three, and in a window of
     at least k vertices every candidate padded inside the window is a k-set
     whose edges there are its edges in G, so the best of the window's answers
-    is the best of all its candidates.  Those are scored together, in
-    batches that span many windows.
+    is the best of all its candidates.  One ``best_in_windows`` call scores
+    them all, in batches that span many windows: first a run on the whole
+    graph of the plain a1 answer and the windows of fewer than k vertices,
+    then each larger window's candidates inside it.
     """
     check_k(G, k)
     spans = [sorted({*G.adjacency[u], *G.adjacency[v]}) for u, v in G.edges]
-    pool = completed(G, [_greedy_matching(G, k), *(s for s in spans if len(s) < k)], k)
 
-    def local_runs() -> Iterator[tuple[Window, Iterable[Collection[int]]]]:
+    def runs() -> Iterator[tuple[Window, Iterable[Collection[int]]]]:
+        yield whole(G), [_greedy_matching(G, k), *(s for s in spans if len(s) < k)]
         for verts in spans:
             if len(verts) >= k:
                 inside = window_on(G, verts)
@@ -192,10 +195,8 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
                     [_greedy_matching(inside, k)], _neighborhood_candidates(inside, k), a2
                 )
 
-    local = best_in_windows(local_runs(), k)
-    if local is None or (pool.edge_count, local[1]) >= (local[0], pool.vertices):
-        return pool
-    return SubgraphResult(local[1], local[0], 2.0 * local[0] / k)
+    count, verts = best_in_windows(runs(), k)
+    return SubgraphResult(verts, count, 2.0 * count / k)
 
 
 def _walk_step(G: Graph, X: np.ndarray) -> np.ndarray:
@@ -373,8 +374,8 @@ def a5_walks(
             break
         raw.extend(_good_vertex_candidates(layers, cut, tau, k))
 
-    unique = sorted({fixing_trim(G, cand, k) for cand in set(raw)})
-    return completed(G, (cand for cand in unique if cand), k)
+    trimmed = {fixing_trim(G, cand, k) for cand in set(raw)}
+    return completed(G, (cand for cand in trimmed if cand), k)
 
 
 # a1-a6 in dispatch order: name -> (runner, smallest k accepted), where a
@@ -419,7 +420,7 @@ def dks_candidates(
     if not chosen:
         raise ValueError("no algorithms selected")
 
-    branches: list[tuple[str, Graph, tuple[int, ...] | None]] = [("main", G, None)]
+    branches: list[tuple[str, Graph, Sequence[int]]] = [("main", G, range(G.n))]
     if (k + 1) // 2 < G.n:
         peeled, ids = remove_top_degrees(G, k)
         branches.append(("peeled", peeled, ids))
@@ -429,6 +430,6 @@ def dks_candidates(
         for algo, (run, least_k) in ALGORITHMS.items():
             if algo not in chosen or kk < least_k:
                 continue
-            algo_seed = seed if ids is None else derive_seed(seed, branch, algo)
+            algo_seed = seed if branch == "main" else derive_seed(seed, branch, algo)
             res = run(bg, kk, algo_seed, a6_reps, G.n)
-            yield branch, algo, completed(G, [res.vertices], k, ids)
+            yield branch, algo, completed(G, [[ids[v] for v in res.vertices]], k)

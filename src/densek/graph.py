@@ -10,7 +10,8 @@ The text format accepted by :func:`parse_edge_list` is one edge per line
 (``"u v"``), ``#`` starting a comment line, blank lines ignored, and an
 optional ``"n <N>"`` header declaring the vertex count (needed to round-trip
 isolated vertices).  Without a header the vertex count is inferred as
-``max id + 1``.  Either way it may not exceed :data:`MAX_VERTICES`.
+``max id + 1``.  Either way it may not exceed :data:`MAX_VERTICES`, and a
+file holds at most :data:`MAX_EDGES` edges.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ import numpy as np
 # Parsed graphs hold one adjacency list per vertex id, so a single line such
 # as ``0 1000000000`` must not be able to demand a billion of them.
 MAX_VERTICES = 1 << 20
+
+# Parsed edges cost about 585 bytes each (200k edges raised peak RSS by
+# 117 MB), so a file may hold at most this many: as many as
+# ``reduction.MAX_GADGET_EDGES``, the largest graph ``densek reduce`` writes.
+MAX_EDGES = 1 << 18
 
 # gnp_graph draws one random number per vertex pair in Python, so it refuses
 # more pairs than this: n above 2048, and so any n past MAX_VERTICES.  At
@@ -136,8 +142,8 @@ def parse_edge_list(text: str) -> Graph:
 
     Errors name the offending 1-based line: non-integer tokens, wrong token
     count, negative ids, ids beyond a declared ``n`` header, vertex counts or
-    ids beyond :data:`MAX_VERTICES`, duplicate edges, self loops, and
-    duplicate headers are all rejected.
+    ids beyond :data:`MAX_VERTICES`, duplicate edges, self loops, duplicate
+    headers, and an edge past the first :data:`MAX_EDGES` are all rejected.
     """
     declared_n: int | None = None
     edges: list[tuple[int, int, int]] = []  # (u, v, line number)
@@ -186,6 +192,8 @@ def parse_edge_list(text: str) -> Graph:
             )
         if (u, v) in seen:
             raise GraphParseError(f"duplicate edge ({u}, {v})", lineno)
+        if len(edges) == MAX_EDGES:
+            raise GraphParseError(f"more than {MAX_EDGES} edges (graph.MAX_EDGES)", lineno)
         seen.add((u, v))
         edges.append((u, v, lineno))
         max_id = max(max_id, v)
@@ -324,7 +332,7 @@ def pad_most_neighbors(G: Graph, vertices: Iterable[int], k: int) -> tuple[int, 
     return tuple(sorted(vset))
 
 
-def gnp_graph(n: int, p: float, seed: int | str | random.Random = 0) -> Graph:
+def gnp_graph(n: int, p: float, seed: int | str = 0) -> Graph:
     """Erdos-Renyi ``G(n, p)`` sample with a deterministic per-seed stream."""
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
@@ -336,6 +344,6 @@ def gnp_graph(n: int, p: float, seed: int | str | random.Random = 0) -> Graph:
             f"n={n} has {pairs} vertex pairs, over the limit of {MAX_GNP_PAIRS} "
             "(graph.MAX_GNP_PAIRS)"
         )
-    rng = seed if isinstance(seed, random.Random) else random.Random(f"gnp:{seed}")
+    rng = random.Random(f"gnp:{seed}")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)

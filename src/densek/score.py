@@ -7,8 +7,9 @@ in one window's local ids, pads every set with its window's lowest free ids
 to k vertices, counts its edges inside the window and keeps the best: the
 most edges, then the smallest tuple of the graph's ids.  Candidates become
 numpy bool masks, scored in batches of at most ``SCORE_CELLS`` cells that
-span as many runs as fit.  :func:`completed`, the one completion step of
-:mod:`densek.fkp`, is the case of one window that holds every vertex.
+span as many runs of like width as fit.  :func:`whole` is the window that
+holds every vertex, in the graph's own ids; :func:`completed`, the one
+completion step of :mod:`densek.fkp`, scores candidates in it alone.
 """
 
 from __future__ import annotations
@@ -50,8 +51,13 @@ def window_on(G: Graph, verts: list[int]) -> Window:
     return Window(verts, adjacency, ends)
 
 
+def whole(G: Graph) -> Window:
+    """The window of ``G`` that holds every vertex."""
+    return Window(range(G.n), G.adjacency, G.ends.reshape(-1))
+
+
 def _best_padded(
-    batch: list[tuple[Window, list[Collection[int]]]], k: int, lookup: np.ndarray | None
+    batch: list[tuple[Window, list[Collection[int]]]], k: int
 ) -> tuple[int, tuple[int, ...]]:
     """One batch of :func:`best_in_windows`: its best row padded to k
     inside its window, as ``(edges, G's ids)``."""
@@ -62,12 +68,9 @@ def _best_padded(
     # Ids are checked against the widest window; a4's rows of a smaller one
     # come from its own adjacency.
     width = max(len(window.verts) for window, _ in batch)
-    bound = width if lookup is None else len(lookup)
-    if flat.size and (flat.min() < 0 or flat.max() >= bound):
-        bad = flat[(flat < 0) | (flat >= bound)][0]
-        raise ValueError(f"vertex {bad} out of range for n={bound}")
-    if lookup is not None:
-        flat = lookup[flat]
+    if flat.size and (flat.min() < 0 or flat.max() >= width):
+        bad = flat[(flat < 0) | (flat >= width)][0]
+        raise ValueError(f"vertex {bad} out of range for n={width}")
     # Whole bytes of columns, at least one past the widest window: a row's
     # columns past its window are never padded in (it has enough free ids
     # inside), so the spare column stands in for a smaller window's missing
@@ -128,40 +131,33 @@ def _best_padded(
 
 
 def best_in_windows(
-    runs: Iterable[tuple[Window, Iterable[Collection[int]]]],
-    k: int,
-    lookup: np.ndarray | None = None,
-) -> tuple[int, tuple[int, ...]] | None:
+    runs: Iterable[tuple[Window, Iterable[Collection[int]]]], k: int
+) -> tuple[int, tuple[int, ...]]:
     """The best of the candidates of ``runs`` (``(window, candidates)``,
     each window of at least k vertices) once each is padded with its
     window's lowest free ids to k vertices, as ``(edges, G's ids
-    ascending)``, or None when there are no candidates.  ``lookup``, when
-    given, maps every candidate id to a window id first.
+    ascending)``.  Raises ``ValueError`` when there are no candidates.
 
     Every padded set has k vertices, so the best one has the most edges
     inside its window (which are its edges in G) and, among those, the
     smallest tuple of G's ids.  Candidates are padded and scored as bool
     mask batches of at most ``SCORE_CELLS`` cells (:func:`_best_padded`)
-    that span as many runs as fit; a run larger than a batch spreads over
-    several.
+    that span as many runs of like width as fit; a run larger than a batch
+    spreads over several.
     """
-    best: tuple[int, tuple[int, ...]] | None = None
+    bests: list[tuple[int, tuple[int, ...]]] = []
     batch: list[tuple[Window, list[Collection[int]]]] = []
     held = width = 0
-
-    def keep(found: tuple[int, tuple[int, ...]]) -> None:
-        nonlocal best
-        # More edges, then the smaller tuple.
-        if best is None or (found[0], best[1]) > (best[0], found[1]):
-            best = found
-
     for window, candidates in runs:
-        cost = max(len(window.verts) + 1, len(window.ends) // 2)
+        cost = max(len(window.verts) + 1, len(window.ends) // 2, ROW_CELLS)
         pending = iter(candidates)
         while True:
-            room = SCORE_CELLS // max(width, cost, ROW_CELLS) - held
-            if room < 1 and held:
-                keep(_best_padded(batch, k, lookup))
+            room = SCORE_CELLS // max(width, cost) - held
+            # Every row is scored at its batch's widest window, so a run
+            # more than twice as wide or as narrow as the batch starts a new
+            # one (a4's whole-graph run among its edge windows).
+            if held and (room < 1 or max(width, cost) > 2 * min(width, cost)):
+                bests.append(_best_padded(batch, k))
                 batch, held, width = [], 0, 0
                 continue
             take = max(1, room)
@@ -172,28 +168,20 @@ def best_in_windows(
             if len(part) < take:
                 break
     if batch:
-        keep(_best_padded(batch, k, lookup))
-    return best
+        bests.append(_best_padded(batch, k))
+    if not bests:
+        raise ValueError("no candidate results")
+    # More edges, then the smaller tuple.
+    return min(bests, key=lambda best: (-best[0], best[1]))
 
 
-def completed(
-    G: Graph,
-    candidates: Iterable[Collection[int]],
-    k: int,
-    ids: Sequence[int] | None = None,
-) -> SubgraphResult:
-    """The best of ``candidates``, each mapped through ``ids`` (a subgraph's
-    id -> ``G``'s) when given and padded with the lowest free ids to exactly
-    k, scored on ``G``: what ``pick_best`` of ``induced_stats`` over the
-    padded sets returns.  This is :func:`best_in_windows` on one window
+def completed(G: Graph, candidates: Iterable[Collection[int]], k: int) -> SubgraphResult:
+    """The best of ``candidates``, each padded with the lowest free ids to
+    exactly k, scored on ``G``: what ``pick_best`` of ``induced_stats`` over
+    the padded sets returns.  This is :func:`best_in_windows` on the window
     that holds every vertex.  Raises ``ValueError`` on an id out of range,
     a set of more than k vertices, or no candidates.
     """
     check_k(G, k)
-    lookup = None if ids is None else np.asarray(ids, dtype=np.intp)
-    whole = Window(range(G.n), G.adjacency, G.ends.reshape(-1))
-    best = best_in_windows([(whole, candidates)], k, lookup)
-    if best is None:
-        raise ValueError("no candidate results")
-    count, verts = best
+    count, verts = best_in_windows([(whole(G), candidates)], k)
     return SubgraphResult(verts, count, 2.0 * count / k)

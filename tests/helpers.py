@@ -499,12 +499,10 @@ def pad_lowest_id(G: Graph, vertices, k: int) -> tuple[int, ...]:
     return tuple(sorted(vset))
 
 
-def reference_completed(G: Graph, candidates, k: int, ids=None) -> SubgraphResult:
-    """Per-set reference for ``score.completed``: map each candidate through
-    ``ids``, pad it with :func:`pad_lowest_id`, score it with
-    ``induced_stats`` and keep the best by ``better_than``."""
-    if ids is not None:
-        candidates = [[ids[x] for x in c] for c in candidates]
+def reference_completed(G: Graph, candidates, k: int) -> SubgraphResult:
+    """Per-set reference for ``score.completed``: pad each candidate with
+    :func:`pad_lowest_id`, score it with ``induced_stats`` and keep the best
+    by ``better_than``."""
     return pick_best(induced_stats(G, pad_lowest_id(G, c, k)) for c in candidates)
 
 

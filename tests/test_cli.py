@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from densek.cli import main
+import densek.graph
+from densek.cli import MAX_REPS, main
 from densek.graph import MAX_GNP_PAIRS, MAX_VERTICES, parse_edge_list
 from densek.ratio import MAX_LATTICE_STEPS
 from densek.reduction import MAX_GADGET_EDGES
@@ -167,7 +168,9 @@ class TestSolve:
             "55108, got 55109"
         ]
 
-    @pytest.mark.parametrize("flags", [["-k", "0"], ["-k", "3", "--reps", "0"]])
+    @pytest.mark.parametrize("flags", [
+        ["-k", "0"], ["-k", "3", "--reps", "0"], ["-k", "3", "--reps", str(MAX_REPS + 1)],
+    ])
     def test_bad_arguments_print_nothing(self, graph_file, flags):
         proc = run_cli("solve", *flags, str(graph_file), check=False)
         assert proc.returncode == 2
@@ -210,6 +213,15 @@ class TestExact:
         proc = run_cli("exact", "-k", "2", str(huge), check=False)
         assert proc.returncode == 2
         assert "line 1" in proc.stderr and "exceeds the limit" in proc.stderr
+
+    def test_edge_cap_refused(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(densek.graph, "MAX_EDGES", 2)
+        path = tmp_path / "three.txt"
+        path.write_text("0 1\n1 2\n# c\n2 3\n")
+        assert main(["exact", "-k", "2", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 4: more than 2 edges (graph.MAX_EDGES)\n"
 
 
 # Vertices 0 and 1 of graph_file induce no edge.

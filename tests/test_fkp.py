@@ -25,7 +25,8 @@ from densek.fkp import (
     dks_candidates,
     walk_rows,
 )
-from densek.graph import better_than, gnp_graph, graph_from_edges
+from densek.graph import better_than, gnp_graph, graph_from_edges, remove_top_degrees
+from densek.rng import derive_seed
 from densek.score import completed
 from helpers import (
     combined_dks,
@@ -66,23 +67,18 @@ class TestParams:
 
 @st.composite
 def completion_cases(draw):
-    """A graph, k, a batch of candidate sets of at most k ids and, half the
-    time, a subgraph's id map: empty sets, sets of exactly k, and graphs
-    with no edges or all of them, where every padded set ties."""
+    """A graph, k and a batch of candidate sets of at most k ids: empty
+    sets, sets of exactly k, and graphs with no edges or all of them, where
+    every padded set ties."""
     n = draw(st.integers(1, 12))
     G = gnp_graph(n, draw(st.sampled_from([0.0, 0.3, 0.6, 1.0])), draw(st.integers(0, 999)))
     k = draw(st.integers(1, n))
-    ids = None
-    if draw(st.booleans()):
-        ids = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
-    space = n if ids is None else len(ids)
-    top = min(k, space)
     sets = st.one_of(
         st.just(()),
-        st.lists(st.integers(0, space - 1), max_size=top, unique=True),
-        st.sets(st.integers(0, space - 1), min_size=top, max_size=top),
+        st.lists(st.integers(0, n - 1), max_size=k, unique=True),
+        st.sets(st.integers(0, n - 1), min_size=k, max_size=k),
     )
-    return G, draw(st.lists(sets, min_size=1, max_size=25)), k, ids
+    return G, draw(st.lists(sets, min_size=1, max_size=25)), k
 
 
 def batch_cells(batch):
@@ -96,8 +92,8 @@ class TestCompleted:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(completion_cases())
     def test_matches_per_set_reference(self, case):
-        G, batch, k, ids = case
-        assert completed(G, batch, k, ids) == reference_completed(G, batch, k, ids)
+        G, batch, k = case
+        assert completed(G, batch, k) == reference_completed(G, batch, k)
 
     def test_checks_ids_and_sizes(self):
         G = petersen()
@@ -105,8 +101,6 @@ class TestCompleted:
             completed(G, [[0, 1], [10]], 3)
         with pytest.raises(ValueError, match="out of range"):
             completed(G, [[-1]], 3)
-        with pytest.raises(ValueError, match="out of range"):
-            completed(G, [[0, 2]], 3, ids=(4, 5))
         with pytest.raises(ValueError, match="exceeds k=2"):
             completed(G, [[0], [1, 2, 3]], 2)
         with pytest.raises(ValueError, match="no candidate"):
@@ -129,9 +123,9 @@ class TestCompleted:
         batches = []
         one_batch = score._best_padded
 
-        def recorded(batch, k, lookup):
+        def recorded(batch, k):
             batches.append(batch_cells(batch))
-            return one_batch(batch, k, lookup)
+            return one_batch(batch, k)
 
         monkeypatch.setattr(score, "SCORE_CELLS", cells)
         monkeypatch.setattr(score, "_best_padded", recorded)
@@ -273,9 +267,9 @@ class TestA4:
         batches = []
         one_batch = score._best_padded
 
-        def recorded(batch, k, lookup):
+        def recorded(batch, k):
             batches.append((batch_cells(batch), len(batch)))
-            return one_batch(batch, k, lookup)
+            return one_batch(batch, k)
 
         monkeypatch.setattr(score, "SCORE_CELLS", cells)
         monkeypatch.setattr(score, "_best_padded", recorded)
@@ -283,6 +277,27 @@ class TestA4:
         assert max(cells_used for cells_used, _ in batches) <= cells
         assert max(windows for _, windows in batches) > 1
         assert len(batches) > 4 * len(cases)
+
+
+    def test_whole_graph_run_is_not_batched_with_narrow_windows(self, monkeypatch):
+        # m = 187 cells a row for the whole-graph run against at most 64 for
+        # each edge window: every batch keeps its windows within twice each
+        # other's cost, so no window row is scored at the whole graph's.
+        G = gnp_graph(60, 0.1, 0)
+        want = a4_edge_dense(G, 6)
+        costs = []
+        one_batch = score._best_padded
+
+        def recorded(batch, k):
+            costs.append(
+                [max(len(w.verts) + 1, len(w.ends) // 2, score.ROW_CELLS) for w, _ in batch]
+            )
+            return one_batch(batch, k)
+
+        monkeypatch.setattr(score, "_best_padded", recorded)
+        assert a4_edge_dense(G, 6) == want
+        assert costs[0] == [G.m] and len(costs) > 1
+        assert all(max(c) <= 2 * min(c) for c in costs)
 
 
 class TestWalkRows:
@@ -433,6 +448,21 @@ class TestCombined:
         )
         res = combined_dks(G, 4)
         assert res.vertices == (0, 1, 2, 3) and res.average_degree == 3.0
+
+    def test_each_answer_is_completed_in_the_graphs_ids(self):
+        # Each branch's answer, mapped to G's ids and padded on G: the
+        # peeled branch runs on a subgraph whose ids G's ``ids`` name.
+        for G in random_graphs("dks-candidates", 12, lo=2, hi=12):
+            k = random.Random(G.m + 41).randint(1, G.n)
+            sub, ids = remove_top_degrees(G, k)
+            branches = []
+            for branch, algo, res in dks_candidates(G, k, seed=5, a6_reps=8):
+                branches.append(branch)
+                bg, bids = (G, range(G.n)) if branch == "main" else (sub, ids)
+                algo_seed = 5 if branch == "main" else derive_seed(5, branch, algo)
+                found = ALGORITHMS[algo][0](bg, min(k, bg.n), algo_seed, 8, G.n).vertices
+                assert res == reference_completed(G, [[bids[v] for v in found]], k)
+            assert "peeled" in branches
 
     def test_monotone_in_algorithm_subset(self):
         for G in random_graphs("combined", 8, lo=4, hi=9):

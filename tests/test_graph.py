@@ -29,7 +29,7 @@ from densek.graph import (
     serialize_edge_list,
     top_degree_vertices,
 )
-from densek.reduction import dalks_gadget
+from densek.reduction import MAX_GADGET_EDGES, dalks_gadget
 from helpers import (
     count_induced_edges,
     has_edge,
@@ -219,6 +219,18 @@ class TestParsing:
             parse_edge_list(text)
         assert info.value.line == line
         assert f"line {line}" in str(info.value)
+
+    def test_edge_cap_names_the_first_line_past_it(self, monkeypatch):
+        monkeypatch.setattr(densek.graph, "MAX_EDGES", 2)
+        assert parse_edge_list("0 1\n# c\n1 2\n").m == 2
+        with pytest.raises(GraphParseError, match="more than 2 edges") as info:
+            parse_edge_list("0 1\n# c\n1 2\n2 3\n3 4\n")
+        assert info.value.line == 4
+
+    def test_edge_cap_holds_every_padded_graph(self):
+        # reduce writes graphs of up to MAX_GADGET_EDGES edges, and they
+        # must parse back.
+        assert densek.graph.MAX_EDGES == MAX_GADGET_EDGES
 
     @settings(max_examples=80)
     @given(graphs())
