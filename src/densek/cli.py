@@ -9,7 +9,8 @@ average degree, or a size that breaks the record's problem constraint on k),
 (including a graph file of more than ``graph.MAX_EDGES`` edges, ``solve
 --reps`` past :data:`MAX_REPS`, ``reduce`` on a graph whose padded copy
 would pass ``reduction.MAX_GADGET_EDGES`` edges, and ``gen`` past
-``graph.MAX_GNP_PAIRS`` vertex pairs), 3 refusal because an instance exceeds
+``graph.MAX_GNP_PAIRS`` vertex pairs or past ``graph.MAX_EDGES`` edges,
+expected or drawn), 3 refusal because an instance exceeds
 the exact-enumeration cap (or the 52 vertices past which exact's int64 subset
 keys would overflow).
 """

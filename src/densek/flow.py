@@ -5,12 +5,13 @@ the optimum at every graph size.
 Each quasi-density problem ``max |E(S)| - q*|S|`` is one min-cut on
 Goldberg's density network, whose capacities are integers from the start.
 The problem can be bounded to ``inner <= S <= outer``, and the network then
-has nodes only for the free vertices between the bounds: the 2-approximation
-makes each cut of its nested chain on the vertices between the chain's two
-neighbouring sets.  The chain's two ends take no cut: below penalty 1/2
-the optimiser is the set of non-isolated vertices (leaving one out loses at
-least half an edge), and at a penalty of at least half the maximum degree it
-is empty (``|E(S)| <= max_degree*|S|/2``).
+has nodes only for the free vertices between the bounds; the cut reports
+its optimiser's gain over ``inner``.  The 2-approximation cuts its nested
+chain on the vertices between each set's two neighbours, and carries each
+set's edge count from that gain.  The chain's lower end is always taken in
+closed form: below penalty 1/2 the optimiser is the set of non-isolated
+vertices (leaving one out loses at least half an edge); and at a penalty of
+at least half the maximum degree it is empty (``|E(S)| <= max_degree*|S|/2``).
 
 The max-flow has no source or sink node: each node carries a supply (its
 ``s -> v`` capacity) and a demand (its ``v -> t`` capacity), so its
@@ -157,9 +158,11 @@ def max_quasi_density(
     and demand (``v -> t``) ``2a``.  The cut
     with source side ``X + {s}`` is
     ``2b*(e(F) + e(F, inner)) - 2b*(e(X) + e(X, inner) - q*|X|)``, so the
-    optimum is ``e(inner) - q*|inner| + e(F) + e(F, inner) - mincut/(2b)``
-    and the canonical cut's source side gives the inclusion-minimal
-    optimiser within the bounds.  Requires ``q > 0`` and ``inner <= outer``.
+    canonical cut's source side gives the inclusion-minimal optimiser S
+    within the bounds.  Returns S and its gain over ``inner``,
+    ``(e(S) - q*|S|) - (e(inner) - q*|inner|) = e(X) + e(X, inner) - q*|X|``
+    for ``X = S - inner``, which is the optimum itself when ``inner`` is
+    empty.  Requires ``q > 0`` and ``inner <= outer``.
     """
     q = Fraction(q)
     if q <= 0:
@@ -200,8 +203,7 @@ def max_quasi_density(
         raise RuntimeError(  # pragma: no cover - construction guard
             "min cut does not certify the quasi-density optimiser"
         )
-    fixed_edges = sum(1 for v in fixed for u in G.adjacency[v] if u > v and u in fixed)
-    return chosen, fixed_edges + gained - q * len(chosen)
+    return chosen, gained - q * len(added)
 
 
 def _quasi_chain(
@@ -210,6 +212,7 @@ def _quasi_chain(
     """The distinct minimal optimisers of ``|E(S)| - q*|S|`` for ``q`` in
     ``[lo, hi]``, as ``(start, S)`` pairs in order of growing ``q``, each
     optimal from its start to the next one's (the last through ``hi``).
+    Requires ``lo < 1/2``.
 
     The optimisers shrink as ``q`` grows, and the optimum is the upper
     envelope of their lines ``e(S) - q*|S|``.  So for the optimisers A and B
@@ -222,38 +225,33 @@ def _quasi_chain(
     is optimal at ``p`` and their intersection at ``q``, so the minimal
     optimisers nest, ``B <= S(q*) <= A``.  So the cut at ``hi`` is bounded
     by ``outer=S(lo)`` and each crossing cut by ``inner=B``, ``outer=A``,
-    and each returns the same set as a cut on the whole graph.
+    and each returns the same set as a cut on the whole graph.  Each set's
+    edge count comes from its cut: ``e(S) = e(inner) + gain + q*|S - inner|``.
 
-    The two ends often need no cut at all.  For ``lo < 1/2``, ``S(lo)`` is
-    the set of non-isolated vertices: each of them left out of a set S
-    costs S at least half an edge, more than the ``lo`` it saves, and each
-    isolated vertex costs ``lo``.  For ``2*hi >= `` the maximum degree,
+    The lower end takes no cut: ``S(lo)`` is the set of non-isolated
+    vertices, with all ``m`` edges, as each of them left out of a set S
+    costs S at least half an edge, more than the ``lo < 1/2`` it saves, and
+    each isolated vertex costs ``lo``.  For ``2*hi >= `` the maximum degree,
     ``S(hi)`` is empty: ``|E(S)| <= max_degree*|S|/2 <= hi*|S|``.
     """
-
-    def solve(q: Fraction, **bounds) -> tuple[tuple[int, ...], int]:
-        chosen, value = max_quasi_density(G, q, **bounds)
-        return chosen, int(value + q * len(chosen))
-
-    if lo < Fraction(1, 2):
-        left = tuple(v for v in range(G.n) if G.adjacency[v]), G.m
-    else:
-        left = solve(lo)
+    left = tuple(v for v in range(G.n) if G.adjacency[v]), G.m
     if 2 * hi >= max(map(len, G.adjacency), default=0):
         last = (), 0
     else:
-        last = solve(hi, outer=left[0])
+        chosen, gain = max_quasi_density(G, hi, outer=left[0])
+        last = chosen, int(gain + hi * len(chosen))
     chain = [(lo, left[0])]
     pending = [last] if last[0] != left[0] else []  # right of ``left``, nearest last
     while pending:
         right = pending[-1]
         cross = Fraction(left[1] - right[1], len(left[0]) - len(right[0]))
-        found = solve(cross, inner=right[0], outer=left[0])
-        if found[0] == right[0]:
+        chosen, gain = max_quasi_density(G, cross, inner=right[0], outer=left[0])
+        if chosen == right[0]:
             chain.append((cross, right[0]))
             left = pending.pop()
         else:
-            pending.append(found)
+            edges = right[1] + int(gain + cross * (len(chosen) - len(right[0])))
+            pending.append((chosen, edges))
     return chain
 
 
@@ -279,16 +277,16 @@ def dalks_2approx(G: Graph, k: int) -> SubgraphResult:
     chain's two ends follow in closed form (see ``_quasi_chain``): at the
     lowest penalty ``1/(2n) < 1/2`` the non-isolated vertices, and at the
     highest, ``m/(2k)``, the empty set whenever ``m/k`` reaches the maximum
-    degree; only the crossing cuts in between run a min-cut.
+    degree; only the crossing cuts in between run a min-cut.  On an edgeless
+    graph the chain is one empty set, which holds no guess (``a >= 1 > m``).
     """
     check_k(G, k)
     candidates = [induced_stats(G, pad_most_neighbors(G, (), k))]
-    if G.m:
-        chain = _quasi_chain(G, Fraction(1, 2 * G.n), Fraction(G.m, 2 * k))
-        for i, (start, chosen) in enumerate(chain):
-            end = chain[i + 1][0] if i + 1 < len(chain) else None
-            if _holds_guess(G, k, start, end):
-                if len(chosen) < k:
-                    chosen = pad_most_neighbors(G, chosen, k)
-                candidates.append(induced_stats(G, chosen))
+    chain = _quasi_chain(G, Fraction(1, 2 * G.n), Fraction(G.m, 2 * k))
+    for i, (start, chosen) in enumerate(chain):
+        end = chain[i + 1][0] if i + 1 < len(chain) else None
+        if _holds_guess(G, k, start, end):
+            if len(chosen) < k:
+                chosen = pad_most_neighbors(G, chosen, k)
+            candidates.append(induced_stats(G, chosen))
     return pick_best(candidates)

@@ -38,7 +38,7 @@ MAX_EDGES = 1 << 18
 # more pairs than this: n above 2048, and so any n past MAX_VERTICES.  At
 # n = 2000 a draw with p = 0.003 took 0.11 s (CPython 3.11, 2 vCPUs).  Each
 # edge costs about 300 bytes (measured at n = 1000, p = 1), so p = 1 at the
-# limit would need an estimated 0.7 GB.
+# limit would need an estimated 0.7 GB; MAX_EDGES refuses that draw first.
 MAX_GNP_PAIRS = 2048 * 2047 // 2
 
 
@@ -333,7 +333,11 @@ def pad_most_neighbors(G: Graph, vertices: Iterable[int], k: int) -> tuple[int, 
 
 
 def gnp_graph(n: int, p: float, seed: int | str = 0) -> Graph:
-    """Erdos-Renyi ``G(n, p)`` sample with a deterministic per-seed stream."""
+    """Erdos-Renyi ``G(n, p)`` sample with a deterministic per-seed stream.
+
+    It never returns a graph that ``parse_edge_list`` would refuse: past
+    :data:`MAX_EDGES` edges, expected before drawing or drawn, it raises.
+    """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if not (0.0 <= p <= 1.0):
@@ -344,6 +348,16 @@ def gnp_graph(n: int, p: float, seed: int | str = 0) -> Graph:
             f"n={n} has {pairs} vertex pairs, over the limit of {MAX_GNP_PAIRS} "
             "(graph.MAX_GNP_PAIRS)"
         )
+    if pairs * p > MAX_EDGES:
+        raise ValueError(
+            f"n={n}, p={p} expects {pairs * p:.0f} edges, over the limit of {MAX_EDGES} "
+            "(graph.MAX_EDGES)"
+        )
     rng = random.Random(f"gnp:{seed}")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    if len(edges) > MAX_EDGES:
+        raise ValueError(
+            f"n={n}, p={p} drew {len(edges)} edges, over the limit of {MAX_EDGES} "
+            "(graph.MAX_EDGES)"
+        )
     return graph_from_edges(n, edges)

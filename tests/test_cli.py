@@ -83,6 +83,15 @@ class TestGen:
         assert proc.stdout == ""
         assert str(MAX_GNP_PAIRS) in proc.stderr and "MAX_GNP_PAIRS" in proc.stderr
 
+    @pytest.mark.parametrize("p, seed", [("0.5", "0"), ("0.4", "14")])
+    def test_refuses_more_edges_than_a_file_may_hold(self, monkeypatch, capsys, p, seed):
+        # at a cap of 20 edges, 0.5 expects 22.5 and seed 14 at 0.4 draws 24
+        monkeypatch.setattr(densek.graph, "MAX_EDGES", 20)
+        assert main(["gen", "-n", "10", "-p", p, "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "over the limit of 20 (graph.MAX_EDGES)" in err and "Traceback" not in err
+
 
 class TestSolve:
     def test_single_algorithm_record(self, graph_file):

@@ -183,11 +183,14 @@ class TestMaxQuasiDensity:
             outer = [v for v in range(G.n) if rng.random() < 0.8]
             inner = [v for v in outer if rng.random() < 0.3]
             q = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+            # the cut reports its gain over inner
+            base = count_induced_edges(G, inner) - q * len(inner)
+            best, value = brute_bounded_quasi_density(G, q, inner, outer)
             got = max_quasi_density(G, q, inner=inner, outer=outer)
-            assert got == brute_bounded_quasi_density(G, q, inner, outer), (G, q, inner, outer)
+            assert got == (best, value - base), (G, q, inner, outer)
             # no free vertex: the cut runs on the zero-node network
             got = max_quasi_density(G, q, inner=inner, outer=inner)
-            assert got == brute_bounded_quasi_density(G, q, inner, inner), (G, q, inner)
+            assert got == (tuple(sorted(inner)), 0), (G, q, inner)
 
     def test_rejects_bounds_that_do_not_nest(self):
         G = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -308,13 +311,11 @@ class TestChainEnds:
 
     def test_lone_edge_bounds_the_lower_end(self, monkeypatch):
         # At penalty 1/2 a lone edge breaks even (1 - 2/2 = 0), so the
-        # minimal optimiser drops it: below 1/2 the closed form holds, and
-        # from 1/2 on the chain must cut.
+        # minimal optimiser drops it: the closed form holds only below 1/2,
+        # which is why the chain requires lo < 1/2.
         G = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
         assert max_quasi_density(G, Fraction(1, 2))[0] == (0, 1, 2)
         assert max_quasi_density(G, Fraction(49, 100))[0] == (0, 1, 2, 3, 4)
-        chain, ends = self.walk(monkeypatch, G, Fraction(1, 2), Fraction(3, 2))
-        assert chain[0] == (Fraction(1, 2), (0, 1, 2)) and ends == [Fraction(1, 2)]
         chain, ends = self.walk(monkeypatch, G, Fraction(1, 12), Fraction(3, 2))
         assert chain[0] == (Fraction(1, 12), (0, 1, 2, 3, 4)) and ends == []
 
@@ -395,7 +396,7 @@ class TestFlowProperties:
 
         def recorded(graph, q, **bounds):
             out = max_quasi_density(graph, q, **bounds)
-            cuts.append((q, out))
+            cuts.append((q, bounds.get("inner", ()), out))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
@@ -403,5 +404,11 @@ class TestFlowProperties:
             chain = flow._quasi_chain(G, Fraction(1, 2 * G.n), Fraction(G.m, 2))
         sets = [set(chosen) for _, chosen in chain]
         assert all(later < earlier for earlier, later in zip(sets, sets[1:]))
-        for q, out in cuts:
-            assert out == max_quasi_density(G, q), (G, q)
+        for q, inner, (chosen, gain) in cuts:
+            base = count_induced_edges(G, inner) - q * len(inner)
+            assert (chosen, base + gain) == max_quasi_density(G, q), (G, q)
+        # each start is where its set's line crosses its predecessor's, so
+        # the edge counts the chain carried were the true ones
+        for (_, a), (start, b) in zip(chain, chain[1:]):
+            drop = count_induced_edges(G, a) - count_induced_edges(G, b)
+            assert start == Fraction(drop, len(a) - len(b)), (G, a, b)

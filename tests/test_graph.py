@@ -373,3 +373,15 @@ class TestGnp:
             with pytest.raises(ValueError, match=str(MAX_GNP_PAIRS)):
                 gnp_graph(n, 0.5)
             assert time.perf_counter() - start < 1.0
+
+    def test_refuses_more_edges_than_a_file_may_hold(self, monkeypatch):
+        # 45 vertex pairs at p = 0.5 expect 22.5 edges, past a cap of 20, so
+        # the draw never starts; at p = 0.4 they expect 18, and seed 14 draws
+        # 24 while seed 4 draws exactly 20, which the parser still takes.
+        monkeypatch.setattr(densek.graph, "MAX_EDGES", 20)
+        with pytest.raises(ValueError, match=r"expects 22 edges.*graph\.MAX_EDGES"):
+            gnp_graph(10, 0.5)
+        with pytest.raises(ValueError, match=r"drew 24 edges.*graph\.MAX_EDGES"):
+            gnp_graph(10, 0.4, seed=14)
+        G = gnp_graph(10, 0.4, seed=4)
+        assert G.m == 20 and parse_edge_list(serialize_edge_list(G)) == G
