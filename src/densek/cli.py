@@ -12,7 +12,14 @@ would pass ``reduction.MAX_GADGET_EDGES`` edges, and ``gen`` past
 ``graph.MAX_GNP_PAIRS`` vertex pairs or past ``graph.MAX_EDGES`` edges,
 expected or drawn), 3 refusal because an instance exceeds
 the exact-enumeration cap (or the 52 vertices past which exact's int64 subset
-keys would overflow).
+keys would overflow), or because a run ran out of memory (a ``MemoryError``,
+such as numpy's refusal of an array the machine cannot hold).
+
+The module loads only ``graph`` and ``exact`` (for its problem names and
+caps), neither of which loads numpy; each subcommand imports its own layer
+when it runs.  So ``gen``, ``verify`` and ``reduce`` never load numpy, while
+``solve`` (through ``fkp``), ``analyze`` (through ``ratio``) and ``exact``
+(on its first enumeration) load it at first use.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ import json
 import sys
 import time
 
-from . import exact, fkp, ratio, reduction
+from . import exact
 from .graph import (
+    ALGO_NAMES,
     Graph,
     GraphParseError,
     check_k,
@@ -73,13 +81,15 @@ def _result_record(
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from . import fkp
+
     G = _load_graph(args.graph)
     k = args.k
     check_k(G, k)
     if args.reps is not None and not 1 <= args.reps <= MAX_REPS:
         raise ValueError(f"reps must be from 1 to {MAX_REPS} (cli.MAX_REPS), got {args.reps}")
     shared = {"seed": args.seed, "reps": args.reps}
-    include = fkp.ALGO_NAMES if args.algo == "all" else (args.algo,)
+    include = ALGO_NAMES if args.algo == "all" else (args.algo,)
     for name in include:
         _, least_k = fkp.ALGORITHMS[name]
         if k < least_k:
@@ -127,6 +137,8 @@ _CSV_COLUMNS = (
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from . import ratio
+
     if args.set in ratio.RATIO_SETS:
         algos = ratio.RATIO_SETS[args.set]
     elif args.set.startswith("custom:"):
@@ -163,6 +175,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from . import reduction
+
     G = _load_graph(args.graph)
     padded, k_prime = reduction.dalks_gadget(G, args.k)
     sys.stdout.write(serialize_edge_list(padded))
@@ -271,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="edge-list file")
     p.add_argument("-k", type=int, required=True, help="subgraph size")
     p.add_argument(
-        "--algo", default="all", choices=[*fkp.ALGO_NAMES, "all"],
+        "--algo", default="all", choices=[*ALGO_NAMES, "all"],
         help="which algorithm to run (default: all)",
     )
     p.add_argument("--seed", type=int, default=0, help="base random seed")
@@ -332,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except exact.EnumerationCapError as err:
         _note(f"error: {err}")
+        return CAP_ERROR
+    except MemoryError as err:
+        _note(f"error: out of memory: {err}" if str(err) else "error: out of memory")
         return CAP_ERROR
     except (GraphParseError, ValueError, OSError) as err:
         _note(f"error: {err}")

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
 from .graph import Graph, SubgraphResult, check_k, pick_best
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -64,7 +62,10 @@ def _adjacency_masks(G: Graph) -> list[int]:
 def _best_key_by_size(G: Graph) -> list[int]:
     """``out[s]`` = the largest key ``edges << n | reversed mask`` over the
     ``s``-vertex subsets: the most induced edges, ties to the smallest vertex
-    tuple.  ``reversed mask`` reverses the subset's n-bit mask."""
+    tuple.  ``reversed mask`` reverses the subset's n-bit mask.  numpy
+    loads here, so importing the module for its names loads none."""
+    import numpy as np
+
     n = G.n
     b = min(n, LOW_BITS)
     high = n - b

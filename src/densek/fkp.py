@@ -25,8 +25,8 @@ Six candidate generators; a1-a5 return exactly k vertices, a6 at most k:
 * ``a6_damks`` (in :mod:`densek.damks`) — LP rounding.
 
 ``ALGORITHMS`` is the one table of the six: name -> runner and smallest k
-accepted; ``ALGO_NAMES`` and ``densek solve`` read it, and
-:mod:`densek.ratio` keeps its own copy of the names, tested equal to it.
+accepted, keyed by :data:`densek.graph.ALGO_NAMES` in that order, the one
+list of the names, which :mod:`densek.ratio` and the CLI read as well.
 Every exactly-k answer goes through one completion step,
 :func:`densek.score.completed`, which takes a whole batch of candidate sets
 in ``G``'s ids: pad each set with its lowest free ids, count each padded
@@ -59,6 +59,7 @@ import numpy as np
 
 from .damks import a6_damks
 from .graph import (
+    ALGO_NAMES,
     Graph,
     SubgraphResult,
     check_k,
@@ -378,19 +379,22 @@ def a5_walks(
     return completed(G, (cand for cand in trimmed if cand), k)
 
 
-# a1-a6 in dispatch order: name -> (runner, smallest k accepted), where a
-# runner takes (G, k, seed, a6_reps, ladder_n).  Runners look their algorithm
-# up by module-level name at call time, so wrappers installed on those names
-# at run time see every call.
-ALGORITHMS: dict[str, tuple[Callable[..., SubgraphResult], int]] = {
-    "a1": (lambda G, k, seed, reps, ladder_n: a1_matching(G, k), 1),
-    "a2": (lambda G, k, seed, reps, ladder_n: a2_top_degrees(G, k), 2),
-    "a3": (lambda G, k, seed, reps, ladder_n: a3_neighborhoods(G, k), 1),
-    "a4": (lambda G, k, seed, reps, ladder_n: a4_edge_dense(G, k), 1),
-    "a5": (lambda G, k, seed, reps, ladder_n: a5_walks(G, k, seed, ladder_n), 1),
-    "a6": (lambda G, k, seed, reps, ladder_n: a6_damks(G, k, reps, seed), 1),
-}
-ALGO_NAMES = tuple(ALGORITHMS)
+# a1-a6 in dispatch order, keyed by ``ALGO_NAMES``: name -> (runner,
+# smallest k accepted), where a runner takes (G, k, seed, a6_reps, ladder_n).
+# Runners look their algorithm up by module-level name at call time, so
+# wrappers installed on those names at run time see every call.
+ALGORITHMS: dict[str, tuple[Callable[..., SubgraphResult], int]] = dict(zip(
+    ALGO_NAMES,
+    (
+        (lambda G, k, seed, reps, ladder_n: a1_matching(G, k), 1),
+        (lambda G, k, seed, reps, ladder_n: a2_top_degrees(G, k), 2),
+        (lambda G, k, seed, reps, ladder_n: a3_neighborhoods(G, k), 1),
+        (lambda G, k, seed, reps, ladder_n: a4_edge_dense(G, k), 1),
+        (lambda G, k, seed, reps, ladder_n: a5_walks(G, k, seed, ladder_n), 1),
+        (lambda G, k, seed, reps, ladder_n: a6_damks(G, k, reps, seed), 1),
+    ),
+    strict=True,
+))
 
 
 def dks_candidates(

@@ -3,8 +3,10 @@
 Graphs live on dense integer vertex ids ``0..n-1``.  Edges are stored as a
 sorted tuple of ``(u, v)`` pairs with ``u < v``; parallel edges and self loops
 are rejected at construction time.  :attr:`Graph.ends` is the one numpy view
-of the edges, and :func:`check_k` and :func:`checked_vertices` the one test
-of a valid size ``k`` and vertex id.
+of the edges, and the one place this module loads numpy, on first use.
+:func:`check_k` and :func:`checked_vertices` are the one test of a valid
+size ``k`` and vertex id.  :data:`ALGO_NAMES` names the six exactly-k
+algorithms for every layer that lists them.
 
 The text format accepted by :func:`parse_edge_list` is one edge per line
 (``"u v"``), ``#`` starting a comment line, blank lines ignored, and an
@@ -21,9 +23,10 @@ import heapq
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Parsed graphs hold one adjacency list per vertex id, so a single line such
 # as ``0 1000000000`` must not be able to demand a billion of them.
@@ -40,6 +43,13 @@ MAX_EDGES = 1 << 18
 # edge costs about 300 bytes (measured at n = 1000, p = 1), so p = 1 at the
 # limit would need an estimated 0.7 GB; MAX_EDGES refuses that draw first.
 MAX_GNP_PAIRS = 2048 * 2047 // 2
+
+
+# The six exactly-k algorithms, a1-a6, in the order ``fkp.ALGORITHMS``
+# dispatches them.  They are written only here, in a module that loads no
+# numpy, so that ``fkp``, ``ratio`` and the command-line parser read one
+# tuple and ``cli`` lists them without loading a solver.
+ALGO_NAMES = ("a1", "a2", "a3", "a4", "a5", "a6")
 
 
 class GraphParseError(ValueError):
@@ -68,7 +78,9 @@ class Graph:
     def ends(self) -> np.ndarray:
         """``G.edges`` as a read-only ``(m, 2)`` ``np.intp`` array, built on
         first use and kept in the instance ``__dict__`` (so it takes no part
-        in ``==`` or ``hash``)."""
+        in ``==`` or ``hash``).  numpy loads here, on the first call."""
+        import numpy as np
+
         ends = np.array(self.edges, dtype=np.intp).reshape(self.m, 2)
         ends.flags.writeable = False
         return ends

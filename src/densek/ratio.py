@@ -48,9 +48,8 @@ from typing import Iterable
 
 import numpy as np
 
-# The six algorithms, in the order of ``fkp.ALGORITHMS``; ratio holds its own
-# copy so that it loads none of the solvers, and the tests keep the two equal.
-ALGOS = ("a1", "a2", "a3", "a4", "a5", "a6")
+from .graph import ALGO_NAMES as ALGOS
+
 FKP5 = frozenset({"a1", "a2", "a3", "a4", "a5"})
 A6_COMBO = frozenset({"a1", "a2", "a3", "a4", "a6"})
 RATIO_SETS = {"fkp5": FKP5, "a6combo": A6_COMBO}

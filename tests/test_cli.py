@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import densek.fkp
 import densek.graph
 from densek.cli import MAX_REPS, main
 from densek.graph import MAX_GNP_PAIRS, MAX_VERTICES, parse_edge_list
@@ -176,6 +177,24 @@ class TestSolve:
             "error: a5 counts walks in int64 and needs maximum degree at most "
             "55108, got 55109"
         ]
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 850. MiB for an array with shape (13958, 7979) and "
+         "data type float64",
+         "error: out of memory: Unable to allocate 850. MiB for an array with "
+         "shape (13958, 7979) and data type float64\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy-message", "no-message"])
+    def test_out_of_memory_exits_3(self, monkeypatch, capsys, graph_file, message, line):
+        # A stand-in for an allocation the machine cannot hold; no real one is made.
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(densek.fkp, "a6_damks", exhausted)
+        assert main(["solve", "-k", "4", "--algo", "a6", str(graph_file)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == line
 
     @pytest.mark.parametrize("flags", [
         ["-k", "0"], ["-k", "3", "--reps", "0"], ["-k", "3", "--reps", str(MAX_REPS + 1)],
