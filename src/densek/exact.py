@@ -148,7 +148,6 @@ def exact_solve(
     def result(key: int) -> SubgraphResult:
         # The key's low n bits hold the set with vertex v at bit n - 1 - v.
         verts = tuple(v for v in range(n) if key >> (n - 1 - v) & 1)
-        ec = key >> n
-        return SubgraphResult(verts, ec, 2.0 * ec / len(verts) if verts else 0.0)
+        return SubgraphResult(verts, key >> n)
 
     return pick_best(result(keys[size]) for size in kind.sizes(k, n))

@@ -197,7 +197,7 @@ def a4_edge_dense(G: Graph, k: int) -> SubgraphResult:
                 )
 
     count, verts = best_in_windows(runs(), k)
-    return SubgraphResult(verts, count, 2.0 * count / k)
+    return SubgraphResult(verts, count)
 
 
 def _walk_step(G: Graph, X: np.ndarray) -> np.ndarray:

@@ -208,9 +208,9 @@ def max_quasi_density(
 
 def _quasi_chain(
     G: Graph, lo: Fraction, hi: Fraction
-) -> list[tuple[Fraction, tuple[int, ...]]]:
+) -> list[tuple[Fraction, tuple[int, ...], int]]:
     """The distinct minimal optimisers of ``|E(S)| - q*|S|`` for ``q`` in
-    ``[lo, hi]``, as ``(start, S)`` pairs in order of growing ``q``, each
+    ``[lo, hi]``, as ``(start, S, |E(S)|)`` in order of growing ``q``, each
     optimal from its start to the next one's (the last through ``hi``).
     Requires ``lo < 1/2``.
 
@@ -240,14 +240,14 @@ def _quasi_chain(
     else:
         chosen, gain = max_quasi_density(G, hi, outer=left[0])
         last = chosen, int(gain + hi * len(chosen))
-    chain = [(lo, left[0])]
+    chain = [(lo, *left)]
     pending = [last] if last[0] != left[0] else []  # right of ``left``, nearest last
     while pending:
         right = pending[-1]
         cross = Fraction(left[1] - right[1], len(left[0]) - len(right[0]))
         chosen, gain = max_quasi_density(G, cross, inner=right[0], outer=left[0])
         if chosen == right[0]:
-            chain.append((cross, right[0]))
+            chain.append((cross, *right))
             left = pending.pop()
         else:
             edges = right[1] + int(gain + cross * (len(chosen) - len(right[0])))
@@ -277,16 +277,19 @@ def dalks_2approx(G: Graph, k: int) -> SubgraphResult:
     chain's two ends follow in closed form (see ``_quasi_chain``): at the
     lowest penalty ``1/(2n) < 1/2`` the non-isolated vertices, and at the
     highest, ``m/(2k)``, the empty set whenever ``m/k`` reaches the maximum
-    degree; only the crossing cuts in between run a min-cut.  On an edgeless
-    graph the chain is one empty set, which holds no guess (``a >= 1 > m``).
+    degree; only the crossing cuts in between run a min-cut.  A chain set of
+    k or more vertices keeps the edge count its cut certified; only padded
+    sets are recounted.  On an edgeless graph the chain is one empty set,
+    which holds no guess (``a >= 1 > m``).
     """
     check_k(G, k)
     candidates = [induced_stats(G, pad_most_neighbors(G, (), k))]
     chain = _quasi_chain(G, Fraction(1, 2 * G.n), Fraction(G.m, 2 * k))
-    for i, (start, chosen) in enumerate(chain):
+    for i, (start, chosen, edges) in enumerate(chain):
         end = chain[i + 1][0] if i + 1 < len(chain) else None
         if _holds_guess(G, k, start, end):
             if len(chosen) < k:
-                chosen = pad_most_neighbors(G, chosen, k)
-            candidates.append(induced_stats(G, chosen))
+                candidates.append(induced_stats(G, pad_most_neighbors(G, chosen, k)))
+            else:
+                candidates.append(SubgraphResult(chosen, edges))
     return pick_best(candidates)

@@ -5,7 +5,8 @@ sorted tuple of ``(u, v)`` pairs with ``u < v``; parallel edges and self loops
 are rejected at construction time.  :attr:`Graph.ends` is the one numpy view
 of the edges, and the one place this module loads numpy, on first use.
 :func:`check_k` and :func:`checked_vertices` are the one test of a valid
-size ``k`` and vertex id.  :data:`ALGO_NAMES` names the six exactly-k
+size ``k`` and vertex id, and :func:`graph_from_edges` the one test of a
+valid edge.  :data:`ALGO_NAMES` names the six exactly-k
 algorithms for every layer that lists them.
 
 The text format accepted by :func:`parse_edge_list` is one edge per line
@@ -32,9 +33,10 @@ if TYPE_CHECKING:
 # as ``0 1000000000`` must not be able to demand a billion of them.
 MAX_VERTICES = 1 << 20
 
-# Parsed edges cost about 585 bytes each (200k edges raised peak RSS by
-# 117 MB), so a file may hold at most this many: as many as
-# ``reduction.MAX_GADGET_EDGES``, the largest graph ``densek reduce`` writes.
+# Parsed edges cost about 320 bytes each (parsing 199,646 edges raised a
+# fresh process's peak RSS by 62 MB), so a file may hold at most this many:
+# as many as ``reduction.MAX_GADGET_EDGES``, the largest graph
+# ``densek reduce`` writes.
 MAX_EDGES = 1 << 18
 
 # gnp_graph draws one random number per vertex pair in Python, so it refuses
@@ -53,7 +55,8 @@ ALGO_NAMES = ("a1", "a2", "a3", "a4", "a5", "a6")
 
 
 class GraphParseError(ValueError):
-    """Malformed edge-list text.  ``line`` is the 1-based offending line."""
+    """Malformed edge-list text, or an edge that breaks an edge rule.
+    ``line`` is the 1-based offending line, or ``None`` when none is known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -95,7 +98,11 @@ class SubgraphResult:
 
     vertices: tuple[int, ...]
     edge_count: int
-    average_degree: float
+
+    @property
+    def average_degree(self) -> float:
+        """``2 * edge_count / |vertices|``, and 0.0 for the empty set."""
+        return 2.0 * self.edge_count / len(self.vertices) if self.vertices else 0.0
 
 
 def check_k(G: Graph, k: int, minimum: int = 1) -> None:
@@ -113,28 +120,38 @@ def checked_vertices(G: Graph, vertices: Iterable[int]) -> set[int]:
     return vset
 
 
-def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a :class:`Graph`, normalising edge order and validating input.
-
-    Raises ``ValueError`` on out-of-range endpoints, self loops or duplicate
-    edges.
+def graph_from_edges(
+    n: int, edges: Iterable[Sequence[int]], lines: Sequence[int] | None = None
+) -> Graph:
+    """Build a :class:`Graph`, normalising edge order; the one check of the
+    four edge rules.  Each edge is checked once, in input order, for a
+    negative id, then an id of ``n`` or more, a self loop, and a duplicate
+    once written ``u < v``.  A broken rule raises :class:`GraphParseError`
+    whose ``line`` is ``lines[i]`` for the ``i``-th edge, or ``None``
+    without ``lines``.
     """
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     seen: set[tuple[int, int]] = set()
     norm: list[tuple[int, int]] = []
-    for e in edges:
+    for i, e in enumerate(edges):
         u, v = int(e[0]), int(e[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self loop at vertex {u}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        norm.append((u, v))
+        if u < 0 or v < 0:
+            problem = f"negative vertex id in ({u}, {v})"
+        elif u >= n or v >= n:
+            problem = f"edge ({u}, {v}) out of range: exceeds declared vertex count {n}"
+        elif u == v:
+            problem = f"self loop at vertex {u}"
+        else:
+            key = (u, v) if u < v else (v, u)
+            if key not in seen:
+                seen.add(key)
+                norm.append(key)
+                continue
+            problem = f"duplicate edge {key}"
+        raise GraphParseError(problem, None if lines is None else lines[i])
+    # Sorting the input order, not the set's, costs one pass on edges that
+    # come sorted, as a serialised graph's do.
     norm.sort()
     # Walking the sorted edges appends each neighbour list in increasing
     # order.  Isolated vertices share the empty tuple, so a large ``n``
@@ -152,14 +169,16 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a :class:`Graph`.
 
-    Errors name the offending 1-based line: non-integer tokens, wrong token
-    count, negative ids, ids beyond a declared ``n`` header, vertex counts or
-    ids beyond :data:`MAX_VERTICES`, duplicate edges, self loops, duplicate
-    headers, and an edge past the first :data:`MAX_EDGES` are all rejected.
+    Errors name the offending 1-based line.  Reading rejects malformed
+    tokens and headers, counts or ids past :data:`MAX_VERTICES` and an edge
+    past the first :data:`MAX_EDGES`; then :func:`graph_from_edges` applies
+    the four edge rules to the whole file.  So in a file with several errors
+    every reading error comes before any edge-rule error, each kind in line
+    order: the first one found is reported.
     """
     declared_n: int | None = None
-    edges: list[tuple[int, int, int]] = []  # (u, v, line number)
-    seen: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
+    lines: list[int] = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -192,34 +211,16 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise GraphParseError(f"non-integer vertex id in {stripped!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise GraphParseError(f"negative vertex id in ({u}, {v})", lineno)
-        if u == v:
-            raise GraphParseError(f"self loop at vertex {u}", lineno)
-        if u > v:
-            u, v = v, u
-        if v >= MAX_VERTICES:
+        if max(u, v) >= MAX_VERTICES:
             raise GraphParseError(
-                f"vertex id {v} exceeds the limit of {MAX_VERTICES} vertices", lineno
+                f"vertex id {max(u, v)} exceeds the limit of {MAX_VERTICES} vertices", lineno
             )
-        if (u, v) in seen:
-            raise GraphParseError(f"duplicate edge ({u}, {v})", lineno)
-        if len(edges) == MAX_EDGES:
+        if len(pairs) == MAX_EDGES:
             raise GraphParseError(f"more than {MAX_EDGES} edges (graph.MAX_EDGES)", lineno)
-        seen.add((u, v))
-        edges.append((u, v, lineno))
-        max_id = max(max_id, v)
-
-    if declared_n is not None:
-        for u, v, lineno in edges:
-            if v >= declared_n:
-                raise GraphParseError(
-                    f"edge ({u}, {v}) exceeds declared vertex count {declared_n}", lineno
-                )
-        n = declared_n
-    else:
-        n = max_id + 1
-    return graph_from_edges(n, [(u, v) for u, v, _ in edges])
+        pairs.append((u, v))
+        lines.append(lineno)
+        max_id = max(max_id, u, v)
+    return graph_from_edges(max_id + 1 if declared_n is None else declared_n, pairs, lines)
 
 
 def serialize_edge_list(G: Graph) -> str:
@@ -237,9 +238,7 @@ def induced_stats(G: Graph, vertices: Iterable[int]) -> SubgraphResult:
         for u in G.adjacency[v]:
             if u > v and u in vset:
                 count += 1
-    verts = tuple(sorted(vset))
-    avg = 0.0 if not verts else 2.0 * count / len(verts)
-    return SubgraphResult(verts, count, avg)
+    return SubgraphResult(tuple(sorted(vset)), count)
 
 
 def better_than(a: SubgraphResult, b: SubgraphResult) -> bool:

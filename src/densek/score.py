@@ -184,4 +184,4 @@ def completed(G: Graph, candidates: Iterable[Collection[int]], k: int) -> Subgra
     """
     check_k(G, k)
     count, verts = best_in_windows([(whole(G), candidates)], k)
-    return SubgraphResult(verts, count, 2.0 * count / k)
+    return SubgraphResult(verts, count)

@@ -236,9 +236,7 @@ def gray_exact_solve(
             elif ec == best_ec and mask_lex_less(cur, best_mask):
                 best_ec, best_size, best_mask = ec, size, cur
 
-    verts = mask_to_tuple(best_mask)
-    avg = 0.0 if not verts else 2.0 * best_ec / len(verts)
-    return SubgraphResult(verts, best_ec, avg)
+    return SubgraphResult(mask_to_tuple(best_mask), best_ec)
 
 
 def good_vertex_candidates_rebuild(

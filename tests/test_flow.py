@@ -301,7 +301,7 @@ class TestChainEnds:
             assert first == tuple(v for v in range(G.n) if G.degree(v)), G
             for hi in sorted({Fraction(G.m, 2 * k) for k in range(1, G.n + 1)}):
                 chain, ends = self.walk(monkeypatch, G, lo, hi)
-                assert chain[0] == (lo, first)
+                assert chain[0] == (lo, first, G.m)
                 assert chain[-1][1] == max_quasi_density(G, hi, outer=first)[0], (G, hi)
                 cut = 2 * hi < degree
                 assert ends == ([hi] if cut else []), (G, hi)
@@ -317,14 +317,14 @@ class TestChainEnds:
         assert max_quasi_density(G, Fraction(1, 2))[0] == (0, 1, 2)
         assert max_quasi_density(G, Fraction(49, 100))[0] == (0, 1, 2, 3, 4)
         chain, ends = self.walk(monkeypatch, G, Fraction(1, 12), Fraction(3, 2))
-        assert chain[0] == (Fraction(1, 12), (0, 1, 2, 3, 4)) and ends == []
+        assert chain[0] == (Fraction(1, 12), (0, 1, 2, 3, 4), 4) and ends == []
 
     def test_upper_end_cuts_below_half_the_max_degree(self, monkeypatch):
         # K5 plus an isolated vertex: at hi = 3/2 < 4/2 the clique still
         # pays (10 - 5*3/2 > 0), so S(hi) is not empty and the cut must run.
         G = graph_from_edges(6, [(u, v) for u in range(5) for v in range(u + 1, 5)])
         chain, ends = self.walk(monkeypatch, G, Fraction(1, 12), Fraction(3, 2))
-        assert chain == [(Fraction(1, 12), (0, 1, 2, 3, 4))]
+        assert chain == [(Fraction(1, 12), (0, 1, 2, 3, 4), 10)]
         assert ends == [Fraction(3, 2)]
         chain, ends = self.walk(monkeypatch, G, Fraction(1, 12), Fraction(2))
         assert chain[-1][1] == () and ends == []
@@ -402,13 +402,14 @@ class TestFlowProperties:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flow, "max_quasi_density", recorded)
             chain = flow._quasi_chain(G, Fraction(1, 2 * G.n), Fraction(G.m, 2))
-        sets = [set(chosen) for _, chosen in chain]
+        sets = [set(chosen) for _, chosen, _ in chain]
         assert all(later < earlier for earlier, later in zip(sets, sets[1:]))
         for q, inner, (chosen, gain) in cuts:
             base = count_induced_edges(G, inner) - q * len(inner)
             assert (chosen, base + gain) == max_quasi_density(G, q), (G, q)
-        # each start is where its set's line crosses its predecessor's, so
-        # the edge counts the chain carried were the true ones
-        for (_, a), (start, b) in zip(chain, chain[1:]):
-            drop = count_induced_edges(G, a) - count_induced_edges(G, b)
-            assert start == Fraction(drop, len(a) - len(b)), (G, a, b)
+        # the edge count each set carries is its true one, and each start is
+        # where its set's line crosses its predecessor's
+        for _, chosen, edges in chain:
+            assert edges == count_induced_edges(G, chosen), (G, chosen)
+        for (_, a, ea), (start, b, eb) in zip(chain, chain[1:]):
+            assert start == Fraction(ea - eb, len(a) - len(b)), (G, a, b)

@@ -84,6 +84,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             graph_from_edges(2, [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([(0, 1), (2, -1)], "negative vertex id in (2, -1)"),
+            ([(0, 1), (3, 0)], "edge (3, 0) out of range: exceeds declared vertex count 3"),
+            ([(0, 1), (2, 2)], "self loop at vertex 2"),
+            ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+            # an edge that breaks two rules names the first in that order
+            ([(0, 1), (-1, 7)], "negative vertex id in (-1, 7)"),
+            ([(0, 1), (-1, -1)], "negative vertex id in (-1, -1)"),
+            ([(0, 1), (5, 5)], "edge (5, 5) out of range: exceeds declared vertex count 3"),
+        ],
+        ids=["negative", "range", "self-loop", "duplicate",
+             "negative-and-range", "negative-loop", "range-loop"],
+    )
+    def test_rules_name_the_given_line(self, edges, message):
+        with pytest.raises(GraphParseError) as info:
+            graph_from_edges(3, edges)
+        assert str(info.value) == message and info.value.line is None
+        with pytest.raises(GraphParseError) as info:
+            graph_from_edges(3, edges, [4, 9])
+        assert str(info.value) == f"line 9: {message}" and info.value.line == 9
+
 
 class TestEdgeView:
     @pytest.mark.parametrize("G", [
@@ -220,6 +243,60 @@ class TestParsing:
         assert info.value.line == line
         assert f"line {line}" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text,line,fragment",
+        [
+            ("0 1\n1 1\n0 x\n", 3, "non-integer vertex id"),
+            ("n 2\n0 5\n0 1 2\n", 3, "two vertex ids"),
+            ("0 -1\nn 3\nn 4\n", 3, "duplicate 'n' header"),
+            ("0 1\n1 0\n2 2\n", 2, "duplicate edge"),
+            ("n 3\n2 2\n0 -1\n", 2, "self loop"),
+        ],
+        ids=["token-after-loop", "count-after-range", "header-after-negative",
+             "duplicate-then-loop", "loop-then-negative"],
+    )
+    def test_token_errors_come_before_edge_rule_errors(self, text, line, fragment):
+        # Every token-level error on any line is reported before any edge-rule
+        # error, and each kind at its first line.
+        with pytest.raises(GraphParseError, match=fragment) as info:
+            parse_edge_list(text)
+        assert info.value.line == line
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(graphs(), st.sampled_from(["negative", "range", "self-loop", "duplicate"]),
+           st.data())
+    def test_one_bad_edge_names_its_line(self, G, rule, data):
+        # One bad edge inserted among the lines of a serialised graph: the
+        # parse names its line, with the message graph_from_edges gives the
+        # same pairs.
+        pairs = list(G.edges)
+        if rule == "negative":
+            u, v = data.draw(st.integers(-9, -1)), data.draw(st.integers(-9, G.n + 2))
+            bad, at = data.draw(st.sampled_from([(u, v), (v, u)])), 0
+        elif rule == "range":
+            u, v = data.draw(st.integers(0, G.n + 2)), data.draw(st.integers(G.n, G.n + 2))
+            bad, at = data.draw(st.sampled_from([(u, v), (v, u)])), 0
+        elif rule == "self-loop" and G.n:
+            w = data.draw(st.integers(0, G.n - 1))
+            bad, at = (w, w), 0
+        elif rule == "duplicate" and G.m:
+            j = data.draw(st.integers(0, G.m - 1))
+            bad, at = data.draw(st.sampled_from([pairs[j], pairs[j][::-1]])), j + 1
+        else:
+            return
+        at = data.draw(st.integers(at, G.m))
+        pairs.insert(at, bad)
+        text = serialize_edge_list(G).splitlines()
+        text.insert(at + 1, f"{bad[0]} {bad[1]}")
+        line = at + 2  # after the header
+        with pytest.raises(GraphParseError) as parsed:
+            parse_edge_list("\n".join(text) + "\n")
+        assert parsed.value.line == line
+        with pytest.raises(GraphParseError) as built:
+            graph_from_edges(G.n, pairs)
+        assert built.value.line is None
+        assert str(parsed.value) == f"line {line}: {built.value}"
+
     def test_edge_cap_names_the_first_line_past_it(self, monkeypatch):
         monkeypatch.setattr(densek.graph, "MAX_EDGES", 2)
         assert parse_edge_list("0 1\n# c\n1 2\n").m == 2
@@ -246,8 +323,8 @@ class TestStats:
     def test_petersen_outer_cycle(self):
         G = petersen()
         res = induced_stats(G, range(5))
-        assert res == SubgraphResult(vertices=(0, 1, 2, 3, 4), edge_count=5,
-                                     average_degree=2.0)
+        assert res == SubgraphResult(vertices=(0, 1, 2, 3, 4), edge_count=5)
+        assert res.average_degree == 2.0
         assert count_induced_edges(G, range(5)) == 5
 
     def test_empty_set(self):
@@ -334,14 +411,14 @@ class TestPaddingAndRanking:
             pad_lowest_id(G, {0, 1}, 1)
 
     def test_better_than_orders(self):
-        denser = SubgraphResult((0, 1), 1, 1.0)
-        sparser = SubgraphResult((0, 1, 2), 1, 2 / 3)
+        denser = SubgraphResult((0, 1), 1)
+        sparser = SubgraphResult((0, 1, 2), 1)
         assert better_than(denser, sparser)
-        more_edges = SubgraphResult((0, 1, 2, 3), 4, 2.0)
-        square_tie = SubgraphResult((2, 3, 4), 3, 2.0)
+        more_edges = SubgraphResult((0, 1, 2, 3), 4)
+        square_tie = SubgraphResult((2, 3, 4), 3)
         assert better_than(more_edges, square_tie)
-        lex_a = SubgraphResult((0, 3), 1, 1.0)
-        lex_b = SubgraphResult((1, 2), 1, 1.0)
+        lex_a = SubgraphResult((0, 3), 1)
+        lex_b = SubgraphResult((1, 2), 1)
         assert better_than(lex_a, lex_b) and not better_than(lex_b, lex_a)
 
     def test_pick_best_empty(self):
